@@ -232,6 +232,50 @@ fn bench_traffic_generation(c: &mut Criterion) {
     });
 }
 
+/// Training kernels: the three autograd products at the shapes PPO and
+/// StateEncoder pretraining run, each at the detected SIMD level (the
+/// register-tiled nest `Matrix` dispatches to) and at
+/// `SimdLevel::Scalar` (the reference nest). `fwd` is `x · W`, `dw` the
+/// weight gradient `xᵀ · g`, `dx` the input gradient `g · Wᵀ`. The ratio
+/// of the two levels is the kernel-side prediction for the ledger's
+/// `train.update_s` / `train.pretrain_s` deltas.
+fn bench_training_matmuls(c: &mut Criterion) {
+    use amoeba_nn::matrix::Matrix;
+    use amoeba_nn::simd::{self, SimdLevel};
+    let mut rng = StdRng::seed_from_u64(11);
+    // (rows, in, out): a PPO minibatch through the 128-wide actor layer,
+    // and a pretraining batch through the GRU's 3 × 64 gate projection.
+    for (m, k, n) in [(256usize, 128usize, 128usize), (32, 64, 192)] {
+        let x = Matrix::randn(m, k, 1.0, &mut rng);
+        let w = Matrix::randn(k, n, 0.1, &mut rng);
+        let g = Matrix::randn(m, n, 1.0, &mut rng);
+        let shape = format!("{m}x{k}x{n}");
+        for level in [SimdLevel::detect(), SimdLevel::Scalar] {
+            c.bench_function(&format!("train_matmul_fwd_{shape}_{level}"), |b| {
+                b.iter(|| {
+                    let mut out = vec![0.0f32; m * n];
+                    simd::matmul_into(level, x.as_slice(), w.as_slice(), &mut out, m, k, n);
+                    out
+                })
+            });
+            c.bench_function(&format!("train_matmul_dw_{shape}_{level}"), |b| {
+                b.iter(|| {
+                    let mut out = vec![0.0f32; k * n];
+                    simd::t_matmul_into(level, x.as_slice(), g.as_slice(), &mut out, k, m, n);
+                    out
+                })
+            });
+            c.bench_function(&format!("train_matmul_dx_{shape}_{level}"), |b| {
+                b.iter(|| {
+                    let mut out = vec![0.0f32; m * k];
+                    simd::matmul_t_into(level, g.as_slice(), w.as_slice(), &mut out, m, n, k);
+                    out
+                })
+            });
+        }
+    }
+}
+
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(300));
@@ -244,6 +288,7 @@ criterion_group! {
         bench_fig7_ppo_update,
         bench_table2_profile_embed,
         bench_shaper,
-        bench_traffic_generation
+        bench_traffic_generation,
+        bench_training_matmuls
 }
 criterion_main!(kernels);

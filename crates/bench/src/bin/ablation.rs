@@ -20,7 +20,7 @@ use amoeba_core::{pretrain_encoder, train_amoeba_with_encoder, ActionSpace};
 use amoeba_traffic::{build_dataset, DatasetKind, NetEm};
 
 fn main() {
-    let mut scale = Scale::from_env();
+    let mut scale = Scale::from_env().unwrap_or_else(|e| e.exit());
     if std::env::var("AMOEBA_STEPS").is_err() {
         scale.amoeba_timesteps = 25_000;
     }

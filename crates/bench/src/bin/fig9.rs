@@ -3,6 +3,6 @@
 use amoeba_bench::{experiments, Context, Scale};
 
 fn main() {
-    let mut ctx = Context::new(Scale::from_env());
+    let mut ctx = Context::new(Scale::from_env().unwrap_or_else(|e| e.exit()));
     print!("{}", experiments::fig9(&mut ctx));
 }

@@ -5,7 +5,7 @@ use std::time::Instant;
 use amoeba_bench::{experiments, Context, Scale};
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env().unwrap_or_else(|e| e.exit());
     eprintln!(
         "# scale: {} flows/class, {} PPO steps/censor",
         scale.n_per_class, scale.amoeba_timesteps

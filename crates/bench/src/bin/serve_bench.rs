@@ -99,7 +99,7 @@ fn main() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(if smoke { 96 } else { 1000 });
-    let mut ctx = Context::new(Scale::from_env());
+    let mut ctx = Context::new(Scale::from_env().unwrap_or_else(|e| e.exit()));
     if compare_all {
         assert!(
             !matrix && !skew && !scaling && !overhead,

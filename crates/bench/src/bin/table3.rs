@@ -2,6 +2,6 @@
 use amoeba_bench::{experiments, Context, Scale};
 
 fn main() {
-    let ctx = Context::new(Scale::from_env());
+    let ctx = Context::new(Scale::from_env().unwrap_or_else(|e| e.exit()));
     print!("{}", experiments::table3(&ctx));
 }

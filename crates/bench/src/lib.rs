@@ -12,6 +12,8 @@
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
+use std::ffi::OsString;
+use std::fmt;
 use std::sync::Arc;
 
 use amoeba_classifiers::{train_censor, train_nn_model, Censor, CensorKind, NnModel, TrainConfig};
@@ -23,6 +25,34 @@ use amoeba_traffic::{build_dataset, DatasetKind, Flow, Label, NetEm, Splits};
 
 pub mod experiments;
 pub mod serve;
+
+/// An environment variable [`Scale::from_env`] could not use.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScaleEnvError {
+    /// The variable's name.
+    pub var: &'static str,
+    /// Its value (lossily decoded when not UTF-8).
+    pub value: String,
+    /// What the value must be.
+    pub expected: &'static str,
+}
+
+impl fmt::Display for ScaleEnvError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}={:?} is not {}", self.var, self.value, self.expected)
+    }
+}
+
+impl std::error::Error for ScaleEnvError {}
+
+impl ScaleEnvError {
+    /// Reports the error on stderr and exits with status 2 — for the
+    /// experiment binaries, which cannot run without a budget.
+    pub fn exit(&self) -> ! {
+        eprintln!("error: {self}");
+        std::process::exit(2)
+    }
+}
 
 /// Experiment budget knobs.
 #[derive(Debug, Clone)]
@@ -77,27 +107,60 @@ impl Scale {
     /// Reads `AMOEBA_SCALE` (`small` default, `paper` for full runs).
     /// `AMOEBA_STEPS` / `AMOEBA_FLOWS` / `AMOEBA_EVAL` override individual
     /// budgets on top of the chosen preset.
-    pub fn from_env() -> Self {
-        let mut s = match std::env::var("AMOEBA_SCALE").as_deref() {
-            Ok("paper") => Self::paper(),
-            _ => Self::small(),
+    ///
+    /// # Errors
+    /// An unknown `AMOEBA_SCALE`, or an override that is not a
+    /// non-negative integer, is a [`ScaleEnvError`] naming the variable
+    /// and its value — never a silent fallback to the default.
+    pub fn from_env() -> Result<Self, ScaleEnvError> {
+        Self::from_vars(|name| std::env::var_os(name))
+    }
+
+    /// [`Scale::from_env`] over an arbitrary variable lookup.
+    fn from_vars(get: impl Fn(&str) -> Option<OsString>) -> Result<Self, ScaleEnvError> {
+        let read = |var: &'static str| -> Result<Option<String>, ScaleEnvError> {
+            get(var)
+                .map(|v| {
+                    v.into_string().map_err(|v| ScaleEnvError {
+                        var,
+                        value: v.to_string_lossy().into_owned(),
+                        expected: "valid UTF-8",
+                    })
+                })
+                .transpose()
         };
-        if let Ok(v) = std::env::var("AMOEBA_STEPS") {
-            if let Ok(n) = v.parse() {
-                s.amoeba_timesteps = n;
+        let mut s = match read("AMOEBA_SCALE")?.as_deref() {
+            None | Some("small") => Self::small(),
+            Some("paper") => Self::paper(),
+            Some(other) => {
+                return Err(ScaleEnvError {
+                    var: "AMOEBA_SCALE",
+                    value: other.to_owned(),
+                    expected: "one of small, paper",
+                })
             }
+        };
+        let count = |var: &'static str| -> Result<Option<usize>, ScaleEnvError> {
+            read(var)?
+                .map(|v| {
+                    v.parse().map_err(|_| ScaleEnvError {
+                        var,
+                        value: v,
+                        expected: "a non-negative integer",
+                    })
+                })
+                .transpose()
+        };
+        if let Some(n) = count("AMOEBA_STEPS")? {
+            s.amoeba_timesteps = n;
         }
-        if let Ok(v) = std::env::var("AMOEBA_FLOWS") {
-            if let Ok(n) = v.parse() {
-                s.n_per_class = n;
-            }
+        if let Some(n) = count("AMOEBA_FLOWS")? {
+            s.n_per_class = n;
         }
-        if let Ok(v) = std::env::var("AMOEBA_EVAL") {
-            if let Ok(n) = v.parse() {
-                s.eval_flows = n;
-            }
+        if let Some(n) = count("AMOEBA_EVAL")? {
+            s.eval_flows = n;
         }
-        s
+        Ok(s)
     }
 
     /// Amoeba config sized for this scale.
@@ -288,5 +351,73 @@ mod tests {
     fn scale_env_parsing() {
         let s = Scale::small();
         assert!(s.n_per_class < Scale::paper().n_per_class);
+    }
+
+    /// `Scale::from_vars` over a fixed set of variables.
+    fn scale_from(vars: &[(&str, &str)]) -> Result<Scale, ScaleEnvError> {
+        Scale::from_vars(|name| {
+            vars.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| OsString::from(v))
+        })
+    }
+
+    #[test]
+    fn scale_env_presets_and_overrides() {
+        let s = scale_from(&[]).unwrap();
+        assert_eq!(s.n_per_class, Scale::small().n_per_class);
+        let s = scale_from(&[("AMOEBA_SCALE", "small")]).unwrap();
+        assert_eq!(s.amoeba_timesteps, Scale::small().amoeba_timesteps);
+        let s = scale_from(&[
+            ("AMOEBA_SCALE", "paper"),
+            ("AMOEBA_STEPS", "1234"),
+            ("AMOEBA_FLOWS", "56"),
+            ("AMOEBA_EVAL", "7"),
+        ])
+        .unwrap();
+        assert_eq!(s.encoder_flows, Scale::paper().encoder_flows);
+        assert_eq!(
+            (s.amoeba_timesteps, s.n_per_class, s.eval_flows),
+            (1234, 56, 7)
+        );
+    }
+
+    #[test]
+    fn unknown_scale_is_an_error_naming_the_value() {
+        let err = scale_from(&[("AMOEBA_SCALE", "huge")]).unwrap_err();
+        assert_eq!(err.var, "AMOEBA_SCALE");
+        assert_eq!(err.value, "huge");
+        assert_eq!(
+            err.to_string(),
+            "AMOEBA_SCALE=\"huge\" is not one of small, paper"
+        );
+        assert!(scale_from(&[("AMOEBA_SCALE", "")]).is_err());
+        assert!(scale_from(&[("AMOEBA_SCALE", "Paper")]).is_err());
+    }
+
+    #[test]
+    fn unparseable_budgets_are_errors_naming_the_variable() {
+        for var in ["AMOEBA_STEPS", "AMOEBA_FLOWS", "AMOEBA_EVAL"] {
+            for bad in ["12k", "-1", "1.5", ""] {
+                let err = scale_from(&[(var, bad)]).unwrap_err();
+                assert_eq!((err.var, err.value.as_str()), (var, bad));
+                assert!(err.to_string().starts_with(var), "{err}");
+            }
+        }
+        // A bad override fails even when the preset is valid.
+        let err = scale_from(&[("AMOEBA_SCALE", "paper"), ("AMOEBA_EVAL", "x")]).unwrap_err();
+        assert_eq!(err.var, "AMOEBA_EVAL");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn non_utf8_values_are_errors() {
+        use std::os::unix::ffi::OsStringExt;
+        let err = Scale::from_vars(|name| {
+            (name == "AMOEBA_STEPS").then(|| OsString::from_vec(vec![b'1', 0xff]))
+        })
+        .unwrap_err();
+        assert_eq!(err.var, "AMOEBA_STEPS");
+        assert_eq!(err.expected, "valid UTF-8");
     }
 }

@@ -1,16 +1,17 @@
 //! Dense row-major `f32` matrix used as the storage type for every tensor
 //! in the autograd engine.
 //!
-//! [`Matrix::matmul`] — the workhorse behind `MlpSnapshot::forward`,
-//! `forward_batch`, the GRU step and therefore the whole `amoeba-serve`
-//! inference path — uses a blocked, cache-tiled kernel: column panels of
-//! the right operand are streamed through a register-blocked micro-kernel
-//! over row panels of the left operand. The tiling only reorders *which
-//! output elements* are produced when, never the order of the `f32`
-//! additions *within* an output element (always ascending `k`), so the
-//! result is bit-identical to the naive triple loop
-//! ([`Matrix::matmul_naive`], kept as the audit/parity reference). The
-//! other routines stay deliberately simple; everything is exercised by the
+//! Three products carry the compute: [`Matrix::matmul`] (the autograd
+//! forward and the LSTM/conv snapshots), and the two backward products
+//! [`Matrix::t_matmul`] and [`Matrix::matmul_t`]. All three run the
+//! register-tiled nest of [`crate::simd`] at the detected SIMD level; the
+//! serving default goes through [`Matrix::matmul_with`] with
+//! [`MatmulKernel::Blocked`], the scalar blocked axpy nest. Neither the
+//! tiling nor the vector lanes change the order of the `f32` additions
+//! *within* an output element (always ascending `k`), so every path is
+//! bit-identical to the naive triple loop ([`Matrix::matmul_naive`], kept
+//! as the audit/parity reference). The other routines stay deliberately
+//! simple; everything is exercised by the
 //! gradient-check suite in [`crate::gradcheck`].
 
 use std::fmt;
@@ -213,32 +214,37 @@ impl Matrix {
         (0..self.rows).map(|r| self[(r, c)]).collect()
     }
 
-    /// Matrix product `self * rhs`, via the blocked, cache-tiled kernel.
+    /// Matrix product `self * rhs` at the detected SIMD level
+    /// ([`SimdLevel::detect`]) — the autograd forward
+    /// ([`crate::tensor::Tensor::matmul`]) and the LSTM/conv snapshots
+    /// run through it. It is `matmul_with(MatmulKernel::Simd)`, no longer
+    /// `matmul_with(MatmulKernel::Blocked)`: on a vector level it runs the
+    /// register-tiled nest of [`crate::simd`], which keeps an `MR × NR`
+    /// tile of outputs in vector registers for the whole `k` walk.
     ///
-    /// The right operand is processed in `NC`-column panels so a whole
-    /// `K x NC` slab of `rhs` stays cache-resident while every row of
-    /// `self` streams over it; within a panel an `MR`-row micro-kernel
-    /// reuses each loaded `rhs` row across `MR` output rows from registers
-    /// / L1. Every output element still accumulates its `a[i][k] *
-    /// b[k][j]` terms in ascending-`k` order (skipping `a == 0.0` terms,
-    /// like the reference), so the result is **bit-identical** to
-    /// [`Matrix::matmul_naive`] — the grouping-invariance property the
-    /// serving dataplane's batching and sharding are built on.
+    /// The result is still **bit-identical** to [`Matrix::matmul_naive`]
+    /// at every level, because tiling changes where partial sums live,
+    /// never how they are formed: each output element starts at `+0.0`
+    /// and, for each `k` in ascending order, takes one `mul` and one `add`
+    /// (no FMA), skipping `a == 0.0` terms like the reference. That is the
+    /// grouping-invariance property the serving dataplane's batching and
+    /// sharding are built on.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        self.matmul_with(rhs, MatmulKernel::Blocked)
+        self.matmul_with(rhs, MatmulKernel::Simd)
     }
 
     /// Matrix product through an explicitly chosen kernel: the scalar
-    /// blocked path ([`MatmulKernel::Blocked`], identical to
-    /// [`Matrix::matmul`]) or the runtime-dispatched SIMD micro-panel
-    /// ([`MatmulKernel::Simd`]). Both are **bit-identical** — the SIMD
-    /// path vectorises over output columns and never reorders an output
-    /// element's ascending-`k` summation or fuses its roundings (see
-    /// [`crate::simd`]) — so kernel choice is a pure throughput knob, the
-    /// property `amoeba-serve`'s pluggable inference backends rest on.
+    /// blocked axpy nest ([`MatmulKernel::Blocked`], the serving default)
+    /// or the register-tiled nest at the detected level
+    /// ([`MatmulKernel::Simd`], the same path as [`Matrix::matmul`]).
+    /// Both are **bit-identical** — the vector path spreads output columns
+    /// over lanes and never reorders an output element's ascending-`k`
+    /// summation or fuses its roundings (see [`crate::simd`]) — so kernel
+    /// choice is a pure throughput knob, the property `amoeba-serve`'s
+    /// pluggable inference backends rest on.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
@@ -287,62 +293,72 @@ impl Matrix {
         out
     }
 
-    /// `self^T * rhs` without materialising the transpose.
+    /// `self^T * rhs` without materialising the transpose — the autograd
+    /// weight gradient. At the detected SIMD level the register-tiled nest
+    /// reads `self` through a transposed view, so every output element
+    /// sees the same `+0.0` start, ascending-`k` mul/add sequence and
+    /// `a == 0.0` skip as `self.transpose().matmul_naive(rhs)`, and the
+    /// result is bit-identical to it.
+    ///
+    /// # Panics
+    /// Panics on row-count mismatch.
     pub fn t_matmul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(
             self.rows, rhs.rows,
             "t_matmul: ({}x{})^T * ({}x{})",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
-        for k in 0..self.rows {
-            let a_row = self.row(k);
-            let b_row = rhs.row(k);
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = out.row_mut(i);
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
+        let (m, kk, n) = (self.cols, self.rows, rhs.cols);
+        let mut out = Matrix::zeros(m, n);
+        simd::t_matmul_into(
+            SimdLevel::detect(),
+            &self.data,
+            &rhs.data,
+            &mut out.data,
+            m,
+            kk,
+            n,
+        );
         out
     }
 
-    /// `self * rhs^T` without materialising the transpose.
+    /// `self * rhs^T` without materialising the transpose in the caller —
+    /// the autograd input gradient. Unlike [`Matrix::matmul`] it does not
+    /// skip `a == 0.0` terms: each output element is the serial dot
+    /// product `+0.0 + a₀b₀ + a₁b₁ + …` in ascending-`k` order, one `mul`
+    /// and one `add` per term. The register-tiled nest (fed a transposed
+    /// copy of `rhs`, with the skip off) performs exactly that sequence,
+    /// so the result is bit-identical at every SIMD level.
+    ///
+    /// # Panics
+    /// Panics on column-count mismatch.
     pub fn matmul_t(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, rhs.cols,
             "matmul_t: ({}x{}) * ({}x{})^T",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = out.row_mut(i);
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let b_row = rhs.row(j);
-                let mut acc = 0.0;
-                for (&a, &b) in a_row.iter().zip(b_row.iter()) {
-                    acc += a * b;
-                }
-                *o = acc;
-            }
-        }
+        let (m, kk, n) = (self.rows, self.cols, rhs.rows);
+        let mut out = Matrix::zeros(m, n);
+        simd::matmul_t_into(
+            SimdLevel::detect(),
+            &self.data,
+            &rhs.data,
+            &mut out.data,
+            m,
+            kk,
+            n,
+        );
         out
     }
 
     /// Materialised transpose.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out[(c, r)] = self[(r, c)];
-            }
+        Matrix {
+            rows: self.cols,
+            cols: self.rows,
+            data: transpose_slice(&self.data, self.rows, self.cols),
         }
-        out
     }
 
     /// Elementwise map.
@@ -591,6 +607,19 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
     }
 }
 
+/// Transposes a row-major `(rows, cols)` buffer into a row-major
+/// `(cols, rows)` one.
+pub(crate) fn transpose_slice(data: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    assert_eq!(data.len(), rows * cols, "transpose: size");
+    let mut out = vec![0.0f32; rows * cols];
+    for (r, row) in data.chunks_exact(cols.max(1)).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            out[c * rows + r] = v;
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -698,6 +727,23 @@ mod tests {
         let via_explicit = c.matmul(&d.transpose());
         for (x, y) in via_helper.as_slice().iter().zip(via_explicit.as_slice()) {
             assert!(approx(*x, *y));
+        }
+    }
+
+    /// The transpose moves every element to `(c, r)`, on square,
+    /// rectangular and empty shapes.
+    #[test]
+    fn transpose_moves_every_element() {
+        for (rows, cols) in [(1, 1), (3, 5), (16, 16), (17, 33), (40, 7), (0, 5), (4, 0)] {
+            let data: Vec<f32> = (0..rows * cols).map(|v| v as f32).collect();
+            let m = Matrix::from_vec(rows, cols, data);
+            let t = m.transpose();
+            assert_eq!(t.shape(), (cols, rows));
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(t[(c, r)], m[(r, c)], "({rows},{cols}) at ({r},{c})");
+                }
+            }
         }
     }
 

@@ -11,6 +11,19 @@ fn arb_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
         .prop_map(move |data| Matrix::from_vec(rows, cols, data))
 }
 
+/// `rows × cols` in [-2, 2) with every entry below `zero_below` set to
+/// exactly `0.0`.
+fn with_zeros(rows: usize, cols: usize, zero_below: f32, seed: u64) -> Matrix {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let data = (0..rows * cols)
+        .map(|_| rng.gen_range(-2.0f32..2.0))
+        .map(|v| if v < zero_below { 0.0 } else { v })
+        .collect();
+    Matrix::from_vec(rows, cols, data)
+}
+
 fn assert_close(a: &Matrix, b: &Matrix, tol: f32) -> Result<(), TestCaseError> {
     prop_assert_eq!(a.shape(), b.shape());
     for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
@@ -58,13 +71,28 @@ proptest! {
         assert_close(&left, &right, 1e-5)?;
     }
 
-    /// The fused transpose products agree with explicit transposes.
+    /// The fused transpose products, at the detected level, are
+    /// bit-identical to `matmul_naive` on explicit transposes. For
+    /// `matmul_t` that reference skips zero lhs terms and `matmul_t` does
+    /// not, but with a finite rhs each skipped term adds `±0.0` to an
+    /// accumulator that started at `+0.0`, which changes no bit. Random
+    /// shapes straddle every leg's lane width and tile; a third of the
+    /// lhs entries are exact zeros. The `simd` unit tests pin every level
+    /// and the non-finite case.
     #[test]
-    fn fused_transpose_products(a in arb_matrix(4, 3), b in arb_matrix(4, 2)) {
-        assert_close(&a.t_matmul(&b), &a.transpose().matmul(&b), 1e-5)?;
-        let c = Matrix::from_vec(2, 3, a.as_slice()[..6].to_vec());
-        let d = Matrix::from_vec(5, 3, b.as_slice().iter().chain(b.as_slice().iter()).chain(b.as_slice()[..7].iter()).copied().take(15).collect());
-        assert_close(&c.matmul_t(&d), &c.matmul(&d.transpose()), 1e-5)?;
+    fn fused_transpose_products(
+        m in 1usize..=40,
+        k in 0usize..=40,
+        n in 1usize..=90,
+        seed in any::<u64>(),
+    ) {
+        let a = with_zeros(k, m, -0.7, seed);
+        let b = with_zeros(k, n, -2.0, seed ^ 1);
+        let c = with_zeros(m, k, -0.7, seed ^ 2);
+        let d = with_zeros(n, k, -2.0, seed ^ 3);
+        let bits = |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&a.t_matmul(&b)), bits(&a.transpose().matmul_naive(&b)));
+        prop_assert_eq!(bits(&c.matmul_t(&d)), bits(&c.matmul_naive(&d.transpose())));
     }
 
     /// Row-gather of everything in order is the identity.
