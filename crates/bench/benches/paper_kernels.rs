@@ -180,6 +180,33 @@ fn bench_fig7_ppo_update(c: &mut Criterion) {
     });
 }
 
+/// Algorithm 2 kernel: one StateEncoder pretraining minibatch at the
+/// ledger's training shape (batch 32, `H` = 64, two GRU layers, flows of
+/// up to 60 steps truncated to the length the seed draws), forward and
+/// backward through the autograd tape plus one Adam step. The ledger's
+/// `train.pretrain_s` runs eight of these (32 flows × 8 epochs), so this
+/// bench prices the tape's share of it.
+fn bench_encoder_pretrain(c: &mut Criterion) {
+    let mut cfg = AmoebaConfig::fast();
+    cfg.encoder_train_flows = cfg.encoder_batch;
+    cfg.encoder_epochs = 1;
+    cfg.seed = 42;
+    let name = format!(
+        "encoder_pretrain_b{}_h{}",
+        cfg.encoder_batch, cfg.encoder_hidden
+    );
+    c.bench_function(&name, |b| {
+        b.iter_batched(
+            || {
+                let mut rng = StdRng::seed_from_u64(cfg.seed);
+                StateEncoder::new(cfg.encoder_hidden, cfg.encoder_layers, &mut rng)
+            },
+            |mut encoder| encoder.pretrain(&cfg),
+            BatchSize::SmallInput,
+        )
+    });
+}
+
 /// Table 2 kernel: embedding a flow into a stored profile database.
 fn bench_table2_profile_embed(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(8);
@@ -286,6 +313,7 @@ criterion_group! {
         bench_fig13_encoder,
         bench_parallel_rollouts,
         bench_fig7_ppo_update,
+        bench_encoder_pretrain,
         bench_table2_profile_embed,
         bench_shaper,
         bench_traffic_generation,
