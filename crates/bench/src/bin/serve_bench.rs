@@ -3,10 +3,10 @@
 //!
 //! * Scale via `AMOEBA_SCALE=paper`; flow count via `AMOEBA_SERVE_FLOWS`
 //!   (default 1000).
-//! * `--backend {cpu,simd,packed,quant,all}` selects the inference
+//! * `--backend {cpu,packed,quant,all}` selects the inference
 //!   backend (default: the `AMOEBA_SERVE_BACKEND` env var, else `cpu`).
 //!   An unknown name is a hard error — never a silent fallback. The
-//!   tier-A backends (`cpu`, `simd`, `packed`) are bit-identical, so
+//!   tier-A backends (`cpu`, `packed`) are bit-identical, so
 //!   for them the flag is a pure throughput knob and the smoke mode
 //!   cross-checks another tier-A backend's wire output to prove it;
 //!   `quant` is the tier-B int8 backend (bounded divergence, held to

@@ -270,7 +270,7 @@ pub fn serve_throughput(
 
 /// The tiered-backend comparison table (`--backend all`): every
 /// [`BackendKind`] at each batch size, single shard, same workload.
-/// Tier-A rows (`cpu`/`simd`/`packed`) are cross-checked bit-for-bit
+/// Tier-A rows (`cpu`/`packed`) are cross-checked bit-for-bit
 /// against the `cpu` run of the same batch size while they are measured;
 /// the tier-B `quant` row is allowed to diverge, so its evasion delta
 /// vs `cpu` is reported instead of asserted away.
@@ -281,17 +281,12 @@ pub fn serve_backend_comparison(
     pipeline: bool,
     steal: bool,
 ) -> String {
-    let kinds = [
-        BackendKind::Cpu,
-        BackendKind::Simd,
-        BackendKind::Packed,
-        BackendKind::Quant,
-    ];
+    let kinds = [BackendKind::Cpu, BackendKind::Packed, BackendKind::Quant];
     let mut md = String::from("## amoeba-serve backend comparison (exactness-tier ladder)\n\n");
     md += &format!(
         "{n_flows} concurrent flows (Tor test split, ≤{PREFIX_CAP}-packet prefixes), \
          DT censor inline every 8 frames, deterministic policy, 1 shard, pipelining {}, \
-         stealing {}. Tier-A backends (cpu/simd/packed) are wire-checked bit-for-bit \
+         stealing {}. Tier-A backends (cpu/packed) are wire-checked bit-for-bit \
          against cpu per batch size; quant is tier B (bounded divergence), its evasion \
          delta is reported below.\n\n",
         if pipeline { "on" } else { "off" },
@@ -390,13 +385,12 @@ pub fn serve_smoke(
     // Cross-backend leg: another *tier-A* backend must reproduce the
     // wire bit-for-bit (the conformance contract on real trained
     // policies and censors, on every push). The smoke rotates through
-    // the bit-exact ladder so cpu/simd/packed all cross-check each
-    // other across the CI backend matrix. Quant is tier B — no backend
+    // the bit-exact ladder so cpu and packed cross-check each other
+    // across the CI backend matrix. Quant is tier B — no backend
     // owes it bit-identity (that's `tests/quant_tolerance.rs`'s job) —
     // so its leg re-runs quant itself, pinning run-to-run determinism.
     let other = match backend {
-        BackendKind::Cpu => BackendKind::Simd,
-        BackendKind::Simd => BackendKind::Packed,
+        BackendKind::Cpu => BackendKind::Packed,
         BackendKind::Packed => BackendKind::Cpu,
         BackendKind::Quant => BackendKind::Quant,
     };
@@ -479,7 +473,7 @@ pub fn serve_skew_smoke(
 /// On smaller machines the measurement still runs and prints, but the
 /// gate is reported as skipped rather than enforced.
 pub fn serve_scaling_gate(ctx: &mut Context, n_flows: usize, batch: usize) -> String {
-    let backend = BackendKind::Simd;
+    let backend = BackendKind::default();
     let reps = 3;
     let min_speedup: f64 = std::env::var("AMOEBA_SERVE_MIN_SPEEDUP")
         .ok()
@@ -552,7 +546,7 @@ pub fn serve_scaling_gate(ctx: &mut Context, n_flows: usize, batch: usize) -> St
 /// On smaller machines the measurement still runs and prints, but the
 /// gate is reported as skipped rather than enforced.
 pub fn serve_overhead_gate(ctx: &mut Context, n_flows: usize, batch: usize) -> String {
-    let backend = BackendKind::Simd;
+    let backend = BackendKind::default();
     let shards = 4;
     let reps = 3;
     let max_overhead_pct: f64 = std::env::var("AMOEBA_TELEMETRY_MAX_OVERHEAD_PCT")

@@ -18,7 +18,6 @@ use amoeba_nn::matrix::Matrix;
 use amoeba_nn::optim::{Adam, Optimizer};
 use amoeba_nn::packed::PreparedRhs;
 use amoeba_nn::rnn::{Gru, GruSnapshot, PreparedGru};
-use amoeba_nn::simd::MatmulKernel;
 use amoeba_nn::tensor::Tensor;
 
 use crate::config::{AmoebaConfig, ReconLoss};
@@ -252,8 +251,8 @@ impl EncoderSnapshot {
     /// single fused GRU evaluation — the `amoeba-serve` scheduler's fast
     /// path. Row `r` of `steps` (shape `(B, 2)`) is fed to
     /// `states[indices[r]]`; the per-layer hidden rows are gathered into
-    /// one batch matrix, stepped once (through the blocked `amoeba-nn`
-    /// matmul kernel), and scattered back.
+    /// one batch matrix, stepped once (through the register-tiled
+    /// `amoeba-nn` matmul nest), and scattered back.
     ///
     /// Every GRU-step matrix op is row-independent, so each selected state
     /// ends up bit-identical to an individual [`EncoderState::push`] of
@@ -266,29 +265,12 @@ impl EncoderSnapshot {
     /// Panics if `steps.rows() != indices.len()`, if an index is out of
     /// bounds or repeated, or if a state does not belong to this encoder.
     pub fn push_batch(&self, states: &mut [EncoderState], indices: &[usize], steps: &Matrix) {
-        self.push_batch_with(states, indices, steps, MatmulKernel::Blocked);
-    }
-
-    /// [`EncoderSnapshot::push_batch`] with the fused GRU step's matmuls
-    /// routed through the chosen `amoeba-nn` kernel. Bit-identical for
-    /// any [`MatmulKernel`] (the kernels themselves are bit-identical) —
-    /// the seam `amoeba-serve`'s SIMD inference backend plugs into.
-    ///
-    /// # Panics
-    /// As [`EncoderSnapshot::push_batch`].
-    pub fn push_batch_with(
-        &self,
-        states: &mut [EncoderState],
-        indices: &[usize],
-        steps: &Matrix,
-        kernel: MatmulKernel,
-    ) {
         let Some(mut batch) =
             gather_states(states, indices, steps, self.gru.num_layers(), self.hidden)
         else {
             return;
         };
-        self.gru.step_with(steps, &mut batch, kernel);
+        self.gru.step(steps, &mut batch);
         scatter_states(states, indices, &batch);
     }
 
@@ -308,7 +290,7 @@ impl EncoderSnapshot {
 
 /// Validates a batched-step request and gathers the selected per-flow
 /// hidden rows into per-layer `(B, H)` matrices; returns `None` for the
-/// empty batch. Shared by the kernel-tier and prepared-tier encoders so
+/// empty batch. Shared by the row-major and prepared-tier encoders so
 /// the panics and the row order stay identical.
 ///
 /// # Panics
@@ -367,7 +349,7 @@ fn scatter_states(states: &mut [EncoderState], indices: &[usize], batch: &[Matri
 
 /// An [`EncoderSnapshot`] whose GRU gate weights were prepared once
 /// through a [`PreparedRhs`] tier. Drives the same [`EncoderState`]
-/// values and the same gather/step/scatter traversal as the kernel-tier
+/// values and the same gather/step/scatter traversal as the row-major
 /// snapshot — with [`amoeba_nn::packed::PackedWeights`] the two are
 /// bit-identical, with [`amoeba_nn::quant::QuantWeights`] the hidden
 /// trajectories carry bounded quantization error.
@@ -563,7 +545,7 @@ mod tests {
     }
 
     /// The prepared packed tier drives bit-identical state trajectories
-    /// to the kernel tier across batched rounds — the property that lets
+    /// to the row-major snapshot across batched rounds — the property that lets
     /// the serving stack's packed backend keep the pinned wire
     /// fingerprint.
     #[test]

@@ -14,7 +14,6 @@ use amoeba_nn::forward::Forward;
 use amoeba_nn::layers::{Activation, Mlp, MlpSnapshot, PreparedMlp};
 use amoeba_nn::matrix::Matrix;
 use amoeba_nn::packed::PreparedRhs;
-use amoeba_nn::simd::MatmulKernel;
 use amoeba_nn::tensor::Tensor;
 
 use crate::config::AmoebaConfig;
@@ -106,7 +105,7 @@ impl ActorSnapshot {
     }
 
     /// Batched policy head: one fused MLP pass over `(B, state_dim)`
-    /// states (through the blocked `amoeba-nn` matmul kernel), returning
+    /// states (through the register-tiled `amoeba-nn` matmul nest), returning
     /// `(means, log_stds)` as `(B, ACTION_DIM)` matrices. Every matrix op
     /// is row-independent, so row `r` is bit-identical to the
     /// single-state head of `states.row(r)` — the property the
@@ -114,15 +113,7 @@ impl ActorSnapshot {
     /// across shard threads (the snapshot is immutable `Send + Sync`
     /// state shared via `Arc`).
     pub fn head_batch(&self, states: &Matrix) -> (Matrix, Matrix) {
-        self.head_batch_with(states, MatmulKernel::Blocked)
-    }
-
-    /// [`ActorSnapshot::head_batch`] with the fused MLP pass routed
-    /// through the chosen `amoeba-nn` matmul kernel. Bit-identical for
-    /// any [`MatmulKernel`] — the seam `amoeba-serve`'s SIMD inference
-    /// backend plugs into.
-    pub fn head_batch_with(&self, states: &Matrix, kernel: MatmulKernel) -> (Matrix, Matrix) {
-        split_head(&self.mlp.forward_with(states, kernel), self.logstd_range)
+        split_head(&self.mlp.forward(states), self.logstd_range)
     }
 
     /// Prepares the frozen MLP weights once through a [`PreparedRhs`]
@@ -171,8 +162,8 @@ impl ActorSnapshot {
 }
 
 /// Splits a raw `(B, 2·ACTION_DIM)` actor-head output into clamped
-/// `(means, log_stds)` matrices — the tail shared by the kernel-tier
-/// [`ActorSnapshot::head_batch_with`] and the prepared-tier
+/// `(means, log_stds)` matrices — the tail shared by the row-major
+/// [`ActorSnapshot::head_batch`] and the prepared-tier
 /// [`PreparedActorSnapshot::head_batch`], so the two differ only in how
 /// the MLP pass is computed.
 fn split_head(out: &Matrix, logstd_range: (f32, f32)) -> (Matrix, Matrix) {
@@ -190,7 +181,7 @@ fn split_head(out: &Matrix, logstd_range: (f32, f32)) -> (Matrix, Matrix) {
 
 /// An [`ActorSnapshot`] whose MLP weights were prepared once through a
 /// [`PreparedRhs`] tier. With [`amoeba_nn::packed::PackedWeights`] the
-/// batched head is bit-identical to [`ActorSnapshot::head_batch_with`];
+/// batched head is bit-identical to [`ActorSnapshot::head_batch`];
 /// with [`amoeba_nn::quant::QuantWeights`] the means and log-stds carry
 /// bounded quantization error (tolerance tier).
 #[derive(Clone, Debug)]
@@ -306,7 +297,7 @@ mod tests {
         );
     }
 
-    /// The packed-tier head is bit-identical to the kernel-tier head;
+    /// The packed-tier head is bit-identical to the row-major head;
     /// the quant-tier head tracks it within tolerance (the clamp on
     /// log-std further bounds any drift).
     #[test]
@@ -317,7 +308,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let snap = Actor::new(&cfg, &mut rng).snapshot();
         let states = Matrix::randn(6, cfg.state_dim(), 1.0, &mut rng);
-        let (mean_ref, logstd_ref) = snap.head_batch_with(&states, MatmulKernel::Simd);
+        let (mean_ref, logstd_ref) = snap.head_batch(&states);
 
         let packed = snap.prepare::<PackedWeights>();
         let (mean_p, logstd_p) = packed.head_batch(&states);

@@ -13,7 +13,6 @@ use crate::forward::Forward;
 use crate::init::xavier_uniform;
 use crate::matrix::Matrix;
 use crate::packed::PreparedRhs;
-use crate::simd::MatmulKernel;
 use crate::tensor::Tensor;
 
 /// Pointwise nonlinearity selector.
@@ -130,13 +129,6 @@ pub struct LinearSnapshot {
 }
 
 impl LinearSnapshot {
-    /// Forward pass through an explicitly chosen matmul kernel —
-    /// bit-identical to [`Forward::forward`] for any
-    /// [`MatmulKernel`], which only trades speed.
-    pub fn forward_with(&self, x: &Matrix, kernel: MatmulKernel) -> Matrix {
-        x.matmul_with(&self.w, kernel).add_row_broadcast(&self.b)
-    }
-
     /// Prepares the weights once for repeated inference through a
     /// [`PreparedRhs`] tier (packed ⇒ bit-exact, quantized ⇒ tolerance).
     pub fn prepare<W: PreparedRhs>(&self) -> PreparedLinear<W> {
@@ -149,13 +141,13 @@ impl LinearSnapshot {
 
 impl Forward for LinearSnapshot {
     fn forward(&self, x: &Matrix) -> Matrix {
-        self.forward_with(x, MatmulKernel::Blocked)
+        x.matmul(&self.w).add_row_broadcast(&self.b)
     }
 }
 
 /// A [`LinearSnapshot`] whose weights were prepared once through a
 /// [`PreparedRhs`] tier. With [`crate::packed::PackedWeights`] the
-/// forward pass is bit-identical to [`LinearSnapshot::forward_with`];
+/// forward pass is bit-identical to [`LinearSnapshot`]'s [`Forward::forward`];
 /// with [`crate::quant::QuantWeights`] it carries bounded quantization
 /// error (tolerance tier).
 #[derive(Clone, Debug)]
@@ -275,24 +267,6 @@ pub struct MlpSnapshot {
 }
 
 impl MlpSnapshot {
-    /// Forward pass with every per-layer product routed through the
-    /// chosen matmul kernel. Bit-identical to [`Forward::forward`] for
-    /// any [`MatmulKernel`] (the kernels themselves are bit-identical);
-    /// [`MatmulKernel::Simd`] is the `amoeba-serve` SIMD backend's path.
-    pub fn forward_with(&self, x: &Matrix, kernel: MatmulKernel) -> Matrix {
-        let mut h = x.clone();
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward_with(&h, kernel);
-            h = if i == last {
-                self.output_activation.apply_matrix(&h)
-            } else {
-                self.hidden_activation.apply_matrix(&h)
-            };
-        }
-        h
-    }
-
     /// Prepares every layer's weights once for repeated inference
     /// through a [`PreparedRhs`] tier.
     pub fn prepare<W: PreparedRhs>(&self) -> PreparedMlp<W> {
@@ -307,7 +281,7 @@ impl MlpSnapshot {
 /// An [`MlpSnapshot`] with every layer's weights prepared through a
 /// [`PreparedRhs`] tier. Same exactness contract as [`PreparedLinear`]:
 /// bit-exact for packed weights, bounded-error for quantized ones. The
-/// activation schedule is shared with [`MlpSnapshot::forward_with`]
+/// activation schedule is shared with [`MlpSnapshot`]'s [`Forward::forward`]
 /// verbatim.
 #[derive(Clone, Debug)]
 pub struct PreparedMlp<W: PreparedRhs> {
@@ -334,8 +308,20 @@ impl<W: PreparedRhs> PreparedMlp<W> {
 }
 
 impl Forward for MlpSnapshot {
+    /// Every per-layer product runs through [`Matrix::matmul`] (the
+    /// register-tiled nest at the detected SIMD level).
     fn forward(&self, x: &Matrix) -> Matrix {
-        self.forward_with(x, MatmulKernel::Blocked)
+        let mut h = x.clone();
+        let last = self.layers.len() - 1;
+        for (i, layer) in self.layers.iter().enumerate() {
+            h = layer.forward(&h);
+            h = if i == last {
+                self.output_activation.apply_matrix(&h)
+            } else {
+                self.hidden_activation.apply_matrix(&h)
+            };
+        }
+        h
     }
 
     /// Fused fast path: equal-width single-row inputs are stacked into one
@@ -344,8 +330,8 @@ impl Forward for MlpSnapshot {
     /// each output row is bit-identical to the per-input [`Forward::forward`]
     /// result; the win is one allocation + weight traversal per layer per
     /// *batch* instead of per *sample* (the `amoeba-serve` scheduler's hot
-    /// path), with the per-layer products running through the blocked
-    /// [`Matrix::matmul`] kernel. Mixed shapes fall back to the default
+    /// path), with the per-layer products running through
+    /// [`Matrix::matmul`]. Mixed shapes fall back to the default
     /// per-input mapping.
     fn forward_batch(&self, xs: &[Matrix]) -> Vec<Matrix> {
         let stackable =

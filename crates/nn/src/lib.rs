@@ -69,5 +69,5 @@ pub use quant::QuantWeights;
 pub use rnn::{
     Gru, GruCell, GruSnapshot, Lstm, LstmCell, LstmSnapshot, PreparedGru, PreparedGruCell,
 };
-pub use simd::{MatmulKernel, SimdLevel};
+pub use simd::SimdLevel;
 pub use tensor::Tensor;

@@ -2,12 +2,10 @@
 //! in the autograd engine.
 //!
 //! Three products carry the compute: [`Matrix::matmul`] (the autograd
-//! forward and the LSTM/conv snapshots), and the two backward products
-//! [`Matrix::t_matmul`] and [`Matrix::matmul_t`]. All three run the
-//! register-tiled nest of [`crate::simd`] at the detected SIMD level; the
-//! serving default goes through [`Matrix::matmul_with`] with
-//! [`MatmulKernel::Blocked`], the scalar blocked axpy nest. Neither the
-//! tiling nor the vector lanes change the order of the `f32` additions
+//! forward and every frozen-snapshot forward: serving, rollouts and
+//! evaluation), and the two backward products [`Matrix::t_matmul`] and
+//! [`Matrix::matmul_t`]. All three run the register-tiled nest of
+//! [`crate::simd`] at the detected SIMD level. Neither the tiling nor the vector lanes change the order of the `f32` additions
 //! *within* an output element (always ascending `k`), so every path is
 //! bit-identical to the naive triple loop ([`Matrix::matmul_naive`], kept
 //! as the audit/parity reference). The other routines stay deliberately
@@ -18,7 +16,7 @@ use std::fmt;
 
 use rand::Rng;
 
-use crate::simd::{self, MatmulKernel, SimdLevel};
+use crate::simd::{self, SimdLevel};
 
 /// A dense, row-major matrix of `f32`.
 #[derive(Clone, PartialEq)]
@@ -215,12 +213,13 @@ impl Matrix {
     }
 
     /// Matrix product `self * rhs` at the detected SIMD level
-    /// ([`SimdLevel::detect`]) — the autograd forward
-    /// ([`crate::tensor::Tensor::matmul`]) and the LSTM/conv snapshots
-    /// run through it. It is `matmul_with(MatmulKernel::Simd)`, no longer
-    /// `matmul_with(MatmulKernel::Blocked)`: on a vector level it runs the
+    /// ([`SimdLevel::detect`]) — the one product behind the autograd
+    /// forward ([`crate::tensor::Tensor::matmul`]) and every frozen
+    /// snapshot (`Linear`/`Mlp`/`GruCell`/`Gru`/LSTM/conv), so serving,
+    /// rollouts and evaluation all run it. On a vector level it runs the
     /// register-tiled nest of [`crate::simd`], which keeps an `MR × NR`
-    /// tile of outputs in vector registers for the whole `k` walk.
+    /// tile of outputs in vector registers for the whole `k` walk; on
+    /// [`SimdLevel::Scalar`] the blocked axpy nest.
     ///
     /// The result is still **bit-identical** to [`Matrix::matmul_naive`]
     /// at every level, because tiling changes where partial sums live,
@@ -233,22 +232,6 @@ impl Matrix {
     /// # Panics
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        self.matmul_with(rhs, MatmulKernel::Simd)
-    }
-
-    /// Matrix product through an explicitly chosen kernel: the scalar
-    /// blocked axpy nest ([`MatmulKernel::Blocked`], the serving default)
-    /// or the register-tiled nest at the detected level
-    /// ([`MatmulKernel::Simd`], the same path as [`Matrix::matmul`]).
-    /// Both are **bit-identical** — the vector path spreads output columns
-    /// over lanes and never reorders an output element's ascending-`k`
-    /// summation or fuses its roundings (see [`crate::simd`]) — so kernel
-    /// choice is a pure throughput knob, the property `amoeba-serve`'s
-    /// pluggable inference backends rest on.
-    ///
-    /// # Panics
-    /// Panics on inner-dimension mismatch.
-    pub fn matmul_with(&self, rhs: &Matrix, kernel: MatmulKernel) -> Matrix {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul: ({}x{}) * ({}x{})",
@@ -256,15 +239,12 @@ impl Matrix {
         );
         let (m, kk, n) = (self.rows, self.cols, rhs.cols);
         let mut out = Matrix::zeros(m, n);
-        let level = match kernel {
-            MatmulKernel::Blocked => SimdLevel::Scalar,
-            MatmulKernel::Simd => SimdLevel::detect(),
-        };
+        let level = SimdLevel::detect();
         simd::matmul_into(level, &self.data, &rhs.data, &mut out.data, m, kk, n);
         out
     }
 
-    /// Reference matrix product: the naive `i-k-j` triple loop the blocked
+    /// Reference matrix product: the naive `i-k-j` triple loop the tiled
     /// [`Matrix::matmul`] must match bit-for-bit (pinned by the parity
     /// property test in `tests/algebra_props.rs`).
     ///

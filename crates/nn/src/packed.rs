@@ -68,7 +68,7 @@ pub trait PreparedRhs: Clone + std::fmt::Debug + Send + Sync {
 /// the weights were prepared.
 ///
 /// Products are **bit-identical** to [`Matrix::matmul_naive`] (and so to
-/// every [`crate::simd::MatmulKernel`]) on every input: packing permutes
+/// [`Matrix::matmul`] at every [`SimdLevel`]) on every input: packing permutes
 /// only the addresses of the weight loads. The win is purely
 /// bandwidth — the kernel walks each `K × NC` weight slab as one linear
 /// stream instead of `K` stride-`n` rows.
@@ -102,7 +102,6 @@ impl PreparedRhs for PackedWeights {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simd::MatmulKernel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -122,7 +121,7 @@ mod tests {
             let prepared = PackedWeights::prepare(&w);
             assert_eq!(prepared.shape(), (k, n));
             let got = prepared.forward(&x);
-            let want = x.matmul_with(&w, MatmulKernel::Simd);
+            let want = x.matmul(&w);
             assert_eq!(got.shape(), want.shape());
             for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{m}x{k} * {k}x{n}");

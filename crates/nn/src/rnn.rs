@@ -12,15 +12,14 @@ use crate::forward::Forward;
 use crate::init::xavier_uniform_shaped;
 use crate::matrix::Matrix;
 use crate::packed::PreparedRhs;
-use crate::simd::MatmulKernel;
 use crate::tensor::Tensor;
 
-/// The fused GRU gate blend shared by [`GruCellSnapshot::step_with`] and
+/// The fused GRU gate blend shared by [`GruCellSnapshot::step`] and
 /// [`PreparedGruCell::step`]: given the pre-bias-added gate products
 /// `gx = x·Wx + bx` and `gh = h·Wh + bh` (both `(B, 3h)`, gates
 /// `[r|z|n]`), computes the new hidden state in a single pass with no
 /// `r`/`z`/`n` temporaries. Keeping this in one place is what makes the
-/// packed tier bit-identical to the kernel tier by construction — the
+/// packed tier bit-identical to the row-major snapshot by construction — the
 /// two paths differ only in how the gate matmuls are computed.
 fn gru_gate_blend(gx: &Matrix, gh: &Matrix, h: &Matrix, hs: usize) -> Matrix {
     let sig = |v: f32| 1.0 / (1.0 + (-v).exp());
@@ -150,22 +149,15 @@ impl GruCellSnapshot {
 
     /// One inference step on raw matrices.
     ///
-    /// The two gate matmuls go through the blocked [`Matrix::matmul`]
-    /// kernel; the gate nonlinearities and the hidden-state blend are
+    /// The two gate matmuls go through [`Matrix::matmul`]; the gate
+    /// nonlinearities and the hidden-state blend are
     /// fused into a single pass over the gate rows (no `r`/`z`/`n`
     /// temporaries). Both are bit-identical to the unfused autograd
     /// formulation — the property the serving dataplane's batching and
     /// sharding rest on.
     pub fn step(&self, x: &Matrix, h: &Matrix) -> Matrix {
-        self.step_with(x, h, MatmulKernel::Blocked)
-    }
-
-    /// One inference step with the two gate matmuls routed through the
-    /// chosen kernel — bit-identical to [`GruCellSnapshot::step`] for any
-    /// [`MatmulKernel`] (the `amoeba-serve` SIMD backend's path).
-    pub fn step_with(&self, x: &Matrix, h: &Matrix, kernel: MatmulKernel) -> Matrix {
-        let gx = x.matmul_with(&self.wx, kernel).add_row_broadcast(&self.bx);
-        let gh = h.matmul_with(&self.wh, kernel).add_row_broadcast(&self.bh);
+        let gx = x.matmul(&self.wx).add_row_broadcast(&self.bx);
+        let gh = h.matmul(&self.wh).add_row_broadcast(&self.bh);
         gru_gate_blend(&gx, &gh, h, self.hidden)
     }
 
@@ -185,7 +177,7 @@ impl GruCellSnapshot {
 /// A [`GruCellSnapshot`] whose fused gate matrices were prepared once
 /// through a [`PreparedRhs`] tier. With
 /// [`crate::packed::PackedWeights`] the step is bit-identical to
-/// [`GruCellSnapshot::step_with`] (same gate blend, bit-exact matmuls);
+/// [`GruCellSnapshot::step`] (same gate blend, bit-exact matmuls);
 /// with [`crate::quant::QuantWeights`] the gate pre-activations carry
 /// bounded quantization error.
 #[derive(Clone, Debug)]
@@ -204,7 +196,7 @@ impl<W: PreparedRhs> PreparedGruCell<W> {
     }
 
     /// One inference step through the prepared gate weights: the same
-    /// two gate products + fused blend as [`GruCellSnapshot::step_with`].
+    /// two gate products + fused blend as [`GruCellSnapshot::step`].
     pub fn step(&self, x: &Matrix, h: &Matrix) -> Matrix {
         let gx = self.wx.forward(x).add_row_broadcast(&self.bx);
         let gh = self.wh.forward(h).add_row_broadcast(&self.bh);
@@ -328,21 +320,10 @@ impl GruSnapshot {
     /// One inference step; `state` is updated in place, the top-layer hidden
     /// is returned by reference.
     pub fn step<'s>(&self, x: &Matrix, state: &'s mut [Matrix]) -> &'s Matrix {
-        self.step_with(x, state, MatmulKernel::Blocked)
-    }
-
-    /// One inference step through the chosen matmul kernel — bit-identical
-    /// to [`GruSnapshot::step`] for any [`MatmulKernel`].
-    pub fn step_with<'s>(
-        &self,
-        x: &Matrix,
-        state: &'s mut [Matrix],
-        kernel: MatmulKernel,
-    ) -> &'s Matrix {
         assert_eq!(state.len(), self.cells.len(), "Gru state depth mismatch");
         let mut input = x.clone();
         for (cell, h) in self.cells.iter().zip(state.iter_mut()) {
-            let h_new = cell.step_with(&input, h, kernel);
+            let h_new = cell.step(&input, h);
             input = h_new.clone();
             *h = h_new;
         }
@@ -386,7 +367,7 @@ impl<W: PreparedRhs> PreparedGru<W> {
 
     /// One inference step through all prepared layers; `state` is
     /// updated in place, the top-layer hidden is returned by reference —
-    /// the same traversal as [`GruSnapshot::step_with`].
+    /// the same traversal as [`GruSnapshot::step`].
     pub fn step<'s>(&self, x: &Matrix, state: &'s mut [Matrix]) -> &'s Matrix {
         assert_eq!(state.len(), self.cells.len(), "Gru state depth mismatch");
         let mut input = x.clone();
@@ -814,7 +795,7 @@ mod tests {
         let _ = Gru::new(2, 2, 0, &mut rng);
     }
 
-    /// The packed-tier GRU is bit-identical to the kernel-tier GRU on a
+    /// The packed-tier GRU is bit-identical to the row-major snapshot GRU on a
     /// multi-layer, multi-step rollout — the contract that lets the
     /// serving stack's packed backend join the bit-exact conformance
     /// suite without a new fingerprint.
@@ -831,9 +812,7 @@ mod tests {
         let mut packed_state = prepared.zero_state(3);
         for t in 0..5 {
             let x = Matrix::randn(3, 2, 1.0, &mut rng);
-            let a = snap
-                .step_with(&x, &mut ref_state, MatmulKernel::Simd)
-                .clone();
+            let a = snap.step(&x, &mut ref_state).clone();
             let b = prepared.step(&x, &mut packed_state).clone();
             for (va, vb) in a.as_slice().iter().zip(b.as_slice()) {
                 assert_eq!(va.to_bits(), vb.to_bits(), "step {t}");

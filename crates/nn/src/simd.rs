@@ -1,8 +1,10 @@
 //! Runtime-dispatched SIMD matmul kernels: the register-tiled nest
 //! behind [`crate::matrix::Matrix::matmul`], [`crate::matrix::Matrix::t_matmul`]
 //! and [`crate::matrix::Matrix::matmul_t`] (the autograd forward and
-//! backward products), the scalar blocked axpy nest that
-//! [`MatmulKernel::Blocked`] (the serving default) runs, and the
+//! backward products, and the product behind every frozen-snapshot
+//! forward: serving, rollouts and evaluation), the scalar blocked axpy
+//! nest that [`SimdLevel::Scalar`] runs (the path on hosts without SIMD
+//! and the reference every level is pinned against), and the
 //! panel-packed nest behind `amoeba_nn::packed`.
 //!
 //! ## The bit-exactness obligation
@@ -76,22 +78,6 @@
 //! argument (pinned by this module's tests).
 
 use std::fmt;
-
-/// Which matmul execution path [`crate::matrix::Matrix::matmul_with`]
-/// takes. Both produce bit-identical results; they differ only in speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum MatmulKernel {
-    /// The blocked cache-tiled scalar axpy nest — the reference the
-    /// serving dataplane shipped with, and still its default.
-    #[default]
-    Blocked,
-    /// The register-tiled nest at the [`SimdLevel::detect`]ed level (the
-    /// scalar axpy nest where no SIMD is available) — the path
-    /// [`crate::matrix::Matrix::matmul`] takes. Bit-identical to
-    /// [`MatmulKernel::Blocked`] by the summation-order argument in the
-    /// [module docs](self).
-    Simd,
-}
 
 /// The widest SIMD instruction set the running CPU offers for the f32
 /// matmul kernels.
@@ -283,10 +269,8 @@ unsafe fn axpy_sse2(out: &mut [f32], a: f32, b: &[f32]) {
 
 /// Accumulates `lhs * rhs` into the zeroed `out` buffer at one SIMD
 /// level — the entry point behind [`crate::matrix::Matrix::matmul`]
-/// (which passes [`SimdLevel::detect`]) and
-/// [`crate::matrix::Matrix::matmul_with`]. [`SimdLevel::Scalar`] runs the
-/// blocked axpy nest, the reference the serving default
-/// ([`MatmulKernel::Blocked`]) runs; every vector level runs the
+/// (which passes [`SimdLevel::detect`]). [`SimdLevel::Scalar`] runs the
+/// blocked axpy nest, the reference; every vector level runs the
 /// register-tiled nest (see the [module docs](self)). Either nest is
 /// called once per matmul, so the per-call cost of crossing into
 /// `#[target_feature]` code is paid once instead of once per tile. `lhs`
@@ -442,9 +426,9 @@ const NC: usize = 256;
 /// rows, in the axpy nests and in the register tiles alike.
 const MR: usize = 4;
 
-/// The scalar blocked loop nest — [`SimdLevel::Scalar`]'s kernel, so the
-/// serving default ([`MatmulKernel::Blocked`]) and what non-x86-64
-/// targets run everywhere. NC/MR tiling, ascending-`k` accumulation per
+/// The scalar blocked loop nest — [`SimdLevel::Scalar`]'s kernel, so
+/// what non-x86-64 targets run everywhere and the reference every vector
+/// level is pinned against. NC/MR tiling, ascending-`k` accumulation per
 /// output element through `out`, and the `a == 0.0` skip.
 fn matmul_blocked_scalar(lhs: &[f32], rhs: &[f32], out: &mut [f32], m: usize, kk: usize, n: usize) {
     assert_eq!(lhs.len(), m * kk, "matmul_blocked_scalar: lhs size");
@@ -1028,7 +1012,7 @@ mod tests {
     /// The full SIMD matmul against the naive reference on shapes that
     /// straddle lane widths (16 for AVX-512, 8 for AVX2, 4 for SSE2), the
     /// tiled nest's row and column tails, panel boundaries, and the
-    /// degenerate 1-row case — through `MatmulKernel::Simd` and at every
+    /// degenerate 1-row case — through [`Matrix::matmul`] and at every
     /// available level.
     #[test]
     fn simd_matmul_matches_naive_on_edge_shapes() {
@@ -1057,7 +1041,7 @@ mod tests {
                     *v = 0.0;
                 }
             }
-            let simd = a.matmul_with(&b, MatmulKernel::Simd);
+            let simd = a.matmul(&b);
             let naive = a.matmul_naive(&b);
             assert_eq!(simd.shape(), naive.shape());
             for (x, y) in simd.as_slice().iter().zip(naive.as_slice()) {
@@ -1258,12 +1242,12 @@ mod tests {
     fn simd_matmul_empty_dims_are_zero() {
         let a = Matrix::zeros(2, 0);
         let b = Matrix::zeros(0, 3);
-        let out = a.matmul_with(&b, MatmulKernel::Simd);
+        let out = a.matmul(&b);
         assert_eq!(out.shape(), (2, 3));
         assert!(out.as_slice().iter().all(|&v| v == 0.0));
         let c = Matrix::zeros(0, 4);
         let d = Matrix::zeros(4, 5);
-        assert_eq!(c.matmul_with(&d, MatmulKernel::Simd).shape(), (0, 5));
+        assert_eq!(c.matmul(&d).shape(), (0, 5));
     }
 
     /// `pack_rhs` is a pure permutation: every element of the original
@@ -1336,20 +1320,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Both kernel choices agree bit-for-bit (the contract
-    /// `amoeba-serve`'s backend-conformance suite leans on).
-    #[test]
-    fn kernel_choices_are_bit_identical() {
-        let mut rng = StdRng::seed_from_u64(53);
-        let a = Matrix::randn(17, 33, 1.0, &mut rng);
-        let b = Matrix::randn(33, 129, 1.0, &mut rng);
-        let blocked = a.matmul_with(&b, MatmulKernel::Blocked);
-        let simd = a.matmul_with(&b, MatmulKernel::Simd);
-        for (x, y) in blocked.as_slice().iter().zip(simd.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        assert_eq!(MatmulKernel::default(), MatmulKernel::Blocked);
     }
 }

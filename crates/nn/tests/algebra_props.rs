@@ -193,7 +193,6 @@ proptest! {
         n in 1usize..=512,
         seed in any::<u64>(),
     ) {
-        use amoeba_nn::simd::MatmulKernel;
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(seed);
@@ -204,7 +203,7 @@ proptest! {
                 *v = 0.0;
             }
         }
-        let simd = a.matmul_with(&b, MatmulKernel::Simd);
+        let simd = a.matmul(&b);
         let naive = a.matmul_naive(&b);
         prop_assert_eq!(simd.shape(), naive.shape());
         for (x, y) in simd.as_slice().iter().zip(naive.as_slice()) {
@@ -215,14 +214,13 @@ proptest! {
 
 #[test]
 fn simd_matmul_empty_and_single_row_edges_match_naive() {
-    use amoeba_nn::simd::MatmulKernel;
     // Empty inner / outer dimensions short-circuit to zeros.
     for (a, b) in [
         (Matrix::zeros(3, 0), Matrix::zeros(0, 5)),
         (Matrix::zeros(0, 4), Matrix::zeros(4, 2)),
         (Matrix::zeros(2, 4), Matrix::zeros(4, 0)),
     ] {
-        let simd = a.matmul_with(&b, MatmulKernel::Simd);
+        let simd = a.matmul(&b);
         let naive = a.matmul_naive(&b);
         assert_eq!(simd.shape(), naive.shape());
         assert_eq!(simd.as_slice(), naive.as_slice());
@@ -230,7 +228,7 @@ fn simd_matmul_empty_and_single_row_edges_match_naive() {
     // A 1-row product with a sub-lane-width tail.
     let a = Matrix::row_vector(vec![0.5, -1.5, 0.0]);
     let b = Matrix::from_vec(3, 5, (0..15).map(|i| i as f32 * 0.3 - 2.0).collect());
-    let simd = a.matmul_with(&b, MatmulKernel::Simd);
+    let simd = a.matmul(&b);
     let naive = a.matmul_naive(&b);
     for (x, y) in simd.as_slice().iter().zip(naive.as_slice()) {
         assert_eq!(x.to_bits(), y.to_bits());

@@ -7,11 +7,13 @@
 //! delegates to the engine the comparison doubles as a delegation-cost
 //! check), and a 6-tenant engine run to size multi-tenant packing.
 //!
-//! The backend benches size the SIMD win: the raw matmul micro-kernel
-//! (blocked vs SIMD at serving-shaped operands) and the end-to-end
-//! engine at batch 1/64/256 under `CpuBackend` vs `SimdBackend` — the
-//! two backends are bit-identical (conformance-pinned), so any delta is
-//! pure throughput.
+//! The kernel bench sizes the serving products: `simd::matmul_into` at
+//! the GRU gate shapes the `cpu` backend runs, at the detected SIMD level
+//! (the register-tiled nest `Matrix::matmul` dispatches to) and at
+//! `SimdLevel::Scalar` (the reference nest). `2·m·k·n` flops over the
+//! median time is the kernel-side figure for the layer ledger's
+//! `backend.gflop_per_s`; a large gap between the two is a finding
+//! (gate blend, gather/scatter and allocation around the products).
 
 #![allow(deprecated)]
 
@@ -27,9 +29,9 @@ use amoeba_core::policy::Actor;
 use amoeba_core::AmoebaConfig;
 use amoeba_nn::layers::{Activation, Mlp};
 use amoeba_nn::matrix::Matrix;
-use amoeba_nn::simd::MatmulKernel;
+use amoeba_nn::simd::{self, SimdLevel};
 use amoeba_nn::Forward;
-use amoeba_serve::{BackendKind, Dataplane, FrozenPolicy, ServeConfig, ServeEngine};
+use amoeba_serve::{Dataplane, FrozenPolicy, ServeConfig, ServeEngine};
 use amoeba_traffic::{Flow, Layer};
 
 fn policy() -> FrozenPolicy {
@@ -285,53 +287,23 @@ fn bench_engine_multi_tenant(c: &mut Criterion) {
     });
 }
 
-/// The raw micro-kernel at serving-shaped operands (a batch of
-/// concatenated encoder states against an actor layer): blocked scalar
-/// vs runtime-dispatched SIMD, bit-identical by construction.
+/// The serving products at the detected level and at the scalar
+/// reference: a gate projection `(B, 64) · (64, 192)` of the 64-wide
+/// encoder GRU, at a partial batch of 24 rows and a full batch of 64.
+/// Both levels are bit-identical by construction, so the ratio is pure
+/// throughput.
 fn bench_matmul_kernels(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(2);
-    for (m, k, n) in [(64usize, 64usize, 64usize), (256, 64, 192)] {
+    for (m, k, n) in [(24usize, 64usize, 192usize), (64, 64, 192)] {
         let a = Matrix::randn(m, k, 1.0, &mut rng);
         let b = Matrix::randn(k, n, 1.0, &mut rng);
-        c.bench_function(&format!("matmul_{m}x{k}x{n}_blocked"), |bench| {
-            bench.iter(|| a.matmul_with(&b, MatmulKernel::Blocked))
-        });
-        c.bench_function(&format!("matmul_{m}x{k}x{n}_simd"), |bench| {
-            bench.iter(|| a.matmul_with(&b, MatmulKernel::Simd))
-        });
-    }
-}
-
-/// End-to-end engine throughput under each in-crate backend at batch
-/// 1/64/256 on the identical 200-flow workload — the SIMD acceptance
-/// numbers (wire output is backend-invariant, so rows differ only in
-/// wall clock).
-fn bench_backend_comparison(c: &mut Criterion) {
-    let flows = workload(200);
-    let censor: Arc<dyn Censor> = Arc::new(ConstantCensor {
-        fixed_score: 0.1,
-        as_kind: CensorKind::Dt,
-    });
-    for batch in [1usize, 64, 256] {
-        for kind in [BackendKind::Cpu, BackendKind::Simd] {
-            let name = format!("engine_200flows_batch{batch}_{kind}");
-            c.bench_function(&name, |b| {
-                b.iter_batched(
-                    || {
-                        let mut engine = ServeEngine::new(
-                            ServeConfig::new(Layer::Tcp)
-                                .with_seed(5)
-                                .with_batch(batch)
-                                .with_backend_kind(kind),
-                        );
-                        let p = engine.register_policy(policy());
-                        let cc = engine.register_censor(Arc::clone(&censor));
-                        engine.admit_all(flows.iter(), p, cc);
-                        engine
-                    },
-                    |engine| engine.run(),
-                    BatchSize::LargeInput,
-                )
+        for level in [SimdLevel::detect(), SimdLevel::Scalar] {
+            c.bench_function(&format!("serve_matmul_{m}x{k}x{n}_{level}"), |bench| {
+                bench.iter(|| {
+                    let mut out = vec![0.0f32; m * n];
+                    simd::matmul_into(level, a.as_slice(), b.as_slice(), &mut out, m, k, n);
+                    out
+                })
             });
         }
     }
@@ -345,7 +317,6 @@ criterion_group!(
     bench_dataplane_sharding,
     bench_scheduler_knobs,
     bench_engine_vs_dataplane,
-    bench_engine_multi_tenant,
-    bench_backend_comparison
+    bench_engine_multi_tenant
 );
 criterion_main!(benches);

@@ -5,10 +5,10 @@
 //! batch of per-session encoder states by one observation each, and run
 //! the actor heads over a batch of concatenated states. [`InferenceBackend`]
 //! names exactly that contract; [`CpuBackend`] is the reference
-//! implementation (the blocked-matmul snapshot fast path) and the other
-//! in-crate backends route the same passes through faster weight
-//! layouts. Future backends (async, GPU) slot in behind the same trait
-//! without another serving-API break.
+//! implementation (the snapshot fast path on the register-tiled matmul
+//! nest) and the other in-crate backends route the same passes through
+//! other weight layouts. Future backends (async, GPU) slot in behind the
+//! same trait without another serving-API break.
 //!
 //! ## Exactness tiers
 //!
@@ -17,8 +17,7 @@
 //!
 //! | Kind     | Backend          | Weights                    | Tier | Contract |
 //! |----------|------------------|----------------------------|------|----------|
-//! | `cpu`    | [`CpuBackend`]   | row-major, blocked kernel  | A    | bit-exact reference |
-//! | `simd`   | [`SimdBackend`]  | row-major, SIMD dispatch (AVX-512 → AVX2 → SSE2 → scalar) | A | bit-identical to `cpu` |
+//! | `cpu`    | [`CpuBackend`]   | row-major, register-tiled nest, SIMD dispatch (AVX-512 → AVX2 → SSE2 → scalar) | A | bit-exact reference |
 //! | `packed` | [`PackedBackend`]| panel-packed, SIMD dispatch | A   | bit-identical to `cpu` |
 //! | `quant`  | [`QuantBackend`] | per-column symmetric int8  | B    | bounded divergence only |
 //!
@@ -52,14 +51,14 @@
 //!    order, with one `mul` rounding and one `add` rounding per term. A
 //!    kernel that re-associates the reduction (lane-wise horizontal adds)
 //!    or fuses the roundings (FMA) changes wire output and is **not** a
-//!    valid tier-A backend, however fast. [`SimdBackend`] and
+//!    valid tier-A backend, however fast. [`CpuBackend`] and
 //!    [`PackedBackend`] satisfy this by vectorising over output *columns*
 //!    only — see `amoeba_nn::simd`.
 //!
 //! ## Plugging in a new backend
 //!
 //! Implement [`InferenceBackend`] (usually by delegating to the
-//! `*_with`-kernel or prepared snapshot paths), then run the matching
+//! row-major or prepared snapshot paths), then run the matching
 //! conformance tier against it before trusting it with traffic. For a
 //! tier-A backend, add one
 //! `backend_conformance_suite!(my_backend, MyBackend::new());`
@@ -74,9 +73,9 @@
 //! ## Selection
 //!
 //! [`BackendKind`] is the config-friendly selector carried by
-//! [`crate::ServeConfig`] (builder: `.backend(BackendKind::Simd)`;
+//! [`crate::ServeConfig`] (builder: `.backend(BackendKind::Packed)`;
 //! default [`BackendKind::Cpu`], overridable process-wide with the
-//! `AMOEBA_SERVE_BACKEND=cpu|simd|packed|quant` environment variable —
+//! `AMOEBA_SERVE_BACKEND=cpu|packed|quant` environment variable —
 //! the hook CI uses to force the whole `amoeba-serve` test suite through
 //! each tier-A backend). An unrecognised or non-UTF-8 value is a **hard
 //! error** at engine construction, never a silent fallback.
@@ -88,7 +87,7 @@ use std::sync::Arc;
 
 use amoeba_core::encoder::EncoderState;
 use amoeba_nn::matrix::Matrix;
-use amoeba_nn::simd::{MatmulKernel, SimdLevel};
+use amoeba_nn::simd::SimdLevel;
 
 use crate::FrozenPolicy;
 
@@ -127,9 +126,11 @@ pub trait InferenceBackend: Send + Sync {
 }
 
 /// The reference backend: the frozen snapshots' own fused fast paths
-/// (blocked cache-tiled matmul, fused GRU gate pass), bit-identical to
-/// the per-flow paths by construction. This is the path every previous
-/// single-tenant `Dataplane` release shipped.
+/// (the register-tiled `amoeba_nn::simd` matmul nest at the detected
+/// level, fused GRU gate pass), bit-identical to the per-flow paths by
+/// construction. Training, rollouts and evaluation run the same
+/// snapshot code, so a served policy is evaluated exactly as it was
+/// trained.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CpuBackend;
 
@@ -153,59 +154,8 @@ impl InferenceBackend for CpuBackend {
     }
 }
 
-/// The SIMD backend: the same fused snapshot passes as [`CpuBackend`],
-/// with every matmul routed through the runtime-dispatched
-/// `amoeba_nn::simd` micro-kernel (`MatmulKernel::Simd`: AVX2 → SSE2 on
-/// x86-64, scalar fallback elsewhere). Bit-identical to [`CpuBackend`]
-/// on every input — the kernel vectorises across output columns only and
-/// never reorders an element's ascending-`k` summation or fuses its
-/// roundings — so switching backends is a pure throughput knob, pinned
-/// by the crate's backend-conformance suite.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimdBackend;
-
-impl SimdBackend {
-    /// A SIMD backend (dispatch level is detected at first use and
-    /// cached process-wide).
-    pub fn new() -> Self {
-        Self
-    }
-
-    /// The SIMD level this host dispatches to.
-    pub fn level(&self) -> SimdLevel {
-        SimdLevel::detect()
-    }
-}
-
-impl InferenceBackend for SimdBackend {
-    fn push_batch(
-        &self,
-        policy: &FrozenPolicy,
-        states: &mut [EncoderState],
-        indices: &[usize],
-        obs: &Matrix,
-    ) {
-        policy
-            .encoder
-            .push_batch_with(states, indices, obs, MatmulKernel::Simd);
-    }
-
-    fn head_batch(&self, policy: &FrozenPolicy, states: &Matrix) -> (Matrix, Matrix) {
-        policy.actor.head_batch_with(states, MatmulKernel::Simd)
-    }
-
-    fn name(&self) -> &'static str {
-        match SimdLevel::detect() {
-            SimdLevel::Avx512 => "simd-avx512",
-            SimdLevel::Avx2 => "simd-avx2",
-            SimdLevel::Sse2 => "simd-sse2",
-            SimdLevel::Scalar => "simd-scalar",
-        }
-    }
-}
-
 /// The packed backend (tier A): the same SIMD dispatch as
-/// [`SimdBackend`], but executing against the policy's lazily-built
+/// [`CpuBackend`], but executing against the policy's lazily-built
 /// [`crate::PreparedPolicy`] of panel-packed weights
 /// (`amoeba_nn::packed::PackedWeights`), so the kernels stream each
 /// weight slab sequentially instead of striding row-major. Packing
@@ -297,8 +247,6 @@ pub enum BackendKind {
     /// The reference [`CpuBackend`] (tier A).
     #[default]
     Cpu,
-    /// The [`SimdBackend`] (tier A; runtime-detected, scalar fallback).
-    Simd,
     /// The [`PackedBackend`] (tier A; panel-packed weights).
     Packed,
     /// The [`QuantBackend`] (**tier B**; int8 weights, tolerance-bounded
@@ -308,14 +256,13 @@ pub enum BackendKind {
 
 impl BackendKind {
     /// Environment variable consulted by [`BackendKind::from_env_or_default`]
-    /// (values: `cpu` | `simd` | `packed` | `quant`).
+    /// (values: `cpu` | `packed` | `quant`).
     pub const ENV: &'static str = "AMOEBA_SERVE_BACKEND";
 
     /// Instantiates the selected backend.
     pub fn instantiate(self) -> Arc<dyn InferenceBackend> {
         match self {
             BackendKind::Cpu => Arc::new(CpuBackend),
-            BackendKind::Simd => Arc::new(SimdBackend::new()),
             BackendKind::Packed => Arc::new(PackedBackend::new()),
             BackendKind::Quant => Arc::new(QuantBackend::new()),
         }
@@ -327,7 +274,7 @@ impl BackendKind {
     /// see the module docs' exactness table.
     pub fn is_bit_exact(self) -> bool {
         match self {
-            BackendKind::Cpu | BackendKind::Simd | BackendKind::Packed => true,
+            BackendKind::Cpu | BackendKind::Packed => true,
             BackendKind::Quant => false,
         }
     }
@@ -367,11 +314,10 @@ impl FromStr for BackendKind {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "cpu" => Ok(BackendKind::Cpu),
-            "simd" => Ok(BackendKind::Simd),
             "packed" => Ok(BackendKind::Packed),
             "quant" => Ok(BackendKind::Quant),
             other => Err(format!(
-                "unknown backend {other:?} (expected cpu|simd|packed|quant)"
+                "unknown backend {other:?} (expected cpu|packed|quant)"
             )),
         }
     }
@@ -381,7 +327,6 @@ impl std::fmt::Display for BackendKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             BackendKind::Cpu => "cpu",
-            BackendKind::Simd => "simd",
             BackendKind::Packed => "packed",
             BackendKind::Quant => "quant",
         })
@@ -420,60 +365,21 @@ mod tests {
         assert_eq!(s1.as_slice(), s2.as_slice());
     }
 
-    /// The SIMD backend must agree bit-for-bit with the CPU backend on
-    /// both operations (the module-level obligation, checked exhaustively
-    /// by the conformance suite; this is the smoke version).
-    #[test]
-    fn simd_backend_matches_cpu_backend_bit_exact() {
-        let p = tiny_policy(13);
-        let cpu = CpuBackend;
-        let simd = SimdBackend::new();
-        assert!(simd.name().starts_with("simd"));
-        assert!(simd.level().is_available());
-
-        let mut a: Vec<EncoderState> = (0..4).map(|_| p.encoder.begin()).collect();
-        let mut b: Vec<EncoderState> = (0..4).map(|_| p.encoder.begin()).collect();
-        let obs = Matrix::from_vec(3, 2, vec![0.25, -0.5, 0.75, 0.1, -0.9, 0.6]);
-        cpu.push_batch(&p, &mut a, &[0, 1, 3], &obs);
-        simd.push_batch(&p, &mut b, &[0, 1, 3], &obs);
-        for (x, y) in a.iter().zip(&b) {
-            let xb: Vec<u32> = x.representation().iter().map(|v| v.to_bits()).collect();
-            let yb: Vec<u32> = y.representation().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(xb, yb);
-        }
-
-        let mut rng = StdRng::seed_from_u64(9);
-        let states = Matrix::randn(6, 2 * p.encoder.hidden_size(), 1.0, &mut rng);
-        let (m1, s1) = cpu.head_batch(&p, &states);
-        let (m2, s2) = simd.head_batch(&p, &states);
-        for (x, y) in m1.as_slice().iter().zip(m2.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        for (x, y) in s1.as_slice().iter().zip(s2.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
     /// Kind parsing round-trips, rejects junk, and instantiates matching
     /// backends.
     #[test]
     fn backend_kind_parses_and_instantiates() {
         assert_eq!("cpu".parse::<BackendKind>(), Ok(BackendKind::Cpu));
-        assert_eq!("SIMD".parse::<BackendKind>(), Ok(BackendKind::Simd));
-        assert_eq!("packed".parse::<BackendKind>(), Ok(BackendKind::Packed));
+        assert_eq!("PACKED".parse::<BackendKind>(), Ok(BackendKind::Packed));
         assert_eq!("Quant".parse::<BackendKind>(), Ok(BackendKind::Quant));
         assert!("gpu".parse::<BackendKind>().is_err());
+        // The register-tiled nest is the `cpu` default; no separate kind.
+        assert!("simd".parse::<BackendKind>().is_err());
         assert_eq!(BackendKind::default(), BackendKind::Cpu);
-        for kind in [
-            BackendKind::Cpu,
-            BackendKind::Simd,
-            BackendKind::Packed,
-            BackendKind::Quant,
-        ] {
+        for kind in [BackendKind::Cpu, BackendKind::Packed, BackendKind::Quant] {
             assert_eq!(kind.to_string().parse::<BackendKind>(), Ok(kind));
         }
         assert_eq!(BackendKind::Cpu.instantiate().name(), "cpu");
-        assert!(BackendKind::Simd.instantiate().name().starts_with("simd"));
         assert!(BackendKind::Packed
             .instantiate()
             .name()
@@ -485,7 +391,6 @@ mod tests {
     #[test]
     fn exactness_tiers_match_table() {
         assert!(BackendKind::Cpu.is_bit_exact());
-        assert!(BackendKind::Simd.is_bit_exact());
         assert!(BackendKind::Packed.is_bit_exact());
         assert!(!BackendKind::Quant.is_bit_exact());
     }
@@ -503,7 +408,9 @@ mod tests {
         );
         let err = BackendKind::from_env_value(Some(OsStr::new("fpga"))).unwrap_err();
         assert!(err.contains("unknown backend"), "{err}");
-        assert!(err.contains("cpu|simd|packed|quant"), "{err}");
+        assert!(err.contains("cpu|packed|quant"), "{err}");
+        let err = BackendKind::from_env_value(Some(OsStr::new("simd"))).unwrap_err();
+        assert!(err.contains("unknown backend"), "{err}");
         // The empty string is set-but-invalid, not unset.
         assert!(BackendKind::from_env_value(Some(OsStr::new(""))).is_err());
         #[cfg(unix)]

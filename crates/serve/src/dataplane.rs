@@ -380,9 +380,14 @@ mod tests {
             report.frames,
             report.outcomes.iter().map(|o| o.frames).sum::<usize>()
         );
-        assert_eq!(report.frame_queue_us.len(), report.frames);
-        assert_eq!(report.frame_compute_us.len(), report.frames);
-        assert_eq!(report.frame_latency_us().len(), report.frames);
+        assert_eq!(
+            report
+                .frame_runs
+                .iter()
+                .map(|r| r.frames as usize)
+                .sum::<usize>(),
+            report.frames
+        );
         assert!(report.inference_batches > 0);
         assert!(report.wall_seconds > 0.0);
         assert!(report.flows_per_sec() > 0.0);

@@ -55,7 +55,7 @@ use amoeba_telemetry::{ShardTelemetry, TelemetrySnapshot};
 use amoeba_traffic::Flow;
 
 use crate::backend::InferenceBackend;
-use crate::metrics::{ServeReport, SessionOutcome};
+use crate::metrics::{FrameRun, ServeReport, SessionOutcome};
 use crate::registry::{CensorId, CensorRegistry, PolicyId, PolicyRegistry, Tenant};
 use crate::session::Session;
 use crate::shard::{Shard, ShardReport};
@@ -305,9 +305,9 @@ impl ServeEngine {
     }
 
     /// Deterministic merge: outcomes k-way-merged by session id (each
-    /// shard's list is already id-ascending), counters summed, per-frame
-    /// vectors (queue wait, compute, tenant tags) concatenated in shard
-    /// order, and shard telemetry aggregated in shard-index order.
+    /// shard's list is already id-ascending), counters summed, frame runs
+    /// concatenated in shard order, and shard telemetry aggregated in
+    /// shard-index order.
     fn merge(reports: Vec<ShardReport>, wall_seconds: f64, telemetry_on: bool) -> ServeReport {
         let mut frames = 0usize;
         let mut batches = 0usize;
@@ -317,9 +317,7 @@ impl ServeEngine {
         let mut max_queue_depth = 0usize;
         let total: usize = reports.iter().map(|r| r.outcomes.len()).sum();
         let mut outcomes: Vec<SessionOutcome> = Vec::with_capacity(total);
-        let mut frame_queue_us: Vec<f32> = Vec::new();
-        let mut frame_compute_us: Vec<f32> = Vec::new();
-        let mut frame_tenants: Vec<Tenant> = Vec::new();
+        let mut frame_runs: Vec<FrameRun> = Vec::new();
         let mut shard_tel: Vec<ShardTelemetry> = Vec::new();
         let mut queues: Vec<std::vec::IntoIter<SessionOutcome>> = Vec::new();
         for r in reports {
@@ -329,9 +327,7 @@ impl ServeEngine {
             infer_stage_us += r.infer_us;
             framing_stage_us += r.framing_us;
             max_queue_depth = max_queue_depth.max(r.max_queue_depth);
-            frame_queue_us.extend(r.queue_us);
-            frame_compute_us.extend(r.compute_us);
-            frame_tenants.extend(r.frame_tenants);
+            frame_runs.extend(r.frame_runs);
             if telemetry_on {
                 shard_tel.push(r.telemetry);
             }
@@ -356,9 +352,7 @@ impl ServeEngine {
             wall_seconds,
             frames,
             inference_batches: batches,
-            frame_queue_us,
-            frame_compute_us,
-            frame_tenants,
+            frame_runs,
             stolen_batches,
             infer_stage_us,
             framing_stage_us,
@@ -585,9 +579,15 @@ mod tests {
         let policies = [tiny_policy(7), tiny_policy(19)];
         let scores = [0.1, 0.4, 0.9];
         let report = run_multi(&flows, &policies, &scores, 16, 2, ActionMode::Deterministic);
-        assert_eq!(report.frame_queue_us.len(), report.frames);
-        assert_eq!(report.frame_compute_us.len(), report.frames);
-        assert_eq!(report.frame_tenants.len(), report.frames);
+        let run_frames = |r: &ServeReport| {
+            r.frame_runs
+                .iter()
+                .map(|f| f.frames as usize)
+                .sum::<usize>()
+        };
+        assert_eq!(run_frames(&report), report.frames);
+        assert!(report.frame_runs.iter().all(|f| f.frames > 0));
+        assert!(report.frame_runs.len() >= report.inference_batches);
         assert!(report.inference_batches > 0);
         assert!(report.max_queue_depth > 0);
         assert!(report.infer_stage_us > 0.0);
@@ -602,11 +602,46 @@ mod tests {
             subs.iter().map(|(_, r)| r.outcomes.len()).sum::<usize>(),
             report.outcomes.len()
         );
-        for (t, sub) in subs {
-            assert!(sub.outcomes.iter().all(|o| o.tenant == t));
-            assert_eq!(sub.frame_queue_us.len(), sub.frames);
-            assert_eq!(sub.frame_compute_us.len(), sub.frames);
-            assert_eq!(sub.frame_latency_us().len(), sub.frames);
+        for (t, sub) in &subs {
+            assert!(sub.outcomes.iter().all(|o| o.tenant == *t));
+            assert!(sub.frame_runs.iter().all(|f| f.tenant == *t));
+            assert_eq!(run_frames(sub), sub.frames);
+        }
+        // The tenants' runs partition the parent's: every parent run
+        // lands in exactly its tenant's sub-report, in parent order.
+        let mut regrouped: Vec<FrameRun> = Vec::new();
+        for (_, sub) in &subs {
+            regrouped.extend(&sub.frame_runs);
+        }
+        assert_eq!(regrouped.len(), report.frame_runs.len());
+        for (t, sub) in &subs {
+            let want: Vec<FrameRun> = report
+                .frame_runs
+                .iter()
+                .filter(|f| f.tenant == *t)
+                .copied()
+                .collect();
+            assert_eq!(sub.frame_runs, want);
+        }
+    }
+
+    /// A report keeps every session's wire flow for as long as the caller
+    /// holds it, so each is stored at exactly its length: no doubling
+    /// slack from the growth buffer it was built in.
+    #[test]
+    fn outcome_wires_are_stored_at_exact_size() {
+        let flows = offered_flows(60, 13);
+        let policies = [tiny_policy(7), tiny_policy(19)];
+        let report = run_multi(&flows, &policies, &[0.1, 0.9], 16, 2, ActionMode::Sample);
+        assert_eq!(report.outcomes.len(), flows.len());
+        assert!(report.frames > 0);
+        for o in &report.outcomes {
+            assert_eq!(
+                o.wire.packets.capacity(),
+                o.wire.packets.len(),
+                "session {}",
+                o.id
+            );
         }
     }
 

@@ -58,9 +58,9 @@
 //!   telemetry).
 //! * [`backend::InferenceBackend`] — the pluggable execution seam behind
 //!   the scheduler (`push_batch` / `head_batch`).
-//!   [`backend::CpuBackend`] is the reference blocked-matmul snapshot
-//!   path; SIMD and async backends slot in behind the same trait without
-//!   another API break.
+//!   [`backend::CpuBackend`] is the reference snapshot path on the
+//!   register-tiled matmul nest; async and GPU backends slot in behind
+//!   the same trait without another API break.
 //! * [`metrics::ServeReport`] — throughput (`flows/sec`, `MB/s`),
 //!   per-frame latency percentiles (linearly interpolated between ranks),
 //!   evasion rate, overhead accounting — plus per-`(policy, censor)`
@@ -75,8 +75,9 @@
 //!   [`engine::ServeEngine::telemetry`], and is priced by CI's
 //!   `telemetry-overhead` gate (≤2% throughput). The invariance is
 //!   pinned by `tests/telemetry_invariance.rs` and the fingerprint
-//!   sweep in `engine.rs`; exact per-frame latency vectors are opt-in
-//!   via [`ServeConfig::exact_frame_stats`].
+//!   sweep in `engine.rs`; exact per-frame latency samples (one
+//!   [`metrics::FrameRun`] per batch and tenant) are opt-in via
+//!   [`ServeConfig::exact_frame_stats`].
 //! * [`dataplane::Dataplane`] — **deprecated** one-tenant shim over the
 //!   engine, kept so pre-engine callers compile. Migration: replace
 //!   `Dataplane::new(policy, censor, cfg)` + `add_flow*` with a
@@ -101,7 +102,7 @@
 //! `tests/tenancy_invariance.rs`). This is the property that makes
 //! batching, sharding and multi-tenant packing pure throughput knobs
 //! rather than semantics knobs, and it is what every future scaling axis
-//! (SIMD/async [`backend::InferenceBackend`]s, work stealing) plugs into.
+//! (async or GPU [`backend::InferenceBackend`]s, work stealing) plugs into.
 //!
 //! ## Framing note
 //!
@@ -138,13 +139,11 @@ use amoeba_nn::packed::{PackedWeights, PreparedRhs};
 use amoeba_nn::quant::QuantWeights;
 use amoeba_traffic::{Layer, NetEm};
 
-pub use backend::{
-    BackendKind, CpuBackend, InferenceBackend, PackedBackend, QuantBackend, SimdBackend,
-};
+pub use backend::{BackendKind, CpuBackend, InferenceBackend, PackedBackend, QuantBackend};
 #[allow(deprecated)]
 pub use dataplane::Dataplane;
 pub use engine::{Admission, ServeEngine, TelemetryHandle};
-pub use metrics::{ServeReport, SessionOutcome, SessionStatus};
+pub use metrics::{FrameRun, ServeReport, SessionOutcome, SessionStatus};
 pub use registry::{CensorId, CensorRegistry, PolicyId, PolicyRegistry, Tenant};
 pub use session::Session;
 pub use shard::Shard;
@@ -331,13 +330,12 @@ pub struct ServeConfig {
     /// on panic. A pure observability knob — wire output is
     /// ring-size-invariant.
     pub trace_ring: usize,
-    /// Keep the exact per-frame latency sample vectors
-    /// ([`metrics::ServeReport::frame_queue_us`] /
-    /// [`metrics::ServeReport::frame_compute_us`]) for
-    /// exact-interpolation percentiles (default `false`: percentiles
-    /// come from the bounded-memory telemetry histograms, within 1/16
-    /// relative error). Unbounded memory per frame — intended for tests
-    /// and small calibration runs.
+    /// Keep the exact per-frame latency samples
+    /// ([`metrics::ServeReport::frame_runs`]) for exact-interpolation
+    /// percentiles (default `false`: percentiles come from the
+    /// bounded-memory telemetry histograms, within 1/16 relative error).
+    /// Memory grows with the batches run (one [`metrics::FrameRun`] per
+    /// batch and tenant) — intended for tests and calibration runs.
     pub exact_frame_stats: bool,
 }
 
@@ -690,13 +688,13 @@ mod tests {
     /// Backend selection flows through both the builder and the
     /// `with_*` chain.
     #[test]
-    fn builder_backend_selects_simd() {
+    fn builder_backend_selects_packed() {
         let built = ServeConfig::builder(Layer::Tcp)
-            .backend(BackendKind::Simd)
+            .backend(BackendKind::Packed)
             .build();
-        assert_eq!(built.backend, BackendKind::Simd);
-        let chained = ServeConfig::new(Layer::Tcp).with_backend_kind(BackendKind::Simd);
-        assert_eq!(chained.backend, BackendKind::Simd);
+        assert_eq!(built.backend, BackendKind::Packed);
+        let chained = ServeConfig::new(Layer::Tcp).with_backend_kind(BackendKind::Packed);
+        assert_eq!(chained.backend, BackendKind::Packed);
     }
 
     #[test]

@@ -74,6 +74,42 @@ impl SessionOutcome {
     }
 }
 
+/// A run of consecutive frames of one work item that share a tenant.
+///
+/// Every frame of a batch carries the batch's queue wait and compute
+/// total, so the report stores those once per run together with the
+/// run's frame count instead of once per frame. A run stands for
+/// `frames` identical per-frame samples: the percentile accessors on
+/// [`ServeReport`] rank the runs by weight and return exactly the
+/// type-7 value of the expanded per-frame vector.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FrameRun {
+    /// Queue wait (µs): how long the work item sat between being formed
+    /// (its sessions became due) and the start of its inference —
+    /// scheduler pressure.
+    pub queue_us: f32,
+    /// Compute time (µs): the wall-clock the work item spent in the
+    /// inference (fused GRU/MLP) and framing/impairment/verdict stages
+    /// combined — the batch is the unit a flow actually waits on for its
+    /// next frame decision.
+    pub compute_us: f32,
+    /// The tenant that owned the run's frames — what lets
+    /// [`ServeReport::sub_report`] attribute latencies per
+    /// `(policy, censor)` cell.
+    pub tenant: Tenant,
+    /// Frames in the run (at least 1).
+    pub frames: u32,
+}
+
+impl FrameRun {
+    /// End-to-end latency (µs) of each frame of the run: queue wait plus
+    /// compute, what a frame waited from its session becoming due to its
+    /// batch fully processed.
+    pub fn latency_us(&self) -> f32 {
+        self.queue_us + self.compute_us
+    }
+}
+
 /// Aggregate dataplane run report.
 #[derive(Debug, Clone, Default)]
 pub struct ServeReport {
@@ -85,22 +121,12 @@ pub struct ServeReport {
     pub frames: usize,
     /// Inference batches executed.
     pub inference_batches: usize,
-    /// Per-frame **queue wait** (µs): how long the frame's work item sat
-    /// between being formed (its session became due) and the start of its
-    /// batch's inference — scheduler pressure, shared by every frame of
-    /// the batch. Parallel to [`ServeReport::frame_tenants`].
-    pub frame_queue_us: Vec<f32>,
-    /// Per-frame **compute** time (µs): the wall-clock its batch spent in
-    /// the inference (fused GRU/MLP) and framing/impairment/verdict
-    /// stages combined. Every frame of a batch is charged the batch's
-    /// total — the batch is the unit a flow actually waits on for its
-    /// next frame decision. Parallel to [`ServeReport::frame_tenants`].
-    pub frame_compute_us: Vec<f32>,
-    /// The tenant that owned each frame, parallel to
-    /// [`ServeReport::frame_queue_us`] / [`ServeReport::frame_compute_us`]
-    /// — what lets [`ServeReport::sub_report`] attribute latencies per
-    /// `(policy, censor)` cell.
-    pub frame_tenants: Vec<Tenant>,
+    /// Exact per-frame queue wait and compute samples, one [`FrameRun`]
+    /// per (work item, consecutive-tenant run), in absorb order per shard
+    /// and shard order across shards. Kept only with
+    /// [`crate::ServeConfig::exact_frame_stats`]; the run frames sum to
+    /// [`ServeReport::frames`].
+    pub frame_runs: Vec<FrameRun>,
     /// Inference batches executed by a shard *other* than the sessions'
     /// home shard (the work-stealing scheduler's activity counter; always
     /// 0 when `n_shards == 1` or stealing is disabled).
@@ -118,7 +144,7 @@ pub struct ServeReport {
     /// The aggregated telemetry snapshot of this run (counters,
     /// bounded-memory latency histograms, per-tenant feedback, trace
     /// events), present when [`crate::ServeConfig::telemetry`] was on.
-    /// When the exact per-frame vectors above are disabled (the default —
+    /// When the exact frame runs above are disabled (the default —
     /// [`crate::ServeConfig::exact_frame_stats`]), the `*_percentiles_us`
     /// accessors fall back to the snapshot's histograms, accurate to one
     /// log-linear bucket (≤ 1/16 relative error).
@@ -205,16 +231,12 @@ impl ServeReport {
     /// so per-tenant batch accounting has no meaning — read it off the
     /// parent report.
     pub fn sub_report(&self, tenant: Tenant) -> ServeReport {
-        let mut queue = Vec::new();
-        let mut compute = Vec::new();
-        let mut tags = Vec::new();
-        for (i, &t) in self.frame_tenants.iter().enumerate() {
-            if t == tenant {
-                queue.push(self.frame_queue_us[i]);
-                compute.push(self.frame_compute_us[i]);
-                tags.push(t);
-            }
-        }
+        let frame_runs = self
+            .frame_runs
+            .iter()
+            .filter(|r| r.tenant == tenant)
+            .copied()
+            .collect();
         let outcomes: Vec<SessionOutcome> = self
             .outcomes
             .iter()
@@ -226,15 +248,13 @@ impl ServeReport {
             outcomes,
             wall_seconds: self.wall_seconds,
             inference_batches: 0,
-            frame_queue_us: queue,
-            frame_compute_us: compute,
-            frame_tenants: tags,
+            frame_runs,
             stolen_batches: 0,
             infer_stage_us: 0.0,
             framing_stage_us: 0.0,
             max_queue_depth: 0,
             // The snapshot's histograms fuse all tenants; a per-tenant
-            // latency split needs the exact vectors
+            // latency split needs the exact frame runs
             // (`exact_frame_stats`). Per-tenant *counters* live in the
             // parent snapshot's tenant map.
             telemetry: None,
@@ -293,21 +313,9 @@ impl ServeReport {
         h
     }
 
-    /// Per-frame end-to-end latency (µs): the elementwise sum of
-    /// [`ServeReport::frame_queue_us`] and
-    /// [`ServeReport::frame_compute_us`] — what a frame waited from its
-    /// session becoming due to its batch fully processed. This is the
-    /// vector every `latency_*` percentile below ranks over.
-    pub fn frame_latency_us(&self) -> Vec<f32> {
-        self.frame_queue_us
-            .iter()
-            .zip(&self.frame_compute_us)
-            .map(|(&q, &c)| q + c)
-            .collect()
-    }
-
-    /// Percentiles of an arbitrary per-frame vector in µs (one sort for
-    /// all requested `qs`, each in `[0, 1]`).
+    /// Percentiles over per-frame samples given as weighted runs
+    /// `(value, frames)` in µs (one sort for all requested `qs`, each in
+    /// `[0, 1]`).
     ///
     /// ## Percentile semantics
     ///
@@ -318,32 +326,45 @@ impl ServeReport {
     /// of `[1, 2, 3, 4]` came out as 2 or 3 instead of 2.5). The samples
     /// are **per frame, valued per batch**: every frame of a batch
     /// carries its batch's queue wait and compute total, so percentiles
-    /// are frame-weighted — a 64-flow batch contributes 64 identical
-    /// samples, one per frame a flow actually waited on. Queue and
-    /// compute percentiles do **not** sum to the end-to-end latency
-    /// percentile at the same `q` (percentiles are not additive); rank
-    /// [`ServeReport::frame_latency_us`] for end-to-end figures.
-    fn percentiles_of(values: &[f32], qs: &[f64]) -> Vec<f32> {
-        if values.is_empty() {
+    /// are frame-weighted — a 64-flow batch counts as 64 identical
+    /// samples, one per frame a flow actually waited on. A run of `n`
+    /// frames is ranked as `n` copies of its value, so the result is
+    /// bit-identical to the estimator over the expanded per-frame vector:
+    /// the same `total_cmp` order, and the same `lo`/`hi`/`frac`
+    /// arithmetic over `len` = total frames. Queue and compute
+    /// percentiles do **not** sum to the end-to-end latency percentile at
+    /// the same `q` (percentiles are not additive); rank
+    /// [`FrameRun::latency_us`] for end-to-end figures.
+    fn percentiles_of(mut runs: Vec<(f32, u32)>, qs: &[f64]) -> Vec<f32> {
+        runs.sort_by(|a, b| a.0.total_cmp(&b.0));
+        // `ends[i]` is one past the last expanded position of run `i`.
+        let ends: Vec<usize> = runs
+            .iter()
+            .scan(0usize, |end, &(_, n)| {
+                *end += n as usize;
+                Some(*end)
+            })
+            .collect();
+        let len = ends.last().copied().unwrap_or(0);
+        if len == 0 {
             // A percentile of zero samples is undefined: return NaN per
             // quantile (not 0.0, which would read as a zero-latency run).
             // Pinned in `empty_percentiles_are_nan`.
             return vec![f32::NAN; qs.len()];
         }
-        let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.total_cmp(b));
+        let at = |pos: usize| runs[ends.partition_point(|&end| end <= pos)].0;
         qs.iter()
             .map(|q| {
-                let rank = (sorted.len() - 1) as f64 * q.clamp(0.0, 1.0);
+                let rank = (len - 1) as f64 * q.clamp(0.0, 1.0);
                 let lo = rank.floor() as usize;
                 let hi = rank.ceil() as usize;
                 let frac = (rank - lo as f64) as f32;
-                sorted[lo] + (sorted[hi] - sorted[lo]) * frac
+                at(lo) + (at(hi) - at(lo)) * frac
             })
             .collect()
     }
 
-    /// Exact sample percentiles when the per-frame vectors were kept
+    /// Exact sample percentiles when the frame runs were kept
     /// ([`crate::ServeConfig::exact_frame_stats`]); otherwise the
     /// telemetry histogram's quantile — the **same type-7 estimator**
     /// over bucket-midpoint rank values (≤ 1/16 relative error), so
@@ -353,44 +374,38 @@ impl ServeReport {
     /// `tests/telemetry_invariance.rs`; NaN when neither source has a
     /// sample.
     fn percentiles_or_hist(
-        values: &[f32],
-        hist: Option<&amoeba_telemetry::Histogram>,
+        &self,
+        value: impl Fn(&FrameRun) -> f32,
+        hist: impl Fn(&TelemetrySnapshot) -> &amoeba_telemetry::Histogram,
         qs: &[f64],
     ) -> Vec<f32> {
-        if values.is_empty() {
-            if let Some(h) = hist.filter(|h| !h.is_empty()) {
+        if self.frame_runs.is_empty() {
+            if let Some(h) = self.telemetry.as_ref().map(hist).filter(|h| !h.is_empty()) {
                 return qs.iter().map(|&q| h.quantile_us(q) as f32).collect();
             }
         }
-        Self::percentiles_of(values, qs)
+        let runs = self
+            .frame_runs
+            .iter()
+            .map(|r| (value(r), r.frames))
+            .collect();
+        Self::percentiles_of(runs, qs)
     }
 
     /// End-to-end (queue + compute) per-frame latency percentiles in µs;
     /// see the percentile-semantics note on the internal estimator above.
     pub fn latency_percentiles_us(&self, qs: &[f64]) -> Vec<f32> {
-        Self::percentiles_or_hist(
-            &self.frame_latency_us(),
-            self.telemetry.as_ref().map(|t| &t.latency_hist),
-            qs,
-        )
+        self.percentiles_or_hist(FrameRun::latency_us, |t| &t.latency_hist, qs)
     }
 
     /// Queue-wait percentiles in µs (scheduler pressure alone).
     pub fn queue_percentiles_us(&self, qs: &[f64]) -> Vec<f32> {
-        Self::percentiles_or_hist(
-            &self.frame_queue_us,
-            self.telemetry.as_ref().map(|t| &t.queue_hist),
-            qs,
-        )
+        self.percentiles_or_hist(|r| r.queue_us, |t| &t.queue_hist, qs)
     }
 
     /// Compute-time percentiles in µs (inference + framing alone).
     pub fn compute_percentiles_us(&self, qs: &[f64]) -> Vec<f32> {
-        Self::percentiles_or_hist(
-            &self.frame_compute_us,
-            self.telemetry.as_ref().map(|t| &t.compute_hist),
-            qs,
-        )
+        self.percentiles_or_hist(|r| r.compute_us, |t| &t.compute_hist, qs)
     }
 
     /// Per-frame latency percentile in µs (`q` in `[0, 1]`).
@@ -441,6 +456,20 @@ impl ServeReport {
 mod tests {
     use super::*;
 
+    /// Single-frame runs of one tenant from parallel queue/compute lists.
+    fn single_frames(queue: &[f32], compute: &[f32]) -> Vec<FrameRun> {
+        queue
+            .iter()
+            .zip(compute)
+            .map(|(&queue_us, &compute_us)| FrameRun {
+                queue_us,
+                compute_us,
+                tenant: Tenant::default(),
+                frames: 1,
+            })
+            .collect()
+    }
+
     fn outcome(id: usize, evaded: bool) -> SessionOutcome {
         SessionOutcome {
             id,
@@ -470,9 +499,14 @@ mod tests {
             wall_seconds: 0.5,
             frames: 30,
             inference_batches: 3,
-            frame_queue_us: (1..=30).map(|i| i as f32 * 0.25).collect(),
-            frame_compute_us: (1..=30).map(|i| i as f32 * 0.75).collect(),
-            frame_tenants: vec![Tenant::default(); 30],
+            frame_runs: (1..=30)
+                .map(|i| FrameRun {
+                    queue_us: i as f32 * 0.25,
+                    compute_us: i as f32 * 0.75,
+                    tenant: Tenant::default(),
+                    frames: 1,
+                })
+                .collect(),
             ..ServeReport::default()
         };
         assert!((report.evasion_rate() - 2.0 / 3.0).abs() < 1e-6);
@@ -497,11 +531,9 @@ mod tests {
     #[test]
     fn percentiles_interpolate_between_ranks() {
         let report = ServeReport {
-            frame_queue_us: vec![4.0, 1.0, 3.0, 2.0],
-            frame_compute_us: vec![0.0; 4],
+            frame_runs: single_frames(&[4.0, 1.0, 3.0, 2.0], &[0.0; 4]),
             ..ServeReport::default()
         };
-        assert_eq!(report.frame_latency_us(), vec![4.0, 1.0, 3.0, 2.0]);
         assert_eq!(report.p50_latency_us(), 2.5);
         assert_eq!(report.latency_percentile_us(0.0), 1.0);
         assert_eq!(report.latency_percentile_us(1.0), 4.0);
@@ -514,12 +546,22 @@ mod tests {
         assert_eq!(report.latency_percentile_us(2.0), 4.0);
         // A single sample is every percentile.
         let one = ServeReport {
-            frame_queue_us: vec![3.0],
-            frame_compute_us: vec![4.0],
+            frame_runs: single_frames(&[3.0], &[4.0]),
             ..ServeReport::default()
         };
         assert_eq!(one.p50_latency_us(), 7.0);
         assert_eq!(one.p99_latency_us(), 7.0);
+        // A run of `n` frames ranks as `n` copies of its value: runs
+        // [1 × 2, 3 × 1] are the samples [1, 1, 3], so p50 = 1 and
+        // p75 = 1 + (3 - 1) · 0.5.
+        let mut runs = single_frames(&[1.0, 3.0], &[0.0, 0.0]);
+        runs[0].frames = 2;
+        let weighted = ServeReport {
+            frame_runs: runs,
+            ..ServeReport::default()
+        };
+        assert_eq!(weighted.p50_latency_us(), 1.0);
+        assert_eq!(weighted.latency_percentile_us(0.75), 2.0);
     }
 
     #[test]
@@ -575,7 +617,7 @@ mod tests {
         assert!((p50 - 250.0).abs() <= 300.0 / 16.0 + 1.0, "p50 {p50}");
         // Exact vectors win over the histogram when present.
         let exact = ServeReport {
-            frame_queue_us: vec![5.0, 6.0, 7.0],
+            frame_runs: single_frames(&[5.0, 6.0, 7.0], &[0.0; 3]),
             telemetry: Some(snap),
             ..ServeReport::default()
         };
@@ -609,9 +651,15 @@ mod tests {
                 })
                 .collect();
             ServeReport {
-                frame_tenants: outcomes.iter().map(|o| o.tenant).collect(),
-                frame_queue_us: vec![1.0; outcomes.len()],
-                frame_compute_us: vec![2.0; outcomes.len()],
+                frame_runs: outcomes
+                    .iter()
+                    .map(|o| FrameRun {
+                        queue_us: 1.0,
+                        compute_us: 2.0,
+                        tenant: o.tenant,
+                        frames: 1,
+                    })
+                    .collect(),
                 frames: outcomes.len(),
                 outcomes,
                 ..ServeReport::default()
@@ -634,8 +682,8 @@ mod tests {
             for (t, sub) in &subs {
                 assert!(sub.outcomes.windows(2).all(|w| w[0].id < w[1].id));
                 assert!(sub.outcomes.iter().all(|o| o.tenant == *t));
-                assert_eq!(sub.frame_queue_us.len(), sub.outcomes.len());
-                assert_eq!(sub.frame_compute_us.len(), sub.outcomes.len());
+                assert_eq!(sub.frame_runs.len(), sub.outcomes.len());
+                assert!(sub.frame_runs.iter().all(|r| r.tenant == *t));
             }
             let total: usize = subs.iter().map(|(_, r)| r.outcomes.len()).sum();
             assert_eq!(total, report.outcomes.len());
@@ -666,9 +714,20 @@ mod tests {
             wall_seconds: 2.0,
             frames: 30,
             inference_batches: 5,
-            frame_queue_us: vec![1.0, 2.0, 3.0, 4.0],
-            frame_compute_us: vec![10.0, 20.0, 30.0, 40.0],
-            frame_tenants: vec![ta, tb, ta, tb],
+            frame_runs: [
+                (1.0, 10.0, ta, 5),
+                (2.0, 20.0, tb, 10),
+                (3.0, 30.0, ta, 5),
+                (4.0, 40.0, tb, 10),
+            ]
+            .into_iter()
+            .map(|(queue_us, compute_us, tenant, frames)| FrameRun {
+                queue_us,
+                compute_us,
+                tenant,
+                frames,
+            })
+            .collect(),
             stolen_batches: 2,
             infer_stage_us: 100.0,
             framing_stage_us: 50.0,
@@ -684,11 +743,15 @@ mod tests {
         assert_eq!(rb.outcomes.len(), 2);
         assert_eq!(ra.frames, 10);
         assert_eq!(rb.frames, 20);
-        assert_eq!(ra.frame_queue_us, vec![1.0, 3.0]);
-        assert_eq!(ra.frame_compute_us, vec![10.0, 30.0]);
-        assert_eq!(rb.frame_queue_us, vec![2.0, 4.0]);
-        assert_eq!(rb.frame_compute_us, vec![20.0, 40.0]);
-        assert_eq!(ra.frame_latency_us(), vec![11.0, 33.0]);
+        let split = |r: &ServeReport| -> Vec<(f32, f32, u32)> {
+            r.frame_runs
+                .iter()
+                .map(|f| (f.queue_us, f.compute_us, f.frames))
+                .collect()
+        };
+        assert_eq!(split(ra), vec![(1.0, 10.0, 5), (3.0, 30.0, 5)]);
+        assert_eq!(split(rb), vec![(2.0, 20.0, 10), (4.0, 40.0, 10)]);
+        assert_eq!(ra.latency_percentiles_us(&[0.0, 1.0]), vec![11.0, 33.0]);
         assert_eq!(ra.wall_seconds, 2.0);
         // Batch-level counters fuse across tenants; sub-reports do not
         // claim them.

@@ -51,7 +51,8 @@ use amoeba_telemetry::{
     TenantKey, TraceEvent,
 };
 
-use crate::registry::{PolicyId, Tenant};
+use crate::metrics::FrameRun;
+use crate::registry::PolicyId;
 use crate::session::Session;
 use crate::shard::{ChunkProcessor, Shard, ShardReport};
 use amoeba_core::encoder::EncoderState;
@@ -183,9 +184,7 @@ impl WorkItem {
 pub(crate) struct DriveAcct {
     pub(crate) frames: usize,
     pub(crate) batches: usize,
-    pub(crate) queue_us: Vec<f32>,
-    pub(crate) compute_us: Vec<f32>,
-    pub(crate) frame_tenants: Vec<Tenant>,
+    pub(crate) frame_runs: Vec<FrameRun>,
     pub(crate) stolen_batches: usize,
     pub(crate) infer_us: f64,
     pub(crate) framing_us: f64,
@@ -598,10 +597,20 @@ fn absorb(
             }
         }
         if exact {
+            // One run per stretch of consecutive same-tenant sessions:
+            // every frame of the item shares its queue wait and compute.
+            let first_run = acct.frame_runs.len();
             for session in &item.sessions {
-                acct.queue_us.push(item.acct.queue_us);
-                acct.compute_us.push(compute);
-                acct.frame_tenants.push(session.tenant());
+                let tenant = session.tenant();
+                match acct.frame_runs[first_run..].last_mut() {
+                    Some(run) if run.tenant == tenant => run.frames += 1,
+                    _ => acct.frame_runs.push(FrameRun {
+                        queue_us: item.acct.queue_us,
+                        compute_us: compute,
+                        tenant,
+                        frames: 1,
+                    }),
+                }
             }
         }
         shard.reclaim(item);

@@ -359,7 +359,13 @@ impl Session {
             extra_delay_ms: self.extra_delay_ms,
             duration_ms: self.clock_ms,
             stream_ok: self.stream_ok,
-            wire: self.wire,
+            // The wire grew by doubling; the report keeps it for the
+            // caller's lifetime, so copy it into an allocation of exactly
+            // its length and let the growth buffer go. (`shrink_to_fit`
+            // measured worse: it leaves fragmented tails behind.)
+            wire: Flow {
+                packets: self.wire.packets.to_vec(),
+            },
         }
     }
 }

@@ -77,8 +77,8 @@ use amoeba_core::{Action, ShapingKernel};
 use amoeba_nn::matrix::Matrix;
 
 use crate::backend::InferenceBackend;
-use crate::metrics::SessionOutcome;
-use crate::registry::{PolicyId, Tenant};
+use crate::metrics::{FrameRun, SessionOutcome};
+use crate::registry::PolicyId;
 use crate::scheduler::{DriveAcct, WorkItem};
 use crate::session::Session;
 use crate::{ActionMode, FrozenPolicy, ServeConfig, VerdictPolicy};
@@ -92,14 +92,10 @@ pub struct ShardReport {
     /// Inference batches executed on behalf of this shard's sessions
     /// (wherever they physically ran).
     pub batches: usize,
-    /// Per-frame queue wait (µs): work-item creation → inference start.
-    /// Parallel to `frame_tenants`.
-    pub queue_us: Vec<f32>,
-    /// Per-frame compute time (µs): the frame's batch total across the
-    /// inference and framing stages. Parallel to `frame_tenants`.
-    pub compute_us: Vec<f32>,
-    /// The tenant that owned each frame.
-    pub frame_tenants: Vec<Tenant>,
+    /// Exact frame samples, one run per (work item, consecutive-tenant
+    /// run), in absorb order; empty unless
+    /// [`crate::ServeConfig::exact_frame_stats`] is on.
+    pub frame_runs: Vec<FrameRun>,
     /// Batches of this shard's sessions that an idle peer shard stole and
     /// executed.
     pub stolen_batches: usize,
@@ -578,9 +574,7 @@ impl Shard {
             outcomes,
             frames: acct.frames,
             batches: acct.batches,
-            queue_us: acct.queue_us,
-            compute_us: acct.compute_us,
-            frame_tenants: acct.frame_tenants,
+            frame_runs: acct.frame_runs,
             stolen_batches: acct.stolen_batches,
             infer_us: acct.infer_us,
             framing_us: acct.framing_us,

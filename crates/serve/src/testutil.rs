@@ -7,7 +7,7 @@
 //!
 //! The conformance half is the executable form of the
 //! [`crate::backend`] obligations: checks that are generic over
-//! `dyn` [`InferenceBackend`], so any backend — present or future (SIMD,
+//! `dyn` [`InferenceBackend`], so any backend — present or future (packed,
 //! async, GPU) — inherits the full bit-exactness contract by being
 //! dropped into one [`backend_conformance_suite!`](crate::backend_conformance_suite)
 //! invocation in `tests/backend_conformance.rs`:

@@ -23,7 +23,7 @@ use proptest::prelude::*;
 use amoeba_serve::testutil::{
     assert_reports_wire_identical, run_workload, tiny_policy, BackendWorkload,
 };
-use amoeba_serve::{CpuBackend, InferenceBackend, PackedBackend, SimdBackend};
+use amoeba_serve::{CpuBackend, InferenceBackend, PackedBackend};
 use amoeba_traffic::NetEm;
 
 mod common;
@@ -33,7 +33,6 @@ use common::arb_flow;
 // backend is included so the reference itself is pinned against the
 // per-flow paths (and the suite never silently tests nothing).
 amoeba_serve::backend_conformance_suite!(cpu, CpuBackend);
-amoeba_serve::backend_conformance_suite!(simd, SimdBackend::new());
 amoeba_serve::backend_conformance_suite!(packed, PackedBackend::new());
 
 /// Every non-reference backend the end-to-end property below must hold
@@ -41,7 +40,7 @@ amoeba_serve::backend_conformance_suite!(packed, PackedBackend::new());
 /// (`QuantBackend` deliberately does NOT belong here: it is tier B and
 /// is held to the tolerance contract in `tests/quant_tolerance.rs`.)
 fn candidate_backends() -> Vec<Arc<dyn InferenceBackend>> {
-    vec![Arc::new(SimdBackend::new()), Arc::new(PackedBackend::new())]
+    vec![Arc::new(PackedBackend::new())]
 }
 
 const CENSOR_SCORES: [f32; 3] = [0.1, 0.45, 0.9];

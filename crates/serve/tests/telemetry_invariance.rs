@@ -15,7 +15,7 @@ mod common;
 use common::{arb_flow, scoring_censor, tiny_policy};
 use proptest::prelude::*;
 
-use amoeba_serve::{ActionMode, Dataplane, ServeConfig, ServeReport};
+use amoeba_serve::{ActionMode, Dataplane, FrameRun, ServeConfig, ServeReport};
 use amoeba_traffic::{Flow, Layer};
 
 #[allow(clippy::too_many_arguments)]
@@ -132,12 +132,20 @@ fn histogram_percentiles_track_exact_ones() {
     let report = run(&flows, 42, 2, true, true, true, 0, true);
     let snap = report.telemetry.as_ref().expect("telemetry snapshot");
 
+    // The exact per-frame samples, expanded from the report's runs.
+    let expand = |value: fn(&FrameRun) -> f32| -> Vec<f32> {
+        report
+            .frame_runs
+            .iter()
+            .flat_map(|r| std::iter::repeat_n(value(r), r.frames as usize))
+            .collect()
+    };
     for (name, exact, hist) in [
-        ("queue", &report.frame_queue_us, &snap.queue_hist),
-        ("compute", &report.frame_compute_us, &snap.compute_hist),
+        ("queue", expand(|r| r.queue_us), &snap.queue_hist),
+        ("compute", expand(|r| r.compute_us), &snap.compute_hist),
     ] {
         assert_eq!(hist.count(), exact.len() as u64, "{name} sample count");
-        let mut sorted = exact.clone();
+        let mut sorted = exact;
         sorted.sort_by(f32::total_cmp);
         for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
             // Exact type-7 value, as `ServeReport::percentiles_of`

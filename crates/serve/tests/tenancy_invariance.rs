@@ -10,8 +10,8 @@
 //! asserts every session is bit-identical to a
 //! fresh single-tenant engine run carrying only that session's
 //! `(id, flow)` under its `(policy, censor)` pair — and that re-running
-//! the same multi-tenant mix on the [`SimdBackend`] reproduces the
-//! [`CpuBackend`] run byte for byte (backend choice is a pure throughput
+//! the same multi-tenant mix on the `PackedBackend` reproduces the
+//! `CpuBackend` run byte for byte (backend choice is a pure throughput
 //! knob, like sharding and batching).
 
 mod common;
@@ -96,11 +96,11 @@ proptest! {
         prop_assert_eq!(multi.outcomes.len(), flows.len());
         let multi_bits = multi.wire_bits();
 
-        // The same random tenant mix on the SIMD backend: byte-identical
+        // The same random tenant mix on the packed backend: byte-identical
         // wire and verdicts (backend choice is a pure throughput knob).
-        let simd = run_mix(BackendKind::Simd);
-        prop_assert_eq!(&multi_bits, &simd.wire_bits(), "SimdBackend diverged from CpuBackend");
-        for (a, b) in multi.outcomes.iter().zip(&simd.outcomes) {
+        let packed = run_mix(BackendKind::Packed);
+        prop_assert_eq!(&multi_bits, &packed.wire_bits(), "PackedBackend diverged from CpuBackend");
+        for (a, b) in multi.outcomes.iter().zip(&packed.outcomes) {
             prop_assert_eq!(a.final_score.to_bits(), b.final_score.to_bits());
             prop_assert_eq!(a.evaded, b.evaded);
         }

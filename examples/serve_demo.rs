@@ -21,7 +21,7 @@
 //! defaults: ~1 000 sessions — offered flows × 3 censor tenants — and
 //! 8 192 PPO timesteps); `AMOEBA_SERVE_SHARDS` sets the engine
 //! worker-thread count (default 0 = one per core) and
-//! `AMOEBA_SERVE_BACKEND` the inference backend (`cpu` | `simd`) — wire
+//! `AMOEBA_SERVE_BACKEND` the inference backend (`cpu` | `packed`) — wire
 //! output is shard-count-, tenancy- and backend-invariant.
 
 use std::sync::Arc;
