@@ -20,7 +20,7 @@
 //! | **AMB003** | No ambient randomness — `thread_rng`, `from_entropy`, seedless `rand::random`. Every RNG must derive from `(seed, session_id)`. |
 //! | **AMB004** | Every `unsafe` carries an adjacent `// SAFETY:` comment (within the five preceding lines). Applies in test code too. |
 //! | **AMB005** | No thread identity (`thread::current`, `ThreadId`) or atomic read-modify-write in dataplane crates without justification — scheduling must stay determinism-by-construction, never "whichever thread won". |
-//! | **AMB006** | No iterator float reductions (`.sum()`, `.fold(…)`, `.product(…)`) in `amoeba-nn` kernel modules outside the approved reference modules ([`rules::NN_REFERENCE_MODULES`]). Kernels accumulate with explicit index loops so the summation order — the bit-exact tier's spec — stays visible and reviewable. |
+//! | **AMB006** | No iterator float reductions (`.sum()`, `.fold(…)`, `.product(…)`) in `amoeba-nn` kernel modules outside the approved reference modules ([`rules::NN_REFERENCE_MODULES`]). Kernels accumulate with explicit index loops so the summation order — the bit-exactness spec — stays visible and reviewable. |
 //!
 //! ## The `audit:allow` protocol
 //!

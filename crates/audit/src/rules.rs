@@ -167,24 +167,12 @@ impl Profile {
 /// `amoeba-nn` modules where iterator float reductions are the *spec*:
 /// `matrix.rs`/`tensor.rs` define the reference summation order every
 /// kernel must reproduce, and `optim.rs`/`gradcheck.rs` are training-side
-/// numerics whose order is fixed by their single-threaded loops. The
-/// tiered-backend preparation modules are reference sites too:
-/// `packed.rs` only permutes weight layout (its products are computed by
-/// the audited `simd.rs` kernels), and `quant.rs` *defines* the
-/// tolerance tier's int8 accumulation semantics the way `matrix.rs`
-/// defines the bit-exact tier's. Kernels anywhere else in the crate
-/// (`simd.rs` and future backends) must accumulate with explicit index
-/// loops so the order is visible — a `.sum()`/`.fold(…)` there is
-/// exactly the horizontal-reduction shape that breaks the bit-exact tier
-/// when vectorised.
-pub const NN_REFERENCE_MODULES: [&str; 6] = [
-    "matrix.rs",
-    "tensor.rs",
-    "optim.rs",
-    "gradcheck.rs",
-    "packed.rs",
-    "quant.rs",
-];
+/// numerics whose order is fixed by their single-threaded loops. Kernels
+/// anywhere else in the crate (`simd.rs` and future backends) must
+/// accumulate with explicit index loops so the order is visible — a
+/// `.sum()`/`.fold(…)` there is exactly the horizontal-reduction shape
+/// that breaks bit-exactness when vectorised.
+pub const NN_REFERENCE_MODULES: [&str; 4] = ["matrix.rs", "tensor.rs", "optim.rs", "gradcheck.rs"];
 
 /// True when `code[idx]` starts a standalone identifier occurrence of
 /// `word` (no identifier char glued on either side).

@@ -1,18 +1,11 @@
-//! Dataplane throughput sweep across inference batch sizes and shard
+//! Serving throughput sweep across inference batch sizes and shard
 //! (worker thread) counts, plus the multi-tenant policy × censor matrix.
 //!
 //! * Scale via `AMOEBA_SCALE=paper`; flow count via `AMOEBA_SERVE_FLOWS`
 //!   (default 1000).
-//! * `--backend {cpu,packed,quant,all}` selects the inference
-//!   backend (default: the `AMOEBA_SERVE_BACKEND` env var, else `cpu`).
-//!   An unknown name is a hard error — never a silent fallback. The
-//!   tier-A backends (`cpu`, `packed`) are bit-identical, so
-//!   for them the flag is a pure throughput knob and the smoke mode
-//!   cross-checks another tier-A backend's wire output to prove it;
-//!   `quant` is the tier-B int8 backend (bounded divergence, held to
-//!   the tolerance contract). `all` runs the dedicated comparison
-//!   sweep: every backend at batch 64 and 256, tier-A rows wire-checked
-//!   against cpu, quant's evasion delta reported.
+//! * An unknown argument, a bad flag value or an `AMOEBA_SERVE_FLOWS`
+//!   that is not a non-negative integer stops the binary with exit
+//!   status 2 and an error naming it — never a silent fallback.
 //! * `--steal {on,off}` toggles work stealing between shards (default
 //!   on). Also a pure throughput knob: the smoke modes cross-check both
 //!   settings bit-for-bit.
@@ -32,9 +25,6 @@
 //! * `--telemetry <base>` runs one instrumented pass (4 shards, trace
 //!   ring on) and writes `<base>.prom` (Prometheus exposition) plus
 //!   `<base>.trace.json` (Chrome-trace / Perfetto).
-//! * `--json <path>` writes the machine-readable run report — config,
-//!   throughput, latency percentiles and the full telemetry snapshot —
-//!   from the same instrumented pass.
 //! * `--matrix` switches to the cross-censor evaluation table: one
 //!   `ServeEngine` run over 2 policies (trained vs DT and RF) × 3
 //!   censors (DT, RF, CUMUL), printing evasion per `(policy, censor)`
@@ -53,64 +43,114 @@
 //!   bit-for-bit — or, with `--matrix`, the 2×3 tenant matrix with every
 //!   cell cross-checked against its single-tenant run; with `--skew`,
 //!   the skewed mix across steal on/off × shards 1/4.
-use amoeba_bench::{serve, Context, Scale};
-use amoeba_serve::BackendKind;
+use std::ffi::OsStr;
+use std::process::exit;
+
+use amoeba_bench::{serve, Context, Scale, ScaleEnvError};
+
+/// The parsed command line.
+#[derive(Debug, PartialEq)]
+struct Args {
+    matrix: bool,
+    skew: bool,
+    scaling: bool,
+    overhead: bool,
+    telemetry_base: Option<String>,
+    scenario: String,
+    steal: bool,
+    pipeline: bool,
+}
+
+/// Parses the arguments after the program name. Any argument it does not
+/// know, a flag missing its value, or a bad value is an error naming it.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args {
+        matrix: false,
+        skew: false,
+        scaling: false,
+        overhead: false,
+        telemetry_base: None,
+        scenario: "classifier".into(),
+        steal: true,
+        pipeline: true,
+    };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let mut value = || {
+            it.next()
+                .cloned()
+                .ok_or_else(|| format!("{arg} needs a value"))
+        };
+        match arg.as_str() {
+            "--matrix" => parsed.matrix = true,
+            "--skew" => parsed.skew = true,
+            "--scaling" => parsed.scaling = true,
+            "--overhead" => parsed.overhead = true,
+            "--telemetry" => parsed.telemetry_base = Some(value()?),
+            "--scenario" => {
+                let v = value()?;
+                if v != "all" && serve::Scenario::parse(&v).is_none() {
+                    return Err(format!(
+                        "--scenario needs classifier|warmup|hysteresis|hard-label|all, got {v:?}"
+                    ));
+                }
+                parsed.scenario = v;
+            }
+            "--steal" | "--pipeline" => {
+                let on = match value()?.as_str() {
+                    "on" => true,
+                    "off" => false,
+                    other => return Err(format!("{arg} needs on|off, got {other:?}")),
+                };
+                if arg == "--steal" {
+                    parsed.steal = on;
+                } else {
+                    parsed.pipeline = on;
+                }
+            }
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    Ok(parsed)
+}
+
+/// The flow count: `AMOEBA_SERVE_FLOWS` when set, else `default`. A set
+/// value that is not a non-negative integer is an error naming it.
+fn flows_from(value: Option<&OsStr>, default: usize) -> Result<usize, ScaleEnvError> {
+    let Some(v) = value else {
+        return Ok(default);
+    };
+    v.to_str()
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| ScaleEnvError {
+            var: "AMOEBA_SERVE_FLOWS",
+            value: v.to_string_lossy().into_owned(),
+            expected: "a non-negative integer",
+        })
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let matrix = args.iter().any(|a| a == "--matrix");
-    let skew = args.iter().any(|a| a == "--skew");
-    let scaling = args.iter().any(|a| a == "--scaling");
-    let overhead = args.iter().any(|a| a == "--overhead");
-    let opt_value = |flag: &str| {
-        args.iter().position(|a| a == flag).map(|i| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-                .clone()
-        })
-    };
-    let telemetry_base = opt_value("--telemetry");
-    let json_path = opt_value("--json");
-    let scenario = opt_value("--scenario").unwrap_or_else(|| "classifier".into());
-    let backend_arg = opt_value("--backend");
-    let compare_all = backend_arg.as_deref() == Some("all");
-    let backend = match backend_arg.as_deref() {
-        // The comparison sweep drives every kind itself; the reference
-        // default stands in for the unused single-backend paths.
-        None | Some("all") => BackendKind::from_env_or_default(),
-        Some(v) => v
-            .parse::<BackendKind>()
-            .unwrap_or_else(|e| panic!("--backend: {e}")),
-    };
-    let on_off = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .map(|i| match args.get(i + 1).map(String::as_str) {
-                Some("on") => true,
-                Some("off") => false,
-                other => panic!("{flag} needs on|off, got {other:?}"),
-            })
-            .unwrap_or(true)
-    };
-    let steal = on_off("--steal");
-    let pipeline = on_off("--pipeline");
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        matrix,
+        skew,
+        scaling,
+        overhead,
+        telemetry_base,
+        scenario,
+        steal,
+        pipeline,
+    } = parse_args(&argv).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        exit(2)
+    });
     let smoke = std::env::var("AMOEBA_SERVE_SMOKE").is_ok_and(|v| v != "0");
-    let n_flows = std::env::var("AMOEBA_SERVE_FLOWS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 96 } else { 1000 });
+    let n_flows = flows_from(
+        std::env::var_os("AMOEBA_SERVE_FLOWS").as_deref(),
+        if smoke { 96 } else { 1000 },
+    )
+    .unwrap_or_else(|e| e.exit());
     let mut ctx = Context::new(Scale::from_env().unwrap_or_else(|e| e.exit()));
-    if compare_all {
-        assert!(
-            !matrix && !skew && !scaling && !overhead,
-            "--backend all runs the dedicated comparison sweep; drop the other mode flags"
-        );
-        print!(
-            "{}",
-            serve::serve_backend_comparison(&mut ctx, n_flows, &[64, 256], pipeline, steal)
-        );
-        return;
-    }
     if scaling {
         print!("{}", serve::serve_scaling_gate(&mut ctx, n_flows, 64));
         return;
@@ -119,65 +159,96 @@ fn main() {
         print!("{}", serve::serve_overhead_gate(&mut ctx, n_flows, 64));
         return;
     }
-    if telemetry_base.is_some() || json_path.is_some() {
-        // One instrumented pass (trace ring on) feeds every requested
-        // artifact so the figures in them agree with each other.
-        let (shards, batch) = (4, 64);
-        let report = serve::run_serve_instrumented(
-            &mut ctx, n_flows, batch, shards, backend, pipeline, steal,
-        );
-        if let Some(base) = &telemetry_base {
-            let (prom, trace) =
-                serve::write_telemetry_artifacts(&report, base).expect("write telemetry artifacts");
-            println!("telemetry artifacts: {prom} {trace}");
-        }
-        if let Some(path) = &json_path {
-            let json =
-                serve::report_json(&report, n_flows, batch, shards, backend, pipeline, steal);
-            std::fs::write(path, json).expect("write json report");
-            println!("json report: {path}");
-        }
+    if let Some(base) = &telemetry_base {
+        let report = serve::run_serve_instrumented(&mut ctx, n_flows, 64, 4, pipeline, steal);
+        let (prom, trace) =
+            serve::write_telemetry_artifacts(&report, base).expect("write telemetry artifacts");
+        println!("telemetry artifacts: {prom} {trace}");
         println!("{}", report.summary());
         return;
     }
     match (smoke, matrix, skew) {
-        (_, _, true) => print!(
-            "{}",
-            serve::serve_skew_smoke(&mut ctx, n_flows, 64, backend)
-        ),
+        (_, _, true) => print!("{}", serve::serve_skew_smoke(&mut ctx, n_flows, 64)),
         (true, true, _) => print!(
             "{}",
-            serve::serve_matrix_smoke_scenarios(&mut ctx, n_flows, 64, backend, &scenario)
+            serve::serve_matrix_smoke_scenarios(&mut ctx, n_flows, 64, &scenario)
         ),
-        (true, false, _) => print!("{}", serve::serve_smoke(&mut ctx, n_flows, 64, backend)),
+        (true, false, _) => print!("{}", serve::serve_smoke(&mut ctx, n_flows, 64)),
         (false, true, _) => print!(
             "{}",
-            serve::serve_matrix_scenarios(&mut ctx, n_flows, 64, backend, &scenario)
+            serve::serve_matrix_scenarios(&mut ctx, n_flows, 64, &scenario)
         ),
         (false, false, _) => {
             print!(
                 "{}",
-                serve::serve_throughput(
-                    &mut ctx,
-                    n_flows,
-                    &[1, 16, 64, 256],
-                    backend,
-                    pipeline,
-                    steal
-                )
+                serve::serve_throughput(&mut ctx, n_flows, &[1, 16, 64, 256], pipeline, steal)
             );
             print!(
                 "{}",
-                serve::serve_shard_scaling(
-                    &mut ctx,
-                    n_flows,
-                    64,
-                    &[1, 2, 4, 8],
-                    backend,
-                    pipeline,
-                    steal
-                )
+                serve::serve_shard_scaling(&mut ctx, n_flows, 64, &[1, 2, 4, 8], pipeline, steal)
             );
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn known_flags_parse() {
+        let a = parse(&[
+            "--matrix",
+            "--scenario",
+            "all",
+            "--steal",
+            "off",
+            "--pipeline",
+            "on",
+            "--telemetry",
+            "/tmp/t",
+        ])
+        .unwrap();
+        assert!(a.matrix && !a.skew && !a.scaling && !a.overhead);
+        assert_eq!(a.scenario, "all");
+        assert!(!a.steal && a.pipeline);
+        assert_eq!(a.telemetry_base.as_deref(), Some("/tmp/t"));
+        let d = parse(&[]).unwrap();
+        assert_eq!(d.scenario, "classifier");
+        assert!(d.steal && d.pipeline && d.telemetry_base.is_none());
+    }
+
+    /// Unknown arguments (`--backend` and `--json` among them) and
+    /// malformed values are errors naming the argument, never ignored.
+    #[test]
+    fn unknown_and_malformed_arguments_are_errors() {
+        for (args, needle) in [
+            (&["--backend", "packed"][..], "\"--backend\""),
+            (&["--json", "out.json"][..], "\"--json\""),
+            (&["--matirx"][..], "\"--matirx\""),
+            (&["--steal", "maybe"][..], "--steal needs on|off"),
+            (&["--pipeline"][..], "--pipeline needs a value"),
+            (&["--scenario", "nope"][..], "--scenario needs"),
+            (&["--telemetry"][..], "--telemetry needs a value"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains(needle), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn flow_count_rejects_unparseable_values() {
+        assert_eq!(flows_from(None, 96), Ok(96));
+        assert_eq!(flows_from(Some(OsStr::new("400")), 96), Ok(400));
+        for bad in ["", "many", "-3", "1e3"] {
+            let err = flows_from(Some(OsStr::new(bad)), 96).unwrap_err();
+            assert_eq!(err.var, "AMOEBA_SERVE_FLOWS");
+            assert_eq!(err.value, bad);
+            assert!(err.to_string().contains("AMOEBA_SERVE_FLOWS"), "{err}");
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Dataplane throughput harness: drives the `amoeba-serve` engine over
+//! Serving throughput harness: drives the `amoeba-serve` engine over
 //! trained policies + censors across inference batch sizes, shard
 //! (worker thread) counts and policy × censor tenant matrices, and
 //! reports `flows/sec`, `MB/s`, p50/p99 per-frame latency and per-cell
@@ -11,8 +11,8 @@ use amoeba_classifiers::{
     Censor, CensorKind, CensorProgramFactory, HardLabelFactory, StatefulProgramFactory,
 };
 use amoeba_serve::{
-    BackendKind, CensorId, CensorRegistry, FrozenPolicy, PolicyId, PolicyRegistry, ServeConfig,
-    ServeEngine, ServeReport, VerdictPolicy,
+    CensorId, CensorRegistry, FrozenPolicy, PolicyId, PolicyRegistry, ServeConfig, ServeEngine,
+    ServeReport, VerdictPolicy,
 };
 use amoeba_traffic::{DatasetKind, Flow};
 
@@ -26,7 +26,7 @@ pub const PREFIX_CAP: usize = 20;
 /// the exact CI smoke parameters (`AMOEBA_SERVE_SMOKE=1 AMOEBA_STEPS=8192`,
 /// small scale, 96 flows, batch 64, 4 shards, seed 42). Captured on the
 /// pre-refactor one-shot censor path; the streaming [`CensorProgram`]
-/// adapter must keep reproducing it bit-for-bit, on any backend.
+/// adapter must keep reproducing it bit-for-bit.
 ///
 /// [`CensorProgram`]: amoeba_classifiers::CensorProgram
 pub const CLASSIFIER_SMOKE_FINGERPRINT: u64 = 0xf396_37d3_c933_4b89;
@@ -106,7 +106,6 @@ fn serve_config(
     ctx: &mut Context,
     batch: usize,
     shards: usize,
-    backend: BackendKind,
     pipeline: bool,
     steal: bool,
 ) -> ServeConfig {
@@ -118,7 +117,6 @@ fn serve_config(
         .steal(steal)
         .verdicts(VerdictPolicy::Every(8))
         .seed(ctx.scale.seed)
-        .backend(backend)
         .build()
 }
 
@@ -138,13 +136,10 @@ pub fn run_serve(
     n_flows: usize,
     batch: usize,
     shards: usize,
-    backend: BackendKind,
     pipeline: bool,
     steal: bool,
 ) -> ServeReport {
-    run_serve_with(
-        ctx, n_flows, batch, shards, backend, pipeline, steal, true, 0,
-    )
+    run_serve_with(ctx, n_flows, batch, shards, pipeline, steal, true, 0)
 }
 
 /// [`run_serve`] with the telemetry knobs exposed — the overhead gate
@@ -156,7 +151,6 @@ fn run_serve_with(
     n_flows: usize,
     batch: usize,
     shards: usize,
-    backend: BackendKind,
     pipeline: bool,
     steal: bool,
     telemetry: bool,
@@ -165,7 +159,7 @@ fn run_serve_with(
     let (agent, _) = ctx.agent(DatasetKind::Tor, CensorKind::Dt);
     let censor = ctx.censor(DatasetKind::Tor, CensorKind::Dt);
     let flows = offered(ctx, n_flows);
-    let cfg = serve_config(ctx, batch, shards, backend, pipeline, steal)
+    let cfg = serve_config(ctx, batch, shards, pipeline, steal)
         .with_telemetry(telemetry)
         .with_trace_ring(trace_ring);
     let mut engine = ServeEngine::new(cfg);
@@ -176,20 +170,16 @@ fn run_serve_with(
 }
 
 /// One fully instrumented engine pass: telemetry on with a 4096-event
-/// flight-recorder ring per shard, ready for [`write_telemetry_artifacts`]
-/// or [`report_json`].
+/// flight-recorder ring per shard, ready for [`write_telemetry_artifacts`].
 pub fn run_serve_instrumented(
     ctx: &mut Context,
     n_flows: usize,
     batch: usize,
     shards: usize,
-    backend: BackendKind,
     pipeline: bool,
     steal: bool,
 ) -> ServeReport {
-    run_serve_with(
-        ctx, n_flows, batch, shards, backend, pipeline, steal, true, 4096,
-    )
+    run_serve_with(ctx, n_flows, batch, shards, pipeline, steal, true, 4096)
 }
 
 /// Runs a **skewed** two-tenant engine pass: 90% of sessions land on the
@@ -202,14 +192,13 @@ pub fn run_serve_skewed(
     n_flows: usize,
     batch: usize,
     shards: usize,
-    backend: BackendKind,
     pipeline: bool,
     steal: bool,
 ) -> ServeReport {
     let (agent, _) = ctx.agent(DatasetKind::Tor, CensorKind::Dt);
     let censor = ctx.censor(DatasetKind::Tor, CensorKind::Dt);
     let flows = offered(ctx, n_flows);
-    let mut engine = ServeEngine::new(serve_config(ctx, batch, shards, backend, pipeline, steal));
+    let mut engine = ServeEngine::new(serve_config(ctx, batch, shards, pipeline, steal));
     let heavy = engine.register_policy(FrozenPolicy::from_agent(&agent));
     let light = engine.register_policy(amoeba_serve::testutil::tiny_policy(ctx.scale.seed));
     let c = engine.register_censor(censor);
@@ -248,80 +237,21 @@ pub fn serve_throughput(
     ctx: &mut Context,
     n_flows: usize,
     batches: &[usize],
-    backend: BackendKind,
     pipeline: bool,
     steal: bool,
 ) -> String {
     let mut md = String::from("## amoeba-serve dataplane throughput\n\n");
     md += &format!(
         "{n_flows} concurrent flows (Tor test split, ≤{PREFIX_CAP}-packet prefixes), \
-         DT censor inline every 8 frames, deterministic policy, {backend} backend, \
+         DT censor inline every 8 frames, deterministic policy, \
          pipelining {}, stealing {}.\n\n",
         if pipeline { "on" } else { "off" },
         if steal { "on" } else { "off" },
     );
     md += TABLE_HEADER;
     for &batch in batches {
-        let r = run_serve(ctx, n_flows, batch, 1, backend, pipeline, steal);
-        md += &throughput_row(&format!("batch {batch} ({backend})"), &r);
-    }
-    md
-}
-
-/// The tiered-backend comparison table (`--backend all`): every
-/// [`BackendKind`] at each batch size, single shard, same workload.
-/// Tier-A rows (`cpu`/`packed`) are cross-checked bit-for-bit
-/// against the `cpu` run of the same batch size while they are measured;
-/// the tier-B `quant` row is allowed to diverge, so its evasion delta
-/// vs `cpu` is reported instead of asserted away.
-pub fn serve_backend_comparison(
-    ctx: &mut Context,
-    n_flows: usize,
-    batches: &[usize],
-    pipeline: bool,
-    steal: bool,
-) -> String {
-    let kinds = [BackendKind::Cpu, BackendKind::Packed, BackendKind::Quant];
-    let mut md = String::from("## amoeba-serve backend comparison (exactness-tier ladder)\n\n");
-    md += &format!(
-        "{n_flows} concurrent flows (Tor test split, ≤{PREFIX_CAP}-packet prefixes), \
-         DT censor inline every 8 frames, deterministic policy, 1 shard, pipelining {}, \
-         stealing {}. Tier-A backends (cpu/packed) are wire-checked bit-for-bit \
-         against cpu per batch size; quant is tier B (bounded divergence), its evasion \
-         delta is reported below.\n\n",
-        if pipeline { "on" } else { "off" },
-        if steal { "on" } else { "off" },
-    );
-    md += TABLE_HEADER;
-    let mut quant_deltas = Vec::new();
-    for &batch in batches {
-        let reference = run_serve(ctx, n_flows, batch, 1, BackendKind::Cpu, pipeline, steal);
-        for backend in kinds {
-            let r = if backend == BackendKind::Cpu {
-                reference.clone()
-            } else {
-                run_serve(ctx, n_flows, batch, 1, backend, pipeline, steal)
-            };
-            if backend.is_bit_exact() {
-                assert_eq!(
-                    reference.wire_bits(),
-                    r.wire_bits(),
-                    "backend comparison: tier-A {backend} diverged from cpu at batch {batch}"
-                );
-            } else {
-                quant_deltas.push(format!(
-                    "batch {batch}: quant evasion {:.2}% vs cpu {:.2}% (Δ {:+.2} pts)",
-                    r.evasion_rate() * 100.0,
-                    reference.evasion_rate() * 100.0,
-                    (r.evasion_rate() - reference.evasion_rate()) * 100.0,
-                ));
-            }
-            md += &throughput_row(&format!("batch {batch} ({backend})"), &r);
-        }
-    }
-    md += "\n";
-    for line in &quant_deltas {
-        md += &format!("- {line}\n");
+        let r = run_serve(ctx, n_flows, batch, 1, pipeline, steal);
+        md += &throughput_row(&format!("batch {batch}"), &r);
     }
     md
 }
@@ -335,7 +265,6 @@ pub fn serve_shard_scaling(
     n_flows: usize,
     batch: usize,
     shard_counts: &[usize],
-    backend: BackendKind,
     pipeline: bool,
     steal: bool,
 ) -> String {
@@ -343,15 +272,15 @@ pub fn serve_shard_scaling(
     md += &format!(
         "{n_flows} concurrent flows (Tor test split, ≤{PREFIX_CAP}-packet prefixes), \
          DT censor inline every 8 frames, batch {batch}, deterministic policy, \
-         {backend} backend, pipelining {}, stealing {}; sessions sharded across \
+         pipelining {}, stealing {}; sessions sharded across \
          worker threads.\n\n",
         if pipeline { "on" } else { "off" },
         if steal { "on" } else { "off" },
     );
     md += TABLE_HEADER;
     for &shards in shard_counts {
-        let r = run_serve(ctx, n_flows, batch, shards, backend, pipeline, steal);
-        md += &throughput_row(&format!("{shards} shard(s) ({backend})"), &r);
+        let r = run_serve(ctx, n_flows, batch, shards, pipeline, steal);
+        md += &throughput_row(&format!("{shards} shard(s)"), &r);
     }
     md
 }
@@ -360,14 +289,9 @@ pub fn serve_shard_scaling(
 /// (stealing on and off), with the wire outputs cross-checked
 /// frame-by-frame — exercises the sharded, pipelined and stealing paths
 /// on every push and fails loudly if the invariance contract breaks.
-pub fn serve_smoke(
-    ctx: &mut Context,
-    n_flows: usize,
-    batch: usize,
-    backend: BackendKind,
-) -> String {
-    let one = run_serve(ctx, n_flows, batch, 1, backend, true, true);
-    let four = run_serve(ctx, n_flows, batch, 4, backend, true, true);
+pub fn serve_smoke(ctx: &mut Context, n_flows: usize, batch: usize) -> String {
+    let one = run_serve(ctx, n_flows, batch, 1, true, true);
+    let four = run_serve(ctx, n_flows, batch, 4, true, true);
     assert_eq!(
         one.wire_bits(),
         four.wire_bits(),
@@ -376,39 +300,19 @@ pub fn serve_smoke(
     assert_eq!(one.stream_ok_rate(), 1.0, "smoke: streams failed to verify");
     // Steal-off leg: work stealing is a pure throughput knob, so turning
     // it off at 4 shards must not move a single wire bit.
-    let no_steal = run_serve(ctx, n_flows, batch, 4, backend, true, false);
+    let no_steal = run_serve(ctx, n_flows, batch, 4, true, false);
     assert_eq!(
         one.wire_bits(),
         no_steal.wire_bits(),
         "smoke: steal-off wire output diverged from steal-on"
     );
-    // Cross-backend leg: another *tier-A* backend must reproduce the
-    // wire bit-for-bit (the conformance contract on real trained
-    // policies and censors, on every push). The smoke rotates through
-    // the bit-exact ladder so cpu and packed cross-check each other
-    // across the CI backend matrix. Quant is tier B — no backend
-    // owes it bit-identity (that's `tests/quant_tolerance.rs`'s job) —
-    // so its leg re-runs quant itself, pinning run-to-run determinism.
-    let other = match backend {
-        BackendKind::Cpu => BackendKind::Packed,
-        BackendKind::Packed => BackendKind::Cpu,
-        BackendKind::Quant => BackendKind::Quant,
-    };
-    let cross = run_serve(ctx, n_flows, batch, 1, other, true, true);
-    assert_eq!(
-        one.wire_bits(),
-        cross.wire_bits(),
-        "smoke: {other} backend wire output diverged from {backend}"
-    );
-    let mut md = format!(
-        "## amoeba-serve smoke (shards 1 vs 4, steal on vs off, {backend} vs \
-         {other} backend, bit-identical wire)\n\n"
+    let mut md = String::from(
+        "## amoeba-serve smoke (shards 1 vs 4, steal on vs off, bit-identical wire)\n\n",
     );
     md += TABLE_HEADER;
-    md += &throughput_row(&format!("1 shard ({backend})"), &one);
-    md += &throughput_row(&format!("4 shards ({backend})"), &four);
-    md += &throughput_row(&format!("4 shards, no steal ({backend})"), &no_steal);
-    md += &throughput_row(&format!("1 shard ({other})"), &cross);
+    md += &throughput_row("1 shard", &one);
+    md += &throughput_row("4 shards", &four);
+    md += &throughput_row("4 shards, no steal", &no_steal);
     md
 }
 
@@ -416,31 +320,26 @@ pub fn serve_smoke(
 /// shards 1/4, every combination cross-checked bit-for-bit against the
 /// single-shard steal-off run. Also reports how many batches the loaded
 /// shards lost to thieves at 4 shards.
-pub fn serve_skew_smoke(
-    ctx: &mut Context,
-    n_flows: usize,
-    batch: usize,
-    backend: BackendKind,
-) -> String {
-    let reference = run_serve_skewed(ctx, n_flows, batch, 1, backend, false, false);
+pub fn serve_skew_smoke(ctx: &mut Context, n_flows: usize, batch: usize) -> String {
+    let reference = run_serve_skewed(ctx, n_flows, batch, 1, false, false);
     assert_eq!(
         reference.stream_ok_rate(),
         1.0,
         "skew smoke: streams failed to verify"
     );
-    let mut md = format!(
+    let mut md = String::from(
         "## amoeba-serve skew smoke (90/10 policy mix, steal on/off × shards 1/4, \
-         bit-identical wire, {backend} backend)\n\n"
+         bit-identical wire)\n\n",
     );
     md += TABLE_HEADER;
-    md += &throughput_row(&format!("1 shard, no steal ({backend})"), &reference);
+    md += &throughput_row("1 shard, no steal", &reference);
     let mut stolen_at_4 = 0;
     for steal in [false, true] {
         for shards in [1usize, 4] {
             if !steal && shards == 1 {
                 continue; // the reference itself
             }
-            let r = run_serve_skewed(ctx, n_flows, batch, shards, backend, true, steal);
+            let r = run_serve_skewed(ctx, n_flows, batch, shards, true, steal);
             assert_eq!(
                 reference.wire_bits(),
                 r.wire_bits(),
@@ -454,7 +353,7 @@ pub fn serve_skew_smoke(
             }
             md += &throughput_row(
                 &format!(
-                    "{shards} shard(s), steal {} ({backend})",
+                    "{shards} shard(s), steal {}",
                     if steal { "on" } else { "off" }
                 ),
                 &r,
@@ -473,7 +372,6 @@ pub fn serve_skew_smoke(
 /// On smaller machines the measurement still runs and prints, but the
 /// gate is reported as skipped rather than enforced.
 pub fn serve_scaling_gate(ctx: &mut Context, n_flows: usize, batch: usize) -> String {
-    let backend = BackendKind::default();
     let reps = 3;
     let min_speedup: f64 = std::env::var("AMOEBA_SERVE_MIN_SPEEDUP")
         .ok()
@@ -485,8 +383,8 @@ pub fn serve_scaling_gate(ctx: &mut Context, n_flows: usize, batch: usize) -> St
     for _ in 0..reps {
         // Alternate the two configurations so cache warmth and frequency
         // scaling bias neither side.
-        let one = run_serve(ctx, n_flows, batch, 1, backend, true, true);
-        let four = run_serve(ctx, n_flows, batch, 4, backend, true, true);
+        let one = run_serve(ctx, n_flows, batch, 1, true, true);
+        let four = run_serve(ctx, n_flows, batch, 4, true, true);
         assert_eq!(
             one.wire_bits(),
             four.wire_bits(),
@@ -516,7 +414,7 @@ pub fn serve_scaling_gate(ctx: &mut Context, n_flows: usize, batch: usize) -> St
     let mut md = String::from("## amoeba-serve 4-core scaling gate\n\n");
     md += &format!(
         "{n_flows} concurrent flows (Tor test split, ≤{PREFIX_CAP}-packet prefixes), \
-         batch {batch}, {backend} backend, pipelining + stealing on, best of {reps} \
+         batch {batch}, pipelining + stealing on, best of {reps} \
          alternating runs per shard count, {cores} cores visible.\n\n"
     );
     md += TABLE_HEADER;
@@ -546,7 +444,6 @@ pub fn serve_scaling_gate(ctx: &mut Context, n_flows: usize, batch: usize) -> St
 /// On smaller machines the measurement still runs and prints, but the
 /// gate is reported as skipped rather than enforced.
 pub fn serve_overhead_gate(ctx: &mut Context, n_flows: usize, batch: usize) -> String {
-    let backend = BackendKind::default();
     let shards = 4;
     let reps = 3;
     let max_overhead_pct: f64 = std::env::var("AMOEBA_TELEMETRY_MAX_OVERHEAD_PCT")
@@ -559,8 +456,8 @@ pub fn serve_overhead_gate(ctx: &mut Context, n_flows: usize, batch: usize) -> S
     for _ in 0..reps {
         // Alternate the two configurations so cache warmth and frequency
         // scaling bias neither side.
-        let off = run_serve_with(ctx, n_flows, batch, shards, backend, true, true, false, 0);
-        let on = run_serve(ctx, n_flows, batch, shards, backend, true, true);
+        let off = run_serve_with(ctx, n_flows, batch, shards, true, true, false, 0);
+        let on = run_serve(ctx, n_flows, batch, shards, true, true);
         assert_eq!(
             off.wire_bits(),
             on.wire_bits(),
@@ -589,7 +486,7 @@ pub fn serve_overhead_gate(ctx: &mut Context, n_flows: usize, batch: usize) -> S
     let mut md = String::from("## amoeba-serve telemetry overhead gate\n\n");
     md += &format!(
         "{n_flows} concurrent flows (Tor test split, ≤{PREFIX_CAP}-packet prefixes), \
-         batch {batch}, {shards} shards, {backend} backend, pipelining + stealing on, \
+         batch {batch}, {shards} shards, pipelining + stealing on, \
          best of {reps} alternating runs per setting, {cores} cores visible.\n\n"
     );
     md += TABLE_HEADER;
@@ -630,82 +527,6 @@ pub fn write_telemetry_artifacts(
     Ok((prom, trace))
 }
 
-/// One JSON number, with non-finite values mapped to `null` (JSON has
-/// no NaN/Inf literals).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".into()
-    }
-}
-
-/// The machine-readable benchmark report: run configuration, throughput
-/// and latency figures, plus the full telemetry snapshot when the run
-/// carried one. Stable keys so CI diffs and dashboards can track runs
-/// over time.
-#[allow(clippy::too_many_arguments)]
-pub fn report_json(
-    report: &ServeReport,
-    n_flows: usize,
-    batch: usize,
-    shards: usize,
-    backend: BackendKind,
-    pipeline: bool,
-    steal: bool,
-) -> String {
-    let mut s = String::from("{\n  \"bench\": \"serve\",\n");
-    s += &format!("  \"n_flows\": {n_flows},\n");
-    s += &format!("  \"batch\": {batch},\n");
-    s += &format!("  \"shards\": {shards},\n");
-    s += &format!("  \"backend\": \"{backend}\",\n");
-    s += &format!("  \"pipeline\": {pipeline},\n");
-    s += &format!("  \"steal\": {steal},\n");
-    s += &format!("  \"wall_seconds\": {},\n", json_num(report.wall_seconds));
-    s += &format!(
-        "  \"flows_per_sec\": {},\n",
-        json_num(report.flows_per_sec())
-    );
-    s += &format!(
-        "  \"frames_per_sec\": {},\n",
-        json_num(report.frames_per_sec())
-    );
-    s += &format!(
-        "  \"payload_mb_per_sec\": {},\n",
-        json_num(report.payload_mb_per_sec())
-    );
-    s += &format!(
-        "  \"wire_mb_per_sec\": {},\n",
-        json_num(report.wire_mb_per_sec())
-    );
-    s += &format!(
-        "  \"p50_latency_us\": {},\n",
-        json_num(report.p50_latency_us() as f64)
-    );
-    s += &format!(
-        "  \"p99_latency_us\": {},\n",
-        json_num(report.p99_latency_us() as f64)
-    );
-    s += &format!(
-        "  \"evasion_rate\": {},\n",
-        json_num(report.evasion_rate() as f64)
-    );
-    s += &format!(
-        "  \"stream_ok_rate\": {},\n",
-        json_num(report.stream_ok_rate() as f64)
-    );
-    s += &format!("  \"frames\": {},\n", report.frames);
-    s += &format!("  \"inference_batches\": {},\n", report.inference_batches);
-    s += &format!("  \"stolen_batches\": {},\n", report.stolen_batches);
-    s += &format!("  \"max_queue_depth\": {},\n", report.max_queue_depth);
-    match &report.telemetry {
-        Some(snap) => s += &format!("  \"telemetry\": {}\n", snap.to_json()),
-        None => s += "  \"telemetry\": null\n",
-    }
-    s += "}\n";
-    s
-}
-
 /// Builds one multi-tenant engine over `policy_kinds × censor_kinds`
 /// (policies are Amoeba agents trained against the named censor family,
 /// censors wrapped per the scenario's program family) and admits
@@ -718,7 +539,6 @@ fn run_matrix(
     n_flows: usize,
     batch: usize,
     shards: usize,
-    backend: BackendKind,
     policy_kinds: &[CensorKind],
     censor_kinds: &[CensorKind],
     scenario: Scenario,
@@ -746,7 +566,7 @@ fn run_matrix(
     let mut engine = ServeEngine::with_registries(
         policies,
         censors,
-        serve_config(ctx, batch, shards, backend, true, true),
+        serve_config(ctx, batch, shards, true, true),
     );
     let cells = pids.len() * cids.len();
     for (i, f) in flows.iter().enumerate() {
@@ -770,7 +590,6 @@ pub fn serve_matrix(
     ctx: &mut Context,
     n_flows: usize,
     batch: usize,
-    backend: BackendKind,
     policy_kinds: &[CensorKind],
     censor_kinds: &[CensorKind],
 ) -> String {
@@ -779,7 +598,6 @@ pub fn serve_matrix(
         n_flows,
         batch,
         1,
-        backend,
         policy_kinds,
         censor_kinds,
         Scenario::Classifier,
@@ -809,12 +627,7 @@ pub fn serve_matrix(
 /// against a fresh single-tenant engine run of the same `(id, flow)`
 /// set — the tenancy-invariance contract exercised end-to-end on real
 /// trained policies and censors on every push.
-pub fn serve_matrix_smoke(
-    ctx: &mut Context,
-    n_flows: usize,
-    batch: usize,
-    backend: BackendKind,
-) -> String {
+pub fn serve_matrix_smoke(ctx: &mut Context, n_flows: usize, batch: usize) -> String {
     let policy_kinds = [CensorKind::Dt, CensorKind::Rf];
     let censor_kinds = [CensorKind::Dt, CensorKind::Rf, CensorKind::Cumul];
     let (report, pids, cids) = run_matrix(
@@ -822,7 +635,6 @@ pub fn serve_matrix_smoke(
         n_flows,
         batch,
         4,
-        backend,
         &policy_kinds,
         &censor_kinds,
         Scenario::Classifier,
@@ -834,7 +646,6 @@ pub fn serve_matrix_smoke(
     );
     // CI fingerprint pin: under the exact smoke parameters the classifier
     // scenario must reproduce the pre-refactor one-shot wire bit-for-bit.
-    // Backends are bit-identical by contract, so no backend gate.
     if ctx.scale.seed == 42
         && ctx.scale.amoeba_timesteps == 8192
         && ctx.scale.n_per_class == 250
@@ -862,7 +673,7 @@ pub fn serve_matrix_smoke(
         let censor_kind = censor_kinds[tenant.censor.index()];
         let policy = FrozenPolicy::from_agent(&ctx.agent(DatasetKind::Tor, agent_kind).0);
         let censor = ctx.censor(DatasetKind::Tor, censor_kind);
-        let mut solo = ServeEngine::new(serve_config(ctx, batch, 1, backend, true, true));
+        let mut solo = ServeEngine::new(serve_config(ctx, batch, 1, true, true));
         let p = solo.register_policy(policy);
         let c = solo.register_censor(censor);
         for &(id, f) in &pairs {
@@ -899,11 +710,10 @@ pub fn serve_scenario_smoke(
     ctx: &mut Context,
     n_flows: usize,
     batch: usize,
-    backend: BackendKind,
     scenario: Scenario,
 ) -> String {
     if scenario == Scenario::Classifier {
-        return serve_matrix_smoke(ctx, n_flows, batch, backend);
+        return serve_matrix_smoke(ctx, n_flows, batch);
     }
     let policy_kinds = [CensorKind::Dt, CensorKind::Rf];
     let censor_kinds = [CensorKind::Dt, CensorKind::Rf, CensorKind::Cumul];
@@ -912,7 +722,6 @@ pub fn serve_scenario_smoke(
         n_flows,
         batch,
         4,
-        backend,
         &policy_kinds,
         &censor_kinds,
         scenario,
@@ -922,7 +731,6 @@ pub fn serve_scenario_smoke(
         n_flows,
         batch,
         1,
-        backend,
         &policy_kinds,
         &censor_kinds,
         scenario,
@@ -1006,12 +814,11 @@ pub fn serve_matrix_smoke_scenarios(
     ctx: &mut Context,
     n_flows: usize,
     batch: usize,
-    backend: BackendKind,
     scenario_arg: &str,
 ) -> String {
     parse_scenarios(scenario_arg)
         .into_iter()
-        .map(|s| serve_scenario_smoke(ctx, n_flows, batch, backend, s))
+        .map(|s| serve_scenario_smoke(ctx, n_flows, batch, s))
         .collect()
 }
 
@@ -1024,7 +831,6 @@ pub fn serve_matrix_scenarios(
     ctx: &mut Context,
     n_flows: usize,
     batch: usize,
-    backend: BackendKind,
     scenario_arg: &str,
 ) -> String {
     let policy_kinds = [CensorKind::Dt, CensorKind::Rf];
@@ -1032,7 +838,7 @@ pub fn serve_matrix_scenarios(
     let mut md = String::new();
     for scenario in parse_scenarios(scenario_arg) {
         if scenario == Scenario::Classifier {
-            md += &serve_matrix(ctx, n_flows, batch, backend, &policy_kinds, &censor_kinds);
+            md += &serve_matrix(ctx, n_flows, batch, &policy_kinds, &censor_kinds);
             continue;
         }
         let (report, pids, cids) = run_matrix(
@@ -1040,7 +846,6 @@ pub fn serve_matrix_scenarios(
             n_flows,
             batch,
             1,
-            backend,
             &policy_kinds,
             &censor_kinds,
             scenario,

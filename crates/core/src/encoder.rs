@@ -16,8 +16,7 @@ use rand::{Rng, SeedableRng};
 use amoeba_nn::layers::Linear;
 use amoeba_nn::matrix::Matrix;
 use amoeba_nn::optim::{Adam, Optimizer};
-use amoeba_nn::packed::PreparedRhs;
-use amoeba_nn::rnn::{Gru, GruSnapshot, PreparedGru};
+use amoeba_nn::rnn::{Gru, GruSnapshot};
 use amoeba_nn::tensor::Tensor;
 
 use crate::config::{AmoebaConfig, ReconLoss};
@@ -273,25 +272,11 @@ impl EncoderSnapshot {
         self.gru.step(steps, &mut batch);
         scatter_states(states, indices, &batch);
     }
-
-    /// Prepares the frozen GRU weights once through a [`PreparedRhs`]
-    /// tier for repeated batched stepping:
-    /// [`amoeba_nn::packed::PackedWeights`] keeps the incremental path
-    /// bit-identical to [`EncoderSnapshot::push_batch`];
-    /// [`amoeba_nn::quant::QuantWeights`] trades bit-exactness for an
-    /// int8 weight working set (tolerance tier).
-    pub fn prepare<W: PreparedRhs>(&self) -> PreparedEncoderSnapshot<W> {
-        PreparedEncoderSnapshot {
-            gru: self.gru.prepare(),
-            hidden: self.hidden,
-        }
-    }
 }
 
 /// Validates a batched-step request and gathers the selected per-flow
 /// hidden rows into per-layer `(B, H)` matrices; returns `None` for the
-/// empty batch. Shared by the row-major and prepared-tier encoders so
-/// the panics and the row order stay identical.
+/// empty batch.
 ///
 /// # Panics
 /// Panics if `steps.rows() != indices.len()`, if an index is out of
@@ -344,51 +329,6 @@ fn scatter_states(states: &mut [EncoderState], indices: &[usize], batch: &[Matri
         for (r, &i) in indices.iter().enumerate() {
             states[i].state[l].as_mut_slice().copy_from_slice(m.row(r));
         }
-    }
-}
-
-/// An [`EncoderSnapshot`] whose GRU gate weights were prepared once
-/// through a [`PreparedRhs`] tier. Drives the same [`EncoderState`]
-/// values and the same gather/step/scatter traversal as the row-major
-/// snapshot — with [`amoeba_nn::packed::PackedWeights`] the two are
-/// bit-identical, with [`amoeba_nn::quant::QuantWeights`] the hidden
-/// trajectories carry bounded quantization error.
-#[derive(Clone, Debug)]
-pub struct PreparedEncoderSnapshot<W: PreparedRhs> {
-    gru: PreparedGru<W>,
-    hidden: usize,
-}
-
-impl<W: PreparedRhs> PreparedEncoderSnapshot<W> {
-    /// Hidden representation width.
-    pub fn hidden_size(&self) -> usize {
-        self.hidden
-    }
-
-    /// Fresh incremental encoding state, interchangeable with
-    /// [`EncoderSnapshot::begin`]'s.
-    pub fn begin(&self) -> EncoderState {
-        EncoderState {
-            state: self.gru.zero_state(1),
-            hidden: self.hidden,
-        }
-    }
-
-    /// Advances many independent per-flow states by one step each in a
-    /// single fused prepared-GRU evaluation — the prepared-tier
-    /// counterpart of [`EncoderSnapshot::push_batch`], with identical
-    /// gather/scatter semantics.
-    ///
-    /// # Panics
-    /// As [`EncoderSnapshot::push_batch`].
-    pub fn push_batch(&self, states: &mut [EncoderState], indices: &[usize], steps: &Matrix) {
-        let Some(mut batch) =
-            gather_states(states, indices, steps, self.gru.num_layers(), self.hidden)
-        else {
-            return;
-        };
-        self.gru.step(steps, &mut batch);
-        scatter_states(states, indices, &batch);
     }
 }
 
@@ -536,48 +476,6 @@ mod tests {
                 .map(|v| v.to_bits())
                 .collect();
             let b: Vec<u32> = single[i]
-                .representation()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            assert_eq!(a, b, "state {i} diverged");
-        }
-    }
-
-    /// The prepared packed tier drives bit-identical state trajectories
-    /// to the row-major snapshot across batched rounds — the property that lets
-    /// the serving stack's packed backend keep the pinned wire
-    /// fingerprint.
-    #[test]
-    fn prepared_packed_push_batch_is_bit_exact() {
-        use amoeba_nn::packed::PackedWeights;
-        let mut rng = StdRng::seed_from_u64(11);
-        let enc = StateEncoder::new(10, 2, &mut rng);
-        let snap = enc.snapshot();
-        let prepared = snap.prepare::<PackedWeights>();
-        assert_eq!(prepared.hidden_size(), snap.hidden_size());
-        let n = 5;
-        let mut reference: Vec<EncoderState> = (0..n).map(|_| snap.begin()).collect();
-        let mut packed: Vec<EncoderState> = (0..n).map(|_| prepared.begin()).collect();
-        let rounds: [&[usize]; 3] = [&[0, 2, 4], &[1, 3], &[4, 0, 1]];
-        for (round, indices) in rounds.iter().enumerate() {
-            let mut steps = Matrix::zeros(indices.len(), STEP_DIM);
-            for (r, &i) in indices.iter().enumerate() {
-                steps.row_mut(r).copy_from_slice(&[
-                    ((round * 5 + i) as f32 * 0.29).sin(),
-                    ((round + i) as f32 * 0.17).cos().abs(),
-                ]);
-            }
-            snap.push_batch(&mut reference, indices, &steps);
-            prepared.push_batch(&mut packed, indices, &steps);
-        }
-        for i in 0..n {
-            let a: Vec<u32> = reference[i]
-                .representation()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            let b: Vec<u32> = packed[i]
                 .representation()
                 .iter()
                 .map(|v| v.to_bits())

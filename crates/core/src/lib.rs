@@ -37,14 +37,12 @@ pub use agent::{
     AttackReport, IterationStats, TrainReport,
 };
 pub use config::{AmoebaConfig, ReconLoss};
-pub use encoder::{
-    synthetic_flows, EncoderSnapshot, EncoderState, PreparedEncoderSnapshot, StateEncoder,
-};
+pub use encoder::{synthetic_flows, EncoderSnapshot, EncoderState, StateEncoder};
 pub use env::{CensorEnv, EnvConfig, EpisodeStats, StepOutcome};
 pub use kernel::{
     Action, ActionSpace, Observation, ShapeDecision, ShapedFrame, ShapingKernel, TransportEmulator,
 };
-pub use policy::{Actor, ActorSnapshot, Critic, CriticSnapshot, PreparedActorSnapshot, ACTION_DIM};
+pub use policy::{Actor, ActorSnapshot, Critic, CriticSnapshot, ACTION_DIM};
 pub use ppo::{
     collect_rollouts, collect_rollouts_threaded, default_rollout_threads, gae, Batch,
     PolicySnapshots, PpoLearner, Trajectory, UpdateStats, Worker,

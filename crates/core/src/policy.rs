@@ -11,9 +11,8 @@
 use rand::Rng;
 
 use amoeba_nn::forward::Forward;
-use amoeba_nn::layers::{Activation, Mlp, MlpSnapshot, PreparedMlp};
+use amoeba_nn::layers::{Activation, Mlp, MlpSnapshot};
 use amoeba_nn::matrix::Matrix;
-use amoeba_nn::packed::PreparedRhs;
 use amoeba_nn::tensor::Tensor;
 
 use crate::config::AmoebaConfig;
@@ -116,17 +115,6 @@ impl ActorSnapshot {
         split_head(&self.mlp.forward(states), self.logstd_range)
     }
 
-    /// Prepares the frozen MLP weights once through a [`PreparedRhs`]
-    /// tier ([`amoeba_nn::packed::PackedWeights`] ⇒ bit-exact,
-    /// [`amoeba_nn::quant::QuantWeights`] ⇒ bounded-error) for repeated
-    /// batched head evaluation.
-    pub fn prepare<W: PreparedRhs>(&self) -> PreparedActorSnapshot<W> {
-        PreparedActorSnapshot {
-            mlp: self.mlp.prepare(),
-            logstd_range: self.logstd_range,
-        }
-    }
-
     /// Samples one action from an already-computed Gaussian head — the
     /// shared tail of [`ActorSnapshot::sample`] and the batched serving
     /// path (which computes heads for many flows at once but draws from
@@ -162,10 +150,8 @@ impl ActorSnapshot {
 }
 
 /// Splits a raw `(B, 2·ACTION_DIM)` actor-head output into clamped
-/// `(means, log_stds)` matrices — the tail shared by the row-major
-/// [`ActorSnapshot::head_batch`] and the prepared-tier
-/// [`PreparedActorSnapshot::head_batch`], so the two differ only in how
-/// the MLP pass is computed.
+/// `(means, log_stds)` matrices — the tail of
+/// [`ActorSnapshot::head_batch`].
 fn split_head(out: &Matrix, logstd_range: (f32, f32)) -> (Matrix, Matrix) {
     let b = out.rows();
     let mut mean = Matrix::zeros(b, ACTION_DIM);
@@ -177,26 +163,6 @@ fn split_head(out: &Matrix, logstd_range: (f32, f32)) -> (Matrix, Matrix) {
         }
     }
     (mean, logstd)
-}
-
-/// An [`ActorSnapshot`] whose MLP weights were prepared once through a
-/// [`PreparedRhs`] tier. With [`amoeba_nn::packed::PackedWeights`] the
-/// batched head is bit-identical to [`ActorSnapshot::head_batch`];
-/// with [`amoeba_nn::quant::QuantWeights`] the means and log-stds carry
-/// bounded quantization error (tolerance tier).
-#[derive(Clone, Debug)]
-pub struct PreparedActorSnapshot<W: PreparedRhs> {
-    mlp: PreparedMlp<W>,
-    logstd_range: (f32, f32),
-}
-
-impl<W: PreparedRhs> PreparedActorSnapshot<W> {
-    /// Batched policy head through the prepared weights — the
-    /// prepared-tier counterpart of [`ActorSnapshot::head_batch`], with
-    /// the same row-independence guarantee.
-    pub fn head_batch(&self, states: &Matrix) -> (Matrix, Matrix) {
-        split_head(&self.mlp.forward(states), self.logstd_range)
-    }
 }
 
 /// Trainable critic network `V_c(s)`.
@@ -295,36 +261,6 @@ mod tests {
             logp.value()[(0, 0)],
             logp_sample
         );
-    }
-
-    /// The packed-tier head is bit-identical to the row-major head;
-    /// the quant-tier head tracks it within tolerance (the clamp on
-    /// log-std further bounds any drift).
-    #[test]
-    fn prepared_heads_honour_their_exactness_tiers() {
-        use amoeba_nn::packed::PackedWeights;
-        use amoeba_nn::quant::QuantWeights;
-        let cfg = tiny_cfg();
-        let mut rng = StdRng::seed_from_u64(9);
-        let snap = Actor::new(&cfg, &mut rng).snapshot();
-        let states = Matrix::randn(6, cfg.state_dim(), 1.0, &mut rng);
-        let (mean_ref, logstd_ref) = snap.head_batch(&states);
-
-        let packed = snap.prepare::<PackedWeights>();
-        let (mean_p, logstd_p) = packed.head_batch(&states);
-        for (got, want) in [(&mean_p, &mean_ref), (&logstd_p, &logstd_ref)] {
-            for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-
-        let quant = snap.prepare::<QuantWeights>();
-        let (mean_q, logstd_q) = quant.head_batch(&states);
-        for (got, want) in [(&mean_q, &mean_ref), (&logstd_q, &logstd_ref)] {
-            for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
-                assert!((a - b).abs() < 0.1, "{a} vs {b}");
-            }
-        }
     }
 
     #[test]

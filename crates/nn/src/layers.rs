@@ -12,7 +12,6 @@ use rand::Rng;
 use crate::forward::Forward;
 use crate::init::xavier_uniform;
 use crate::matrix::Matrix;
-use crate::packed::PreparedRhs;
 use crate::tensor::Tensor;
 
 /// Pointwise nonlinearity selector.
@@ -128,38 +127,9 @@ pub struct LinearSnapshot {
     pub b: Matrix,
 }
 
-impl LinearSnapshot {
-    /// Prepares the weights once for repeated inference through a
-    /// [`PreparedRhs`] tier (packed ⇒ bit-exact, quantized ⇒ tolerance).
-    pub fn prepare<W: PreparedRhs>(&self) -> PreparedLinear<W> {
-        PreparedLinear {
-            w: W::prepare(&self.w),
-            b: self.b.clone(),
-        }
-    }
-}
-
 impl Forward for LinearSnapshot {
     fn forward(&self, x: &Matrix) -> Matrix {
         x.matmul(&self.w).add_row_broadcast(&self.b)
-    }
-}
-
-/// A [`LinearSnapshot`] whose weights were prepared once through a
-/// [`PreparedRhs`] tier. With [`crate::packed::PackedWeights`] the
-/// forward pass is bit-identical to [`LinearSnapshot`]'s [`Forward::forward`];
-/// with [`crate::quant::QuantWeights`] it carries bounded quantization
-/// error (tolerance tier).
-#[derive(Clone, Debug)]
-pub struct PreparedLinear<W: PreparedRhs> {
-    w: W,
-    b: Matrix,
-}
-
-impl<W: PreparedRhs> PreparedLinear<W> {
-    /// Forward pass `x W + b` through the prepared weights.
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        self.w.forward(x).add_row_broadcast(&self.b)
     }
 }
 
@@ -264,47 +234,6 @@ pub struct MlpSnapshot {
     pub hidden_activation: Activation,
     /// Activation on the final layer.
     pub output_activation: Activation,
-}
-
-impl MlpSnapshot {
-    /// Prepares every layer's weights once for repeated inference
-    /// through a [`PreparedRhs`] tier.
-    pub fn prepare<W: PreparedRhs>(&self) -> PreparedMlp<W> {
-        PreparedMlp {
-            layers: self.layers.iter().map(LinearSnapshot::prepare).collect(),
-            hidden_activation: self.hidden_activation,
-            output_activation: self.output_activation,
-        }
-    }
-}
-
-/// An [`MlpSnapshot`] with every layer's weights prepared through a
-/// [`PreparedRhs`] tier. Same exactness contract as [`PreparedLinear`]:
-/// bit-exact for packed weights, bounded-error for quantized ones. The
-/// activation schedule is shared with [`MlpSnapshot`]'s [`Forward::forward`]
-/// verbatim.
-#[derive(Clone, Debug)]
-pub struct PreparedMlp<W: PreparedRhs> {
-    layers: Vec<PreparedLinear<W>>,
-    hidden_activation: Activation,
-    output_activation: Activation,
-}
-
-impl<W: PreparedRhs> PreparedMlp<W> {
-    /// Forward pass through the prepared layers.
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(&h);
-            h = if i == last {
-                self.output_activation.apply_matrix(&h)
-            } else {
-                self.hidden_activation.apply_matrix(&h)
-            };
-        }
-        h
-    }
 }
 
 impl Forward for MlpSnapshot {

@@ -51,23 +51,15 @@ pub mod init;
 pub mod layers;
 pub mod matrix;
 pub mod optim;
-pub mod packed;
-pub mod quant;
 pub mod rnn;
 pub mod simd;
 pub mod tensor;
 
 pub use conv::{Conv1d, Conv1dSnapshot, MaxPool1d};
 pub use forward::{Forward, Pipeline};
-pub use layers::{
-    Activation, Linear, LinearSnapshot, Mlp, MlpSnapshot, PreparedLinear, PreparedMlp,
-};
+pub use layers::{Activation, Linear, LinearSnapshot, Mlp, MlpSnapshot};
 pub use matrix::Matrix;
 pub use optim::{clip_grad_norm, Adam, Optimizer, RmsProp, Sgd};
-pub use packed::{PackedWeights, PreparedRhs};
-pub use quant::QuantWeights;
-pub use rnn::{
-    Gru, GruCell, GruSnapshot, Lstm, LstmCell, LstmSnapshot, PreparedGru, PreparedGruCell,
-};
+pub use rnn::{Gru, GruCell, GruSnapshot, Lstm, LstmCell, LstmSnapshot};
 pub use simd::SimdLevel;
 pub use tensor::Tensor;

@@ -11,16 +11,12 @@ use rand::Rng;
 use crate::forward::Forward;
 use crate::init::xavier_uniform_shaped;
 use crate::matrix::Matrix;
-use crate::packed::PreparedRhs;
 use crate::tensor::Tensor;
 
-/// The fused GRU gate blend shared by [`GruCellSnapshot::step`] and
-/// [`PreparedGruCell::step`]: given the pre-bias-added gate products
-/// `gx = x·Wx + bx` and `gh = h·Wh + bh` (both `(B, 3h)`, gates
-/// `[r|z|n]`), computes the new hidden state in a single pass with no
-/// `r`/`z`/`n` temporaries. Keeping this in one place is what makes the
-/// packed tier bit-identical to the row-major snapshot by construction — the
-/// two paths differ only in how the gate matmuls are computed.
+/// The fused GRU gate blend behind [`GruCellSnapshot::step`]: given the
+/// pre-bias-added gate products `gx = x·Wx + bx` and `gh = h·Wh + bh`
+/// (both `(B, 3h)`, gates `[r|z|n]`), computes the new hidden state in a
+/// single pass with no `r`/`z`/`n` temporaries.
 fn gru_gate_blend(gx: &Matrix, gh: &Matrix, h: &Matrix, hs: usize) -> Matrix {
     let sig = |v: f32| 1.0 / (1.0 + (-v).exp());
     let mut out = Matrix::zeros(h.rows(), hs);
@@ -160,48 +156,6 @@ impl GruCellSnapshot {
         let gh = h.matmul(&self.wh).add_row_broadcast(&self.bh);
         gru_gate_blend(&gx, &gh, h, self.hidden)
     }
-
-    /// Prepares the gate weights once for repeated inference through a
-    /// [`PreparedRhs`] tier (packed ⇒ bit-exact, quantized ⇒ tolerance).
-    pub fn prepare<W: PreparedRhs>(&self) -> PreparedGruCell<W> {
-        PreparedGruCell {
-            wx: W::prepare(&self.wx),
-            wh: W::prepare(&self.wh),
-            bx: self.bx.clone(),
-            bh: self.bh.clone(),
-            hidden: self.hidden,
-        }
-    }
-}
-
-/// A [`GruCellSnapshot`] whose fused gate matrices were prepared once
-/// through a [`PreparedRhs`] tier. With
-/// [`crate::packed::PackedWeights`] the step is bit-identical to
-/// [`GruCellSnapshot::step`] (same gate blend, bit-exact matmuls);
-/// with [`crate::quant::QuantWeights`] the gate pre-activations carry
-/// bounded quantization error.
-#[derive(Clone, Debug)]
-pub struct PreparedGruCell<W: PreparedRhs> {
-    wx: W,
-    wh: W,
-    bx: Matrix,
-    bh: Matrix,
-    hidden: usize,
-}
-
-impl<W: PreparedRhs> PreparedGruCell<W> {
-    /// Hidden state width.
-    pub fn hidden_size(&self) -> usize {
-        self.hidden
-    }
-
-    /// One inference step through the prepared gate weights: the same
-    /// two gate products + fused blend as [`GruCellSnapshot::step`].
-    pub fn step(&self, x: &Matrix, h: &Matrix) -> Matrix {
-        let gx = self.wx.forward(x).add_row_broadcast(&self.bx);
-        let gh = self.wh.forward(h).add_row_broadcast(&self.bh);
-        gru_gate_blend(&gx, &gh, h, self.hidden)
-    }
 }
 
 /// Stacked multi-layer GRU.
@@ -319,55 +273,6 @@ impl GruSnapshot {
 
     /// One inference step; `state` is updated in place, the top-layer hidden
     /// is returned by reference.
-    pub fn step<'s>(&self, x: &Matrix, state: &'s mut [Matrix]) -> &'s Matrix {
-        assert_eq!(state.len(), self.cells.len(), "Gru state depth mismatch");
-        let mut input = x.clone();
-        for (cell, h) in self.cells.iter().zip(state.iter_mut()) {
-            let h_new = cell.step(&input, h);
-            input = h_new.clone();
-            *h = h_new;
-        }
-        state.last().expect("nonempty state")
-    }
-
-    /// Prepares every cell's gate weights once for repeated inference
-    /// through a [`PreparedRhs`] tier.
-    pub fn prepare<W: PreparedRhs>(&self) -> PreparedGru<W> {
-        PreparedGru {
-            cells: self.cells.iter().map(GruCellSnapshot::prepare).collect(),
-        }
-    }
-}
-
-/// A [`GruSnapshot`] with every cell prepared through a [`PreparedRhs`]
-/// tier. Same exactness contract as [`PreparedGruCell`].
-#[derive(Clone, Debug)]
-pub struct PreparedGru<W: PreparedRhs> {
-    cells: Vec<PreparedGruCell<W>>,
-}
-
-impl<W: PreparedRhs> PreparedGru<W> {
-    /// Number of stacked layers.
-    pub fn num_layers(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Hidden width.
-    pub fn hidden_size(&self) -> usize {
-        self.cells[0].hidden_size()
-    }
-
-    /// Zero initial state for a batch of `b`.
-    pub fn zero_state(&self, b: usize) -> Vec<Matrix> {
-        self.cells
-            .iter()
-            .map(|c| Matrix::zeros(b, c.hidden_size()))
-            .collect()
-    }
-
-    /// One inference step through all prepared layers; `state` is
-    /// updated in place, the top-layer hidden is returned by reference —
-    /// the same traversal as [`GruSnapshot::step`].
     pub fn step<'s>(&self, x: &Matrix, state: &'s mut [Matrix]) -> &'s Matrix {
         assert_eq!(state.len(), self.cells.len(), "Gru state depth mismatch");
         let mut input = x.clone();
@@ -793,53 +698,5 @@ mod tests {
     fn gru_rejects_zero_layers() {
         let mut rng = StdRng::seed_from_u64(8);
         let _ = Gru::new(2, 2, 0, &mut rng);
-    }
-
-    /// The packed-tier GRU is bit-identical to the row-major snapshot GRU on a
-    /// multi-layer, multi-step rollout — the contract that lets the
-    /// serving stack's packed backend join the bit-exact conformance
-    /// suite without a new fingerprint.
-    #[test]
-    fn prepared_packed_gru_is_bit_exact() {
-        use crate::packed::PackedWeights;
-        let mut rng = StdRng::seed_from_u64(29);
-        let gru = Gru::new(2, 16, 2, &mut rng);
-        let snap = gru.snapshot();
-        let prepared = snap.prepare::<PackedWeights>();
-        assert_eq!(prepared.num_layers(), snap.num_layers());
-        assert_eq!(prepared.hidden_size(), snap.hidden_size());
-        let mut ref_state = snap.zero_state(3);
-        let mut packed_state = prepared.zero_state(3);
-        for t in 0..5 {
-            let x = Matrix::randn(3, 2, 1.0, &mut rng);
-            let a = snap.step(&x, &mut ref_state).clone();
-            let b = prepared.step(&x, &mut packed_state).clone();
-            for (va, vb) in a.as_slice().iter().zip(b.as_slice()) {
-                assert_eq!(va.to_bits(), vb.to_bits(), "step {t}");
-            }
-        }
-    }
-
-    /// The quantized-tier GRU tracks the exact GRU closely (gate
-    /// pre-activations carry bounded int8 error, squashed further by the
-    /// saturating nonlinearities) but is not bit-identical — the
-    /// tolerance-tier contract.
-    #[test]
-    fn prepared_quant_gru_tracks_exact_within_tolerance() {
-        use crate::quant::QuantWeights;
-        let mut rng = StdRng::seed_from_u64(31);
-        let gru = Gru::new(2, 16, 2, &mut rng);
-        let snap = gru.snapshot();
-        let prepared = snap.prepare::<QuantWeights>();
-        let mut ref_state = snap.zero_state(3);
-        let mut quant_state = prepared.zero_state(3);
-        for t in 0..5 {
-            let x = Matrix::randn(3, 2, 1.0, &mut rng);
-            let a = snap.step(&x, &mut ref_state).clone();
-            let b = prepared.step(&x, &mut quant_state).clone();
-            for (va, vb) in a.as_slice().iter().zip(b.as_slice()) {
-                assert!((va - vb).abs() < 0.05, "step {t}: {va} vs {vb}");
-            }
-        }
     }
 }

@@ -1,11 +1,8 @@
 //! Serving benches: the batched inference fast path against the per-flow
 //! path, at both the raw-network level (fused `forward_batch` vs mapped
 //! `forward`) and the end-to-end dataplane level (batch 64 vs batch 1,
-//! and 1/2/4 shards, on the same workload) — plus the engine-overhead
-//! gate: a 1-tenant `ServeEngine` against the deprecated `Dataplane`
-//! shim on the same workload (budget: within 3%; since the shim
-//! delegates to the engine the comparison doubles as a delegation-cost
-//! check), and a 6-tenant engine run to size multi-tenant packing.
+//! and 1/2/4 shards, on the same workload) — plus a 6-tenant engine run
+//! to size multi-tenant packing against the 1-tenant batch-64 row.
 //!
 //! The kernel bench sizes the serving products: `simd::matmul_into` at
 //! the GRU gate shapes the `cpu` backend runs, at the detected SIMD level
@@ -14,8 +11,6 @@
 //! median time is the kernel-side figure for the layer ledger's
 //! `backend.gflop_per_s`; a large gap between the two is a finding
 //! (gate blend, gather/scatter and allocation around the products).
-
-#![allow(deprecated)]
 
 use std::sync::Arc;
 
@@ -31,7 +26,7 @@ use amoeba_nn::layers::{Activation, Mlp};
 use amoeba_nn::matrix::Matrix;
 use amoeba_nn::simd::{self, SimdLevel};
 use amoeba_nn::Forward;
-use amoeba_serve::{Dataplane, FrozenPolicy, ServeConfig, ServeEngine};
+use amoeba_serve::{FrozenPolicy, ServeConfig, ServeEngine};
 use amoeba_traffic::{Flow, Layer};
 
 fn policy() -> FrozenPolicy {
@@ -44,6 +39,15 @@ fn policy() -> FrozenPolicy {
     };
     let actor = Actor::new(&cfg, &mut rng);
     FrozenPolicy::new(encoder.snapshot(), actor.snapshot())
+}
+
+/// A one-tenant engine serving `flows` under [`policy`] and `censor`.
+fn one_tenant(cfg: ServeConfig, censor: &Arc<dyn Censor>, flows: &[Flow]) -> ServeEngine {
+    let mut engine = ServeEngine::new(cfg);
+    let p = engine.register_policy(policy());
+    let c = engine.register_censor(Arc::clone(censor));
+    engine.admit_all(flows.iter(), p, c);
+    engine
 }
 
 fn workload(n: usize) -> Vec<Flow> {
@@ -107,15 +111,13 @@ fn bench_dataplane_batching(c: &mut Criterion) {
         c.bench_function(&name, |b| {
             b.iter_batched(
                 || {
-                    let mut dp = Dataplane::new(
-                        policy(),
-                        Arc::clone(&censor),
+                    one_tenant(
                         ServeConfig::new(Layer::Tcp).with_seed(5).with_batch(batch),
-                    );
-                    dp.add_flows(flows.iter());
-                    dp
+                        &censor,
+                        &flows,
+                    )
                 },
-                |dp| dp.run(),
+                |engine| engine.run(),
                 BatchSize::LargeInput,
             )
         });
@@ -136,18 +138,16 @@ fn bench_dataplane_sharding(c: &mut Criterion) {
         c.bench_function(&name, |b| {
             b.iter_batched(
                 || {
-                    let mut dp = Dataplane::new(
-                        policy(),
-                        Arc::clone(&censor),
+                    one_tenant(
                         ServeConfig::new(Layer::Tcp)
                             .with_seed(5)
                             .with_batch(64)
                             .with_shards(shards),
-                    );
-                    dp.add_flows(flows.iter());
-                    dp
+                        &censor,
+                        &flows,
+                    )
                 },
-                |dp| dp.run(),
+                |engine| engine.run(),
                 BatchSize::LargeInput,
             )
         });
@@ -179,64 +179,27 @@ fn bench_scheduler_knobs(c: &mut Criterion) {
         c.bench_function(name, |b| {
             b.iter_batched(
                 || {
-                    let mut dp = Dataplane::new(
-                        policy(),
-                        Arc::clone(&censor),
+                    one_tenant(
                         ServeConfig::new(Layer::Tcp)
                             .with_seed(5)
                             .with_batch(64)
                             .with_shards(shards)
                             .with_pipeline(pipeline)
                             .with_steal(steal),
-                    );
-                    dp.add_flows(flows.iter());
-                    dp
+                        &censor,
+                        &flows,
+                    )
                 },
-                |dp| dp.run(),
+                |engine| engine.run(),
                 BatchSize::LargeInput,
             )
         });
     }
 }
 
-/// The redesign's overhead gate: one-tenant `ServeEngine` vs the
-/// deprecated `Dataplane` shim on the identical 200-flow workload at
-/// batch 64 — the acceptance budget is ≤3% between these two rows.
-fn bench_engine_vs_dataplane(c: &mut Criterion) {
-    let flows = workload(200);
-    let censor: Arc<dyn Censor> = Arc::new(ConstantCensor {
-        fixed_score: 0.1,
-        as_kind: CensorKind::Dt,
-    });
-    let cfg = || ServeConfig::new(Layer::Tcp).with_seed(5).with_batch(64);
-    c.bench_function("dataplane_shim_200flows_batch64", |b| {
-        b.iter_batched(
-            || {
-                let mut dp = Dataplane::new(policy(), Arc::clone(&censor), cfg());
-                dp.add_flows(flows.iter());
-                dp
-            },
-            |dp| dp.run(),
-            BatchSize::LargeInput,
-        )
-    });
-    c.bench_function("engine_1tenant_200flows_batch64", |b| {
-        b.iter_batched(
-            || {
-                let mut engine = ServeEngine::new(cfg());
-                let p = engine.register_policy(policy());
-                let cc = engine.register_censor(Arc::clone(&censor));
-                engine.admit_all(flows.iter(), p, cc);
-                engine
-            },
-            |engine| engine.run(),
-            BatchSize::LargeInput,
-        )
-    });
-}
-
 /// Multi-tenant packing: the same 200 flows spread across 2 policies ×
-/// 3 censors in one engine run — one dataplane pass instead of six.
+/// 3 censors in one engine run — one dataplane pass instead of six,
+/// against the one-tenant `dataplane_200flows_batch64` row.
 fn bench_engine_multi_tenant(c: &mut Criterion) {
     let flows = workload(200);
     let censors: Vec<Arc<dyn Censor>> = [0.1f32, 0.4, 0.9]
@@ -316,7 +279,6 @@ criterion_group!(
     bench_dataplane_batching,
     bench_dataplane_sharding,
     bench_scheduler_knobs,
-    bench_engine_vs_dataplane,
     bench_engine_multi_tenant
 );
 criterion_main!(benches);

@@ -1,8 +1,8 @@
 //! The multi-tenant serving engine: one process, many policies and
 //! censors.
 //!
-//! [`ServeEngine`] replaces the single-tenant `Dataplane` constructor
-//! with registries and an admission builder:
+//! [`ServeEngine`] serves any number of `(policy, censor)` tenants
+//! through registries and an admission builder:
 //!
 //! ```text
 //! let mut engine = ServeEngine::new(cfg);
@@ -554,7 +554,10 @@ mod tests {
         let policies = [tiny_policy(7), tiny_policy(19)];
         let scores = [0.1, 0.9];
         let reference = run_multi(&flows, &policies, &scores, 1, 1, ActionMode::Deterministic);
-        for (batch, shards) in [(64, 1), (1, 4), (64, 4), (256, 8)] {
+        let ids: Vec<usize> = reference.outcomes.iter().map(|o| o.id).collect();
+        assert_eq!(ids, (0..flows.len()).collect::<Vec<_>>());
+        // `shards == 0` resolves to one shard per available core.
+        for (batch, shards) in [(64, 1), (64, 2), (1, 4), (64, 4), (256, 8), (16, 0)] {
             let r = run_multi(
                 &flows,
                 &policies,
@@ -568,6 +571,9 @@ mod tests {
                 reference.wire_bits(),
                 "batch {batch} x {shards} shards diverged"
             );
+            let merged: Vec<usize> = r.outcomes.iter().map(|o| o.id).collect();
+            assert_eq!(merged, ids, "batch {batch} x {shards} shards: merge order");
+            assert_eq!(r.stream_ok_rate(), 1.0);
         }
     }
 
@@ -592,6 +598,13 @@ mod tests {
         assert!(report.max_queue_depth > 0);
         assert!(report.infer_stage_us > 0.0);
         assert!(report.framing_stage_us > 0.0);
+        assert!(report.wall_seconds > 0.0);
+        assert!(report.flows_per_sec() > 0.0);
+        assert!(report.p99_latency_us() >= report.p50_latency_us());
+        for o in &report.outcomes {
+            assert!(o.wire_bytes >= o.payload_bytes + o.header_bytes);
+            assert!(o.duration_ms >= 0.0);
+        }
         let subs = report.sub_reports();
         assert_eq!(subs.len(), 6);
         assert_eq!(
@@ -760,70 +773,6 @@ mod tests {
         assert_eq!(on.wire_bits(), traced.wire_bits());
     }
 
-    /// FNV-1a 64 over `wire_bits()` in session order, packet order:
-    /// `size` then `delay_ms.to_bits()`, each little-endian — the
-    /// published [`ServeReport::wire_fingerprint`], whose scheme the
-    /// `SCAN_FINGERPRINT` pin below freezes.
-    fn wire_fingerprint(report: &ServeReport) -> u64 {
-        report.wire_fingerprint()
-    }
-
-    /// Regression pin against the pre-pipeline scan scheduler: the exact
-    /// workload below produced this wire fingerprint under the original
-    /// fold-min + refill-scan tick selection (batch 16, 2 shards). The
-    /// heap scheduler, with pipelining and stealing at every shard/batch
-    /// combination, must reproduce it bit for bit.
-    #[test]
-    fn wire_output_is_pinned_to_scan_scheduler_fingerprint() {
-        const SCAN_FINGERPRINT: u64 = 0x49e0ec8f7a4bf3f9;
-        let flows = offered_flows(64, 3);
-        let policies = [tiny_policy(7), tiny_policy(19)];
-        let scores = [0.1, 0.9];
-        let netem = NetEm {
-            drop_rate: 0.08,
-            retransmit_timeout_ms: 50.0,
-            jitter_std: 0.2,
-        };
-        for shards in [1usize, 2, 4, 8] {
-            for batch in [1usize, 16, 64] {
-                for pipeline in [false, true] {
-                    for steal in [false, true] {
-                        let mut c = cfg(batch, shards, ActionMode::Sample)
-                            .with_verdicts(VerdictPolicy::Every(4))
-                            .with_pipeline(pipeline)
-                            .with_steal(steal);
-                        c.netem = Some(netem);
-                        let mut engine = ServeEngine::new(c);
-                        let pids: Vec<PolicyId> = policies
-                            .iter()
-                            .map(|p| engine.register_policy(p.clone()))
-                            .collect();
-                        let cids: Vec<CensorId> = scores
-                            .iter()
-                            .map(|&s| engine.register_censor(scoring_censor(s)))
-                            .collect();
-                        for (i, f) in flows.iter().enumerate() {
-                            engine
-                                .admit(f)
-                                .id(i)
-                                .policy(pids[i % 2])
-                                .censor(cids[i % 2])
-                                .submit();
-                        }
-                        let report = engine.run();
-                        assert_eq!(
-                            wire_fingerprint(&report),
-                            SCAN_FINGERPRINT,
-                            "wire diverged from the scan scheduler at \
-                             shards={shards} batch={batch} \
-                             pipeline={pipeline} steal={steal}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     /// A single shard has nobody to steal from: the counter must stay
     /// zero even with stealing enabled.
     #[test]
@@ -925,6 +874,11 @@ mod tests {
                 .submit();
         }
         let multi = engine.run();
+        assert_eq!(multi.stream_ok_rate(), 1.0);
+        // NetEm retransmissions put duplicated packets on the wire.
+        let wire_packets: usize = multi.outcomes.iter().map(|o| o.wire.len()).sum();
+        let frames: usize = multi.outcomes.iter().map(|o| o.frames).sum();
+        assert!(wire_packets > frames, "netem should duplicate some frames");
 
         for (i, f) in flows.iter().enumerate() {
             let mut single = ServeEngine::new(mk(1, 1));
@@ -995,9 +949,14 @@ mod tests {
             .admit(&flow)
             .payload(vec![0xAB; 600], vec![0xCD; 900])
             .submit();
+        // An empty offered flow completes without a frame.
+        engine.admit(&Flow::new()).submit();
         let report = engine.run();
         assert_eq!(report.outcomes[0].payload_bytes, 1500);
         assert!(report.outcomes[0].stream_ok);
+        assert_eq!(report.outcomes[1].frames, 0);
+        assert!(report.outcomes[1].stream_ok);
+        assert_eq!(report.frames, report.outcomes[0].frames);
     }
 
     #[test]
@@ -1031,27 +990,51 @@ mod tests {
         let _ = engine.run();
     }
 
-    /// `admit_all` is exactly the admission-builder loop: bulk vs loop
-    /// admission is wire-identical (the old `Dataplane::add_flows` gap).
+    /// How [`bulk_admission_is_wire_identical_to_loop_admission`]
+    /// admits its flows.
+    #[derive(Clone, Copy)]
+    enum Admit {
+        Bulk,
+        Loop,
+        /// Explicit ids `0..n`, submitted in a strided permutation.
+        Permuted,
+    }
+
+    /// `admit_all` is exactly the admission-builder loop, and a session's
+    /// randomness derives from `(seed, session_id)` only: bulk, loop and
+    /// permuted-order admission are wire-identical.
     #[test]
     fn bulk_admission_is_wire_identical_to_loop_admission() {
         let flows = offered_flows(32, 17);
         let policies = [tiny_policy(7)];
-        let build = |bulk: bool| {
+        let build = |admit: Admit| {
             let mut engine = ServeEngine::new(cfg(8, 2, ActionMode::Sample));
             let p = engine.register_policy(policies[0].clone());
             let c = engine.register_censor(scoring_censor(0.1));
-            if bulk {
-                engine.admit_all(flows.iter(), p, c);
-            } else {
-                for f in &flows {
-                    engine.admit(f).policy(p).censor(c).submit();
+            match admit {
+                Admit::Bulk => {
+                    engine.admit_all(flows.iter(), p, c);
+                }
+                Admit::Loop => {
+                    for f in &flows {
+                        engine.admit(f).policy(p).censor(c).submit();
+                    }
+                }
+                Admit::Permuted => {
+                    let n = flows.len();
+                    for k in 0..n {
+                        let id = (k * 17 + 5) % n;
+                        engine.admit(&flows[id]).id(id).policy(p).censor(c).submit();
+                    }
                 }
             }
             engine.run()
         };
-        let bulk = build(true);
-        let looped = build(false);
-        assert_eq!(bulk.wire_bits(), looped.wire_bits());
+        let bulk = build(Admit::Bulk);
+        assert_eq!(bulk.wire_bits(), build(Admit::Loop).wire_bits());
+        let permuted = build(Admit::Permuted);
+        assert_eq!(bulk.wire_bits(), permuted.wire_bits());
+        let ids: Vec<usize> = permuted.outcomes.iter().map(|o| o.id).collect();
+        assert_eq!(ids, (0..flows.len()).collect::<Vec<_>>());
     }
 }

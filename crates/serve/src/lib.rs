@@ -58,9 +58,9 @@
 //!   telemetry).
 //! * [`backend::InferenceBackend`] — the pluggable execution seam behind
 //!   the scheduler (`push_batch` / `head_batch`).
-//!   [`backend::CpuBackend`] is the reference snapshot path on the
-//!   register-tiled matmul nest; async and GPU backends slot in behind
-//!   the same trait without another API break.
+//!   [`backend::CpuBackend`] is the snapshot path on the register-tiled
+//!   matmul nest; a caller can wrap or replace it through
+//!   [`engine::ServeEngine::with_backend`].
 //! * [`metrics::ServeReport`] — throughput (`flows/sec`, `MB/s`),
 //!   per-frame latency percentiles (linearly interpolated between ranks),
 //!   evasion rate, overhead accounting — plus per-`(policy, censor)`
@@ -74,17 +74,10 @@
 //!   [`metrics::ServeReport::telemetry`] and through
 //!   [`engine::ServeEngine::telemetry`], and is priced by CI's
 //!   `telemetry-overhead` gate (≤2% throughput). The invariance is
-//!   pinned by `tests/telemetry_invariance.rs` and the fingerprint
-//!   sweep in `engine.rs`; exact per-frame latency samples (one
+//!   pinned by `tests/telemetry_invariance.rs` and the workspace's
+//!   fingerprint sweep (`tests/serve_pin.rs`); exact per-frame latency samples (one
 //!   [`metrics::FrameRun`] per batch and tenant) are opt-in via
 //!   [`ServeConfig::exact_frame_stats`].
-//! * [`dataplane::Dataplane`] — **deprecated** one-tenant shim over the
-//!   engine, kept so pre-engine callers compile. Migration: replace
-//!   `Dataplane::new(policy, censor, cfg)` + `add_flow*` with a
-//!   [`engine::ServeEngine`], one `register_policy` / `register_censor`
-//!   call each, and the [`engine::ServeEngine::admit`] builder (which is
-//!   also where explicit ids and payloads — the old `add_flows` gap —
-//!   plug in).
 //!
 //! ## Determinism: the grouping- and tenancy-invariance contract
 //!
@@ -97,8 +90,9 @@
 //! a pure function of `(seed, session_id, policy, censor)`: inference
 //! batch size (1/64/256), shard count (1/2/4/8), admission order, *and
 //! which other tenants share the process* all produce the same wire flows
-//! (regression-pinned in `engine.rs` and `dataplane.rs`, property-tested
-//! end-to-end in `tests/grouping_invariance.rs` and
+//! (regression-pinned in `engine.rs` and the workspace's
+//! `tests/serve_pin.rs`, property-tested end-to-end in
+//! `tests/grouping_invariance.rs` and
 //! `tests/tenancy_invariance.rs`). This is the property that makes
 //! batching, sharding and multi-tenant packing pure throughput knobs
 //! rather than semantics knobs, and it is what every future scaling axis
@@ -120,7 +114,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod dataplane;
 pub mod engine;
 pub mod metrics;
 pub mod registry;
@@ -129,19 +122,15 @@ pub mod session;
 pub mod shard;
 pub mod testutil;
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use amoeba_core::encoder::{EncoderSnapshot, PreparedEncoderSnapshot};
-use amoeba_core::policy::{ActorSnapshot, PreparedActorSnapshot};
+use amoeba_core::encoder::EncoderSnapshot;
+use amoeba_core::policy::ActorSnapshot;
 use amoeba_core::ppo::PolicySnapshots;
 use amoeba_core::{ActionSpace, AmoebaAgent, AmoebaConfig, ShapingKernel};
-use amoeba_nn::packed::{PackedWeights, PreparedRhs};
-use amoeba_nn::quant::QuantWeights;
 use amoeba_traffic::{Layer, NetEm};
 
-pub use backend::{BackendKind, CpuBackend, InferenceBackend, PackedBackend, QuantBackend};
-#[allow(deprecated)]
-pub use dataplane::Dataplane;
+pub use backend::{BackendKind, CpuBackend, InferenceBackend};
 pub use engine::{Admission, ServeEngine, TelemetryHandle};
 pub use metrics::{FrameRun, ServeReport, SessionOutcome, SessionStatus};
 pub use registry::{CensorId, CensorRegistry, PolicyId, PolicyRegistry, Tenant};
@@ -159,39 +148,14 @@ pub struct FrozenPolicy {
     pub encoder: Arc<EncoderSnapshot>,
     /// Frozen Gaussian actor.
     pub actor: Arc<ActorSnapshot>,
-    /// Lazily-built tier-A (packed, bit-exact) weight preparation,
-    /// shared across clones so each policy packs at most once.
-    packed: Arc<OnceLock<PreparedPolicy<PackedWeights>>>,
-    /// Lazily-built tier-B (int8, tolerance) weight preparation.
-    quant: Arc<OnceLock<PreparedPolicy<QuantWeights>>>,
-}
-
-/// A [`FrozenPolicy`]'s weights prepared once through one
-/// [`PreparedRhs`] tier — the pair of prepared snapshots the packed and
-/// quantized [`InferenceBackend`]s execute against. Obtained from
-/// [`FrozenPolicy::packed`] / [`FrozenPolicy::quantized`]; both
-/// preparations are pure functions of the frozen weights, built lazily
-/// on first use and cached for the policy's lifetime.
-#[derive(Clone, Debug)]
-pub struct PreparedPolicy<W: PreparedRhs> {
-    /// Prepared StateEncoder.
-    pub encoder: PreparedEncoderSnapshot<W>,
-    /// Prepared actor.
-    pub actor: PreparedActorSnapshot<W>,
 }
 
 impl FrozenPolicy {
     /// Wraps snapshots for serving.
     pub fn new(encoder: EncoderSnapshot, actor: ActorSnapshot) -> Self {
-        Self::from_arcs(Arc::new(encoder), Arc::new(actor))
-    }
-
-    fn from_arcs(encoder: Arc<EncoderSnapshot>, actor: Arc<ActorSnapshot>) -> Self {
         Self {
-            encoder,
-            actor,
-            packed: Arc::new(OnceLock::new()),
-            quant: Arc::new(OnceLock::new()),
+            encoder: Arc::new(encoder),
+            actor: Arc::new(actor),
         }
     }
 
@@ -200,32 +164,14 @@ impl FrozenPolicy {
     pub fn from_agent(agent: &AmoebaAgent) -> Self {
         Self::from(agent.snapshots())
     }
-
-    /// The tier-A preparation: panel-packed weights, bit-identical to the
-    /// unprepared paths on every input. Built on first call (a pure
-    /// layout transform of the frozen weights), then cached.
-    pub fn packed(&self) -> &PreparedPolicy<PackedWeights> {
-        self.packed.get_or_init(|| PreparedPolicy {
-            encoder: self.encoder.prepare(),
-            actor: self.actor.prepare(),
-        })
-    }
-
-    /// The tier-B preparation: per-column symmetric int8 weights —
-    /// deliberately *not* bit-identical (tolerance tier). Built on first
-    /// call (a pure, deterministic quantization of the frozen weights),
-    /// then cached.
-    pub fn quantized(&self) -> &PreparedPolicy<QuantWeights> {
-        self.quant.get_or_init(|| PreparedPolicy {
-            encoder: self.encoder.prepare(),
-            actor: self.actor.prepare(),
-        })
-    }
 }
 
 impl From<&PolicySnapshots> for FrozenPolicy {
     fn from(p: &PolicySnapshots) -> Self {
-        Self::from_arcs(Arc::clone(&p.encoder), Arc::clone(&p.actor))
+        Self {
+            encoder: Arc::clone(&p.encoder),
+            actor: Arc::clone(&p.actor),
+        }
     }
 }
 
@@ -295,11 +241,8 @@ pub struct ServeConfig {
     /// Master seed for per-session payload generation, sampling and NetEm.
     pub seed: u64,
     /// Which in-crate [`backend::InferenceBackend`] the engine
-    /// instantiates — a pure throughput knob: all backends are
-    /// bit-identical (the [`backend`] module's conformance obligation).
-    /// Defaults to [`BackendKind::Cpu`], overridable process-wide via the
-    /// `AMOEBA_SERVE_BACKEND` environment variable; out-of-crate backends
-    /// go through [`ServeEngine::with_backend`] instead.
+    /// instantiates; [`BackendKind::Cpu`] is the only one. Other
+    /// backends go through [`ServeEngine::with_backend`].
     pub backend: BackendKind,
     /// Two-stage software pipelining: each shard spawns a companion
     /// inference thread so batch *t*'s fused GRU/MLP pass overlaps batch
@@ -358,7 +301,7 @@ impl ServeConfig {
             verdicts: VerdictPolicy::Final,
             verify_streams: true,
             seed: 0,
-            backend: BackendKind::from_env_or_default(),
+            backend: BackendKind::Cpu,
             pipeline: true,
             steal: true,
             telemetry: true,
@@ -436,12 +379,6 @@ impl ServeConfig {
     /// Sets the master seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Selects the in-crate inference backend.
-    pub fn with_backend_kind(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -549,8 +486,7 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// In-crate inference backend the engine instantiates (bit-identical
-    /// choices; a pure throughput knob).
+    /// In-crate inference backend the engine instantiates.
     pub fn backend(mut self, backend: BackendKind) -> Self {
         self.cfg.backend = backend;
         self
@@ -630,6 +566,7 @@ mod tests {
             .verdicts(VerdictPolicy::Every(8))
             .verify_streams(false)
             .seed(99)
+            .backend(BackendKind::Cpu)
             .pipeline(false)
             .steal(false)
             .telemetry(false)
@@ -677,24 +614,7 @@ mod tests {
         assert!(cfg.telemetry, "telemetry defaults on (zero-perturbation)");
         assert_eq!(cfg.trace_ring, 0, "stage tracing defaults off");
         assert!(!cfg.exact_frame_stats, "exact frame vectors default off");
-        // The backend default honours the process-wide CI forcing knob
-        // (`AMOEBA_SERVE_BACKEND`), falling back to the CPU reference.
-        assert_eq!(cfg.backend, BackendKind::from_env_or_default());
-        if std::env::var(BackendKind::ENV).is_err() {
-            assert_eq!(cfg.backend, BackendKind::Cpu);
-        }
-    }
-
-    /// Backend selection flows through both the builder and the
-    /// `with_*` chain.
-    #[test]
-    fn builder_backend_selects_packed() {
-        let built = ServeConfig::builder(Layer::Tcp)
-            .backend(BackendKind::Packed)
-            .build();
-        assert_eq!(built.backend, BackendKind::Packed);
-        let chained = ServeConfig::new(Layer::Tcp).with_backend_kind(BackendKind::Packed);
-        assert_eq!(chained.backend, BackendKind::Packed);
+        assert_eq!(cfg.backend, BackendKind::Cpu);
     }
 
     #[test]

@@ -5,19 +5,15 @@
 //! actions, NetEm impairment on or off, and telemetry/trace-ring
 //! settings varied (observability must never perturb the wire).
 //!
-//! Runs through the deprecated one-tenant [`Dataplane`] shim on purpose:
-//! it doubles as the regression net that the shim delegates to the
-//! engine faithfully. The multi-tenant variant of this property lives in
-//! `tenancy_invariance.rs`.
-
-#![allow(deprecated)]
+//! Runs one-tenant [`ServeEngine`]s; the multi-tenant variant of this
+//! property lives in `tenancy_invariance.rs`.
 
 mod common;
 
 use common::{arb_flow, scoring_censor, tiny_policy};
 use proptest::prelude::*;
 
-use amoeba_serve::{ActionMode, Dataplane, ServeConfig, ServeReport};
+use amoeba_serve::{ActionMode, ServeConfig, ServeEngine, ServeReport};
 use amoeba_traffic::{Flow, Layer, NetEm};
 
 #[allow(clippy::too_many_arguments)]
@@ -42,9 +38,11 @@ fn run(
         .with_trace_ring(trace_ring)
         .with_mode(ActionMode::Sample);
     cfg.netem = netem;
-    let mut dp = Dataplane::new(tiny_policy(7), scoring_censor(0.1), cfg);
-    dp.add_flows(flows.iter());
-    dp.run()
+    let mut engine = ServeEngine::new(cfg);
+    let p = engine.register_policy(tiny_policy(7));
+    let c = engine.register_censor(scoring_censor(0.1));
+    engine.admit_all(flows.iter(), p, c);
+    engine.run()
 }
 
 /// The per-session wire frame stream, down to the bit.

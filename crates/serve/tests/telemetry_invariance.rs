@@ -8,14 +8,12 @@
 //!
 //! [`TelemetrySnapshot`]: amoeba_telemetry::TelemetrySnapshot
 
-#![allow(deprecated)]
-
 mod common;
 
 use common::{arb_flow, scoring_censor, tiny_policy};
 use proptest::prelude::*;
 
-use amoeba_serve::{ActionMode, Dataplane, FrameRun, ServeConfig, ServeReport};
+use amoeba_serve::{ActionMode, FrameRun, ServeConfig, ServeEngine, ServeReport};
 use amoeba_traffic::{Flow, Layer};
 
 #[allow(clippy::too_many_arguments)]
@@ -39,9 +37,11 @@ fn run(
         .with_trace_ring(trace_ring)
         .with_exact_frame_stats(exact)
         .with_mode(ActionMode::Sample);
-    let mut dp = Dataplane::new(tiny_policy(7), scoring_censor(0.1), cfg);
-    dp.add_flows(flows.iter());
-    dp.run()
+    let mut engine = ServeEngine::new(cfg);
+    let p = engine.register_policy(tiny_policy(7));
+    let c = engine.register_censor(scoring_censor(0.1));
+    engine.admit_all(flows.iter(), p, c);
+    engine.run()
 }
 
 /// Everything in a report that is a deterministic function of

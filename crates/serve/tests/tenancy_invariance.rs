@@ -9,17 +9,14 @@
 //! batch size (1 or 64), pipelining on/off and work-stealing on/off, and
 //! asserts every session is bit-identical to a
 //! fresh single-tenant engine run carrying only that session's
-//! `(id, flow)` under its `(policy, censor)` pair — and that re-running
-//! the same multi-tenant mix on the `PackedBackend` reproduces the
-//! `CpuBackend` run byte for byte (backend choice is a pure throughput
-//! knob, like sharding and batching).
+//! `(id, flow)` under its `(policy, censor)` pair.
 
 mod common;
 
 use common::{scoring_censor as censor, tiny_policy};
 use proptest::prelude::*;
 
-use amoeba_serve::{ActionMode, BackendKind, ServeConfig, ServeEngine};
+use amoeba_serve::{ActionMode, ServeConfig, ServeEngine};
 use amoeba_traffic::{Layer, NetEm};
 
 fn config(
@@ -29,7 +26,6 @@ fn config(
     pipeline: bool,
     steal: bool,
     netem: Option<NetEm>,
-    backend: BackendKind,
 ) -> ServeConfig {
     ServeConfig::builder(Layer::Tcp)
         .seed(seed)
@@ -39,7 +35,6 @@ fn config(
         .steal(steal)
         .mode(ActionMode::Sample)
         .netem(netem)
-        .backend(backend)
         .build()
 }
 
@@ -75,40 +70,26 @@ proptest! {
         let batch = if big_batch { 64 } else { 1 };
         let policies = [tiny_policy(7), tiny_policy(19)];
 
-        let run_mix = |backend: BackendKind| {
-            let mut engine =
-                ServeEngine::new(config(seed, batch, shards, pipeline, steal, netem, backend));
-            let pids: Vec<_> = policies
-                .iter()
-                .map(|p| engine.register_policy(p.clone()))
-                .collect();
-            let cids: Vec<_> = CENSOR_SCORES
-                .iter()
-                .map(|&s| engine.register_censor(censor(s)))
-                .collect();
-            for (i, f) in flows.iter().enumerate() {
-                let (p, c) = assignment[i];
-                engine.admit(f).id(i).policy(pids[p]).censor(cids[c]).submit();
-            }
-            engine.run()
-        };
-        let multi = run_mix(BackendKind::Cpu);
+        let mut engine = ServeEngine::new(config(seed, batch, shards, pipeline, steal, netem));
+        let pids: Vec<_> = policies
+            .iter()
+            .map(|p| engine.register_policy(p.clone()))
+            .collect();
+        let cids: Vec<_> = CENSOR_SCORES
+            .iter()
+            .map(|&s| engine.register_censor(censor(s)))
+            .collect();
+        for (i, f) in flows.iter().enumerate() {
+            let (p, c) = assignment[i];
+            engine.admit(f).id(i).policy(pids[p]).censor(cids[c]).submit();
+        }
+        let multi = engine.run();
         prop_assert_eq!(multi.outcomes.len(), flows.len());
         let multi_bits = multi.wire_bits();
 
-        // The same random tenant mix on the packed backend: byte-identical
-        // wire and verdicts (backend choice is a pure throughput knob).
-        let packed = run_mix(BackendKind::Packed);
-        prop_assert_eq!(&multi_bits, &packed.wire_bits(), "PackedBackend diverged from CpuBackend");
-        for (a, b) in multi.outcomes.iter().zip(&packed.outcomes) {
-            prop_assert_eq!(a.final_score.to_bits(), b.final_score.to_bits());
-            prop_assert_eq!(a.evaded, b.evaded);
-        }
-
         for (i, f) in flows.iter().enumerate() {
             let (p, c) = assignment[i];
-            let mut solo =
-                ServeEngine::new(config(seed, 1, 1, false, false, netem, BackendKind::Cpu));
+            let mut solo = ServeEngine::new(config(seed, 1, 1, false, false, netem));
             let pid = solo.register_policy(policies[p].clone());
             let cid = solo.register_censor(censor(CENSOR_SCORES[c]));
             solo.admit(f).id(i).policy(pid).censor(cid).submit();

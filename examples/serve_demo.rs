@@ -20,9 +20,8 @@
 //! `AMOEBA_SERVE_FLOWS` / `AMOEBA_STEPS` bound the run (CI uses the
 //! defaults: ~1 000 sessions — offered flows × 3 censor tenants — and
 //! 8 192 PPO timesteps); `AMOEBA_SERVE_SHARDS` sets the engine
-//! worker-thread count (default 0 = one per core) and
-//! `AMOEBA_SERVE_BACKEND` the inference backend (`cpu` | `packed`) — wire
-//! output is shard-count-, tenancy- and backend-invariant.
+//! worker-thread count (default 0 = one per core) — wire output is
+//! shard-count- and tenancy-invariant.
 
 use std::sync::Arc;
 
