@@ -10,7 +10,10 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use amoeba_classifiers::{train_censor, Censor, CensorKind, ConstantCensor, TrainConfig};
+use amoeba_classifiers::{
+    train_censor, Censor, CensorKind, CensorProgramFactory, ClassifierProgramFactory,
+    ConstantCensor, TrainConfig,
+};
 use amoeba_core::{
     collect_rollouts_threaded, encode_frame, pretrain_encoder, synthetic_flows, AmoebaConfig,
     Batch, EnvConfig, PolicySnapshots, PpoLearner, ProfileStore, ShapedSender, StateEncoder,
@@ -50,6 +53,30 @@ fn bench_table1_classifier_inference(c: &mut Criterion) {
     let flow = splits.test.flows[0].clone();
     c.bench_function("table1_dt_score_flow", |b| b.iter(|| dt.score(&flow)));
     c.bench_function("table1_df_score_flow", |b| b.iter(|| df.score(&flow)));
+
+    // The on-path censor's cost per flow (§5.6): one DT program scoring
+    // every prefix of a 157-packet wire, the length of a shaped full
+    // flow. Test flows are shorter, so the wire chains them.
+    let wire = Flow {
+        packets: splits
+            .test
+            .flows
+            .iter()
+            .flat_map(|f| f.packets.iter().copied())
+            .take(157)
+            .collect(),
+    };
+    let prefixes: Vec<Flow> = (1..=wire.len()).map(|k| wire.prefix(k)).collect();
+    let factory = ClassifierProgramFactory::new(Arc::clone(&dt));
+    c.bench_function("dt_observe_every_prefix", |b| {
+        b.iter(|| {
+            let mut prog = factory.spawn();
+            let last = prefixes.len() - 1;
+            for (k, prefix) in prefixes.iter().enumerate() {
+                std::hint::black_box(prog.observe(prefix, k == last));
+            }
+        })
+    });
 }
 
 /// Figure 4 kernel: the 166-feature extractor.

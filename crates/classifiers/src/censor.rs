@@ -12,13 +12,14 @@
 //! `blocks == false`.
 
 use amoeba_nn::{Forward, Matrix};
-use amoeba_traffic::Flow;
+use amoeba_traffic::{Flow, Layer};
 
-/// The shared numeric scoring path: every censor family's per-flow
-/// probability is one [`Forward`] evaluation over that family's numeric
-/// representation (position-major rows for the NN censors, hand-crafted /
-/// cumulative features for DT/RF/CUMUL). Centralising it here keeps the
-/// six `Censor::score` impls free of duplicated forward plumbing.
+/// The shared numeric scoring path: the per-flow probability of the NN
+/// and CUMUL censors is one [`Forward`] evaluation over that family's
+/// numeric representation (position-major rows for the NN censors,
+/// cumulative features for CUMUL). Centralising it here keeps those
+/// `Censor::score` impls free of duplicated forward plumbing; DT and RF
+/// score their feature row directly ([`Censor::score_features`]).
 pub(crate) fn score_row(net: &dyn Forward, row: &[f32]) -> f32 {
     let x = Matrix::from_vec(1, row.len(), row.to_vec());
     net.forward(&x)[(0, 0)]
@@ -39,6 +40,26 @@ pub trait Censor: Send + Sync {
 
     /// Model family identifier.
     fn kind(&self) -> CensorKind;
+
+    /// The observation layer of the 166-feature vector
+    /// ([`amoeba_traffic::extract_features`]) this censor scores, when
+    /// its score is a function of that vector alone. Streaming callers
+    /// then keep an [`amoeba_traffic::FeatureStream`] per flow and call
+    /// [`Censor::score_features`] instead of re-extracting every prefix.
+    fn feature_layer(&self) -> Option<Layer> {
+        None
+    }
+
+    /// The score of one 166-feature row, bit-identical to
+    /// [`Censor::score`] on the flow the row was extracted from on
+    /// [`Censor::feature_layer`].
+    ///
+    /// # Panics
+    /// The provided method panics: only censors whose `feature_layer` is
+    /// `Some` score rows.
+    fn score_features(&self, _row: &[f32]) -> f32 {
+        panic!("{} censor does not score feature rows", self.kind())
+    }
 }
 
 /// The six classifier families evaluated in the paper (§5.1).

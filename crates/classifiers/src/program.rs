@@ -12,6 +12,15 @@
 //! mid-stream connection teardown) compose on top without the serving
 //! or training layers knowing the difference.
 //!
+//! Programs over a one-shot censor score each observed prefix through
+//! one per-session scorer. For DT and RF, whose score is a function of
+//! the 166-feature vector ([`Censor::feature_layer`]), that scorer keeps
+//! an [`amoeba_traffic::FeatureStream`] which absorbs every wire packet
+//! once, so an observation costs two allocation-free passes over the
+//! wire rather than a fresh extraction with sorts and allocations; every
+//! other family scores the whole prefix with [`Censor::score`]. Either
+//! way the score is `censor.score(wire)` bit for bit.
+//!
 //! ## Program obligations
 //!
 //! Every implementation owes the engine three guarantees:
@@ -38,7 +47,7 @@
 
 use std::sync::Arc;
 
-use amoeba_traffic::Flow;
+use amoeba_traffic::{FeatureStream, Flow, NUM_FEATURES};
 
 use crate::censor::{Censor, CensorKind, ConstantCensor};
 
@@ -107,21 +116,64 @@ pub trait CensorProgramFactory: Send + Sync {
     }
 }
 
+/// One session's scorer of growing wire prefixes, shared by every
+/// program over a one-shot [`Censor`].
+///
+/// A censor that scores the 166-feature vector
+/// ([`Censor::feature_layer`]) gets a [`FeatureStream`]: each new wire
+/// packet is absorbed once and the row is scored with
+/// [`Censor::score_features`]. Any other censor scores the whole prefix
+/// with [`Censor::score`]. Both give `censor.score(wire)` bit for bit.
+#[derive(Clone)]
+struct PrefixScorer {
+    censor: Arc<dyn Censor>,
+    stream: Option<FeatureStream>,
+}
+
+impl PrefixScorer {
+    fn new(censor: &Arc<dyn Censor>) -> Self {
+        Self {
+            stream: censor.feature_layer().map(FeatureStream::new),
+            censor: Arc::clone(censor),
+        }
+    }
+
+    /// Scores `wire`. The final observation (`last`) also frees the
+    /// stream's buffers: a finished session is never observed again, but
+    /// its program may be kept until the whole run reports.
+    fn score(&mut self, wire: &Flow, last: bool) -> f32 {
+        match &mut self.stream {
+            Some(stream) => {
+                let mut row = [0.0f32; NUM_FEATURES];
+                stream.observe(wire, &mut row);
+                if last {
+                    stream.reset();
+                }
+                self.censor.score_features(&row)
+            }
+            None => self.censor.score(wire),
+        }
+    }
+}
+
 /// The degenerate adapter: a one-shot [`Censor`] replayed as a program.
 ///
-/// Every observation scores the whole wire prefix with the wrapped
-/// classifier and discloses the score — exactly what the pre-program
-/// engine did with `censor.blocks(wire)` mid-stream and
-/// `censor.score(wire)` at the end, so adapted classifiers are pinned
-/// bit-for-bit against the one-shot path.
+/// Every observation discloses the wrapped classifier's score of the
+/// wire prefix — exactly what the pre-program engine did with
+/// `censor.blocks(wire)` mid-stream and `censor.score(wire)` at the end,
+/// so adapted classifiers are pinned bit-for-bit against the one-shot
+/// path. DT and RF censors score incrementally: each observation absorbs
+/// only the packets added since the previous one into the session's
+/// [`FeatureStream`] instead of re-extracting every feature from the
+/// whole prefix.
 #[derive(Clone)]
 pub struct ClassifierProgram {
-    censor: Arc<dyn Censor>,
+    scorer: PrefixScorer,
 }
 
 impl CensorProgram for ClassifierProgram {
-    fn observe(&mut self, wire: &Flow, _last: bool) -> CensorDecision {
-        CensorDecision::Score(self.censor.score(wire))
+    fn observe(&mut self, wire: &Flow, last: bool) -> CensorDecision {
+        CensorDecision::Score(self.scorer.score(wire, last))
     }
 }
 
@@ -141,7 +193,7 @@ impl ClassifierProgramFactory {
 impl CensorProgramFactory for ClassifierProgramFactory {
     fn spawn(&self) -> Box<dyn CensorProgram> {
         Box::new(ClassifierProgram {
-            censor: Arc::clone(&self.censor),
+            scorer: PrefixScorer::new(&self.censor),
         })
     }
 
@@ -161,7 +213,7 @@ impl CensorProgramFactory for ClassifierProgramFactory {
 /// blocks as soon as a score reaches `threshold`. In between it stays
 /// silent ([`CensorDecision::Allow`]).
 pub struct ThresholdProgram {
-    censor: Arc<dyn Censor>,
+    scorer: PrefixScorer,
     threshold: f32,
     every: usize,
     seen: usize,
@@ -174,7 +226,7 @@ impl CensorProgram for ThresholdProgram {
         if !due && !last {
             return CensorDecision::Allow;
         }
-        if self.censor.score(wire) >= self.threshold {
+        if self.scorer.score(wire, last) >= self.threshold {
             CensorDecision::Block
         } else {
             CensorDecision::Allow
@@ -205,7 +257,7 @@ impl ThresholdProgramFactory {
 impl CensorProgramFactory for ThresholdProgramFactory {
     fn spawn(&self) -> Box<dyn CensorProgram> {
         Box::new(ThresholdProgram {
-            censor: Arc::clone(&self.censor),
+            scorer: PrefixScorer::new(&self.censor),
             threshold: self.threshold,
             every: self.every,
             seen: 0,
@@ -283,7 +335,7 @@ impl CensorProgramFactory for HardLabelFactory {
 /// allows mid-stream and discloses its score only on the final
 /// observation.
 pub struct StatefulProgram {
-    censor: Arc<dyn Censor>,
+    scorer: PrefixScorer,
     warmup: usize,
     hysteresis: usize,
     threshold: f32,
@@ -298,7 +350,7 @@ impl CensorProgram for StatefulProgram {
         if self.seen <= self.warmup {
             return CensorDecision::Allow;
         }
-        let score = self.censor.score(wire);
+        let score = self.scorer.score(wire, last);
         if score >= self.threshold {
             self.streak += 1;
         } else {
@@ -354,7 +406,7 @@ impl StatefulProgramFactory {
 impl CensorProgramFactory for StatefulProgramFactory {
     fn spawn(&self) -> Box<dyn CensorProgram> {
         Box::new(StatefulProgram {
-            censor: Arc::clone(&self.censor),
+            scorer: PrefixScorer::new(&self.censor),
             warmup: self.warmup,
             hysteresis: self.hysteresis,
             threshold: self.threshold,
@@ -567,6 +619,66 @@ mod tests {
         assert_eq!(b.observe(&wire(1), false), CensorDecision::Allow);
         assert_eq!(a.observe(&wire(2), false), CensorDecision::Block);
         assert_eq!(b.observe(&wire(2), false), CensorDecision::Block);
+    }
+
+    /// Every trained family, adapted: the program's score equals
+    /// `Censor::score` bit for bit on every prefix. DT and RF (also
+    /// behind `TrainedCensor`) must take the streaming path, so a lost
+    /// `feature_layer` delegation fails here instead of silently falling
+    /// back to re-extraction.
+    #[test]
+    fn adapted_trained_censors_match_one_shot_scores_on_every_prefix() {
+        use crate::train::{train_censor, TrainConfig};
+        use amoeba_traffic::{build_dataset, DatasetKind, Layer};
+
+        let ds = build_dataset(DatasetKind::Tor, 30, None, 11);
+        let cfg = TrainConfig {
+            epochs: 1,
+            lstm_epochs: 1,
+            ..TrainConfig::fast()
+        };
+        let flows = [&ds.flows[0], &ds.flows[1], &ds.flows[ds.len() - 1]];
+        for kind in CensorKind::ALL {
+            let censor: Arc<dyn Censor> = Arc::new(train_censor(kind, &ds, Layer::Tcp, &cfg, 3));
+            let streams = matches!(kind, CensorKind::Dt | CensorKind::Rf);
+            assert_eq!(censor.feature_layer().is_some(), streams, "{kind}");
+            let factory = ClassifierProgramFactory::new(Arc::clone(&censor));
+            for flow in flows {
+                let mut prog = factory.spawn();
+                for k in 1..=flow.len() {
+                    let prefix = flow.prefix(k);
+                    let want = censor.score(&prefix);
+                    let got = match prog.observe(&prefix, k == flow.len()) {
+                        CensorDecision::Score(s) => s,
+                        other => panic!("{kind}: adapter decided {other:?}"),
+                    };
+                    assert_eq!(got.to_bits(), want.to_bits(), "{kind} prefix {k}");
+                }
+                // Observed again after its final frame, and then on a
+                // shorter wire than it absorbed (both contract breaches),
+                // the program still scores exactly the wire it is given.
+                for k in [flow.len() / 2, flow.len() / 4] {
+                    let prefix = flow.prefix(k);
+                    assert_eq!(
+                        prog.observe(&prefix, false),
+                        CensorDecision::Score(censor.score(&prefix)),
+                        "{kind} replayed prefix {k}"
+                    );
+                }
+            }
+            // A warmup gateway first scores after several unscored frames;
+            // its final disclosed score is still the one-shot score.
+            let mut prog = StatefulProgramFactory::new(Arc::clone(&censor), 5, 1, 2.0).spawn();
+            let flow = flows[0];
+            for k in 1..flow.len() {
+                prog.observe(&flow.prefix(k), false);
+            }
+            assert_eq!(
+                prog.observe(flow, true),
+                CensorDecision::Score(censor.score(flow)),
+                "{kind}"
+            );
+        }
     }
 
     /// `ConstantCensor` is its own factory/program — the one-place

@@ -323,6 +323,28 @@ impl Censor for TrainedCensor {
             TrainedCensor::Cumul(_) => CensorKind::Cumul,
         }
     }
+
+    fn feature_layer(&self) -> Option<Layer> {
+        match self {
+            TrainedCensor::Df(c) => c.feature_layer(),
+            TrainedCensor::Sdae(c) => c.feature_layer(),
+            TrainedCensor::Lstm(c) => c.feature_layer(),
+            TrainedCensor::Dt(c) => c.feature_layer(),
+            TrainedCensor::Rf(c) => c.feature_layer(),
+            TrainedCensor::Cumul(c) => c.feature_layer(),
+        }
+    }
+
+    fn score_features(&self, row: &[f32]) -> f32 {
+        match self {
+            TrainedCensor::Df(c) => c.score_features(row),
+            TrainedCensor::Sdae(c) => c.score_features(row),
+            TrainedCensor::Lstm(c) => c.score_features(row),
+            TrainedCensor::Dt(c) => c.score_features(row),
+            TrainedCensor::Rf(c) => c.score_features(row),
+            TrainedCensor::Cumul(c) => c.score_features(row),
+        }
+    }
 }
 
 /// Trains any censor family on a dataset.

@@ -2,10 +2,9 @@
 //! [Barradas et al., USENIX Security'18].
 
 use amoeba_ml::{DecisionTree, RandomForest};
-use amoeba_nn::{Forward, Matrix};
 use amoeba_traffic::{extract_features, Flow, Layer};
 
-use crate::censor::{score_row, Censor, CensorKind};
+use crate::censor::{Censor, CensorKind};
 
 /// Decision-tree censor.
 #[derive(Debug, Clone)]
@@ -16,24 +15,21 @@ pub struct TreeCensor {
     pub layer: Layer,
 }
 
-impl Forward for TreeCensor {
-    /// Each row of `x` is one 166-feature vector; returns `(B, 1)`
-    /// P(sensitive) leaf probabilities.
-    fn forward(&self, x: &Matrix) -> Matrix {
-        let probs = (0..x.rows())
-            .map(|r| self.tree.predict_proba(x.row(r)))
-            .collect();
-        Matrix::col_vector(probs)
-    }
-}
-
 impl Censor for TreeCensor {
     fn score(&self, flow: &Flow) -> f32 {
-        score_row(self, &extract_features(flow, self.layer))
+        self.score_features(&extract_features(flow, self.layer))
     }
 
     fn kind(&self) -> CensorKind {
         CensorKind::Dt
+    }
+
+    fn feature_layer(&self) -> Option<Layer> {
+        Some(self.layer)
+    }
+
+    fn score_features(&self, row: &[f32]) -> f32 {
+        self.tree.predict_proba(row)
     }
 }
 
@@ -46,24 +42,21 @@ pub struct ForestCensor {
     pub layer: Layer,
 }
 
-impl Forward for ForestCensor {
-    /// Each row of `x` is one 166-feature vector; returns `(B, 1)`
-    /// ensemble-averaged P(sensitive).
-    fn forward(&self, x: &Matrix) -> Matrix {
-        let probs = (0..x.rows())
-            .map(|r| self.forest.predict_proba(x.row(r)))
-            .collect();
-        Matrix::col_vector(probs)
-    }
-}
-
 impl Censor for ForestCensor {
     fn score(&self, flow: &Flow) -> f32 {
-        score_row(self, &extract_features(flow, self.layer))
+        self.score_features(&extract_features(flow, self.layer))
     }
 
     fn kind(&self) -> CensorKind {
         CensorKind::Rf
+    }
+
+    fn feature_layer(&self) -> Option<Layer> {
+        Some(self.layer)
+    }
+
+    fn score_features(&self, row: &[f32]) -> f32 {
+        self.forest.predict_proba(row)
     }
 }
 

@@ -215,51 +215,75 @@ impl Flow {
         }
     }
 
-    /// Iterator over maximal same-direction runs ("bursts"), yielding
+    /// Maximal same-direction runs ("bursts"), as
     /// `(direction, packet count, byte count, duration_ms)`.
     pub fn bursts(&self) -> Vec<(Direction, usize, u64, f32)> {
-        let mut out = Vec::new();
-        let mut iter = self.packets.iter();
-        let Some(first) = iter.next() else {
-            return out;
-        };
-        let mut dir = first.direction();
-        let mut count = 1usize;
-        let mut bytes = first.magnitude() as u64;
-        let mut duration = 0.0f32;
-        for p in iter {
-            if p.direction() == dir {
-                count += 1;
-                bytes += p.magnitude() as u64;
-                duration += p.delay_ms;
-            } else {
-                out.push((dir, count, bytes, duration));
-                dir = p.direction();
-                count = 1;
-                bytes = p.magnitude() as u64;
-                duration = 0.0;
-            }
+        self.burst_iter().collect()
+    }
+
+    /// The bursts of [`Flow::bursts`], lazily and without allocating.
+    pub(crate) fn burst_iter(&self) -> Bursts<'_> {
+        Bursts {
+            rest: &self.packets,
         }
-        out.push((dir, count, bytes, duration));
-        out
     }
 
     /// Delays between consecutive packets *in the same direction*
     /// (the quantity plotted in Figure 11).
     pub fn same_direction_gaps(&self, dir: Direction) -> Vec<f32> {
-        let mut gaps = Vec::new();
-        let mut elapsed_since_last: Option<f32> = None;
-        for p in &self.packets {
-            if p.direction() == dir {
-                if let Some(e) = elapsed_since_last {
-                    gaps.push(e + p.delay_ms);
-                }
-                elapsed_since_last = Some(0.0);
-            } else if let Some(e) = elapsed_since_last.as_mut() {
+        let mut clock = GapClock::default();
+        self.packets
+            .iter()
+            .filter_map(|p| clock.tick(p, dir))
+            .collect()
+    }
+}
+
+/// Iterator behind [`Flow::burst_iter`].
+#[derive(Debug, Clone)]
+pub(crate) struct Bursts<'a> {
+    rest: &'a [Packet],
+}
+
+impl Iterator for Bursts<'_> {
+    type Item = (Direction, usize, u64, f32);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (first, tail) = self.rest.split_first()?;
+        let dir = first.direction();
+        let run = tail.iter().take_while(|p| p.direction() == dir).count();
+        let mut bytes = first.magnitude() as u64;
+        let mut duration = 0.0f32;
+        for p in &tail[..run] {
+            bytes += p.magnitude() as u64;
+            duration += p.delay_ms;
+        }
+        self.rest = &tail[run..];
+        Some((dir, run + 1, bytes, duration))
+    }
+}
+
+/// The clock behind [`Flow::same_direction_gaps`]: fed a flow's packets
+/// in order, it yields the delay since the previous packet in `dir`
+/// whenever a packet travels in `dir` and an earlier one did too.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct GapClock {
+    since_last: Option<f32>,
+}
+
+impl GapClock {
+    /// Advances past `p`; `Some(gap)` when `p` closes a same-direction gap.
+    pub(crate) fn tick(&mut self, p: &Packet, dir: Direction) -> Option<f32> {
+        if p.direction() == dir {
+            let gap = self.since_last.map(|e| e + p.delay_ms);
+            self.since_last = Some(0.0);
+            gap
+        } else {
+            if let Some(e) = self.since_last.as_mut() {
                 *e += p.delay_ms;
             }
+            None
         }
-        gaps
     }
 }
 

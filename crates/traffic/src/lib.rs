@@ -24,7 +24,7 @@ pub use cumul::{cumul_features, cumul_features_batch, DEFAULT_POINTS};
 pub use dataset::{build_dataset, Dataset, DatasetKind, Splits};
 pub use features::{
     extract_features, extract_features_batch, feature_schema, FeatureKind, FeatureSchema,
-    NUM_FEATURES,
+    FeatureStream, NUM_FEATURES,
 };
 pub use flow::{Direction, Flow, Label, Packet};
 pub use generate::{

@@ -32,39 +32,50 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// Number of scalar fields exposed by [`Summary::to_vec`].
+    /// Number of scalar fields exposed by [`Summary::to_array`].
     pub const LEN: usize = 12;
 
     /// Computes summary statistics; all-zero for an empty sample.
     pub fn of(values: &[f32]) -> Summary {
-        if values.is_empty() {
-            return Summary::default();
-        }
-        let n = values.len() as f32;
-        let mean = values.iter().sum::<f32>() / n;
-        let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
         let mut sorted = values.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let median = percentile_sorted(&sorted, 50.0);
+        let total: f32 = values.iter().sum();
+        let mean = total / values.len() as f32;
+        let sq_dev = values.iter().map(|v| (v - mean) * (v - mean)).sum();
+        Summary::from_sorted(&sorted, total, sq_dev)
+    }
+
+    /// Assembles the statistics of a sample from its ascending order
+    /// statistics, its sum and its sum of squared deviations from
+    /// `total / n` (both summed in arrival order, as [`Summary::of`]
+    /// does); all-zero for an empty sample.
+    pub(crate) fn from_sorted(sorted: &[f32], total: f32, sq_dev: f32) -> Summary {
+        let (Some(&min), Some(&max)) = (sorted.first(), sorted.last()) else {
+            return Summary::default();
+        };
+        let n = sorted.len() as f32;
+        let mean = total / n;
+        let var = sq_dev / n;
+        let median = percentile_sorted(sorted, 50.0);
         Summary {
             mean,
             std: var.sqrt(),
             var,
-            max: *sorted.last().expect("nonempty"),
-            min: sorted[0],
+            max,
+            min,
             median,
-            p10: percentile_sorted(&sorted, 10.0),
-            p25: percentile_sorted(&sorted, 25.0),
-            p75: percentile_sorted(&sorted, 75.0),
-            p90: percentile_sorted(&sorted, 90.0),
-            total: values.iter().sum(),
+            p10: percentile_sorted(sorted, 10.0),
+            p25: percentile_sorted(sorted, 25.0),
+            p75: percentile_sorted(sorted, 75.0),
+            p90: percentile_sorted(sorted, 90.0),
+            total,
             skew_proxy: mean - median,
         }
     }
 
-    /// Fixed-order flattening (length [`Summary::LEN`]).
-    pub fn to_vec(self) -> Vec<f32> {
-        vec![
+    /// Fixed-order flattening.
+    pub fn to_array(self) -> [f32; Summary::LEN] {
+        [
             self.mean,
             self.std,
             self.var,
@@ -80,7 +91,7 @@ impl Summary {
         ]
     }
 
-    /// Field names matching [`Summary::to_vec`] order.
+    /// Field names matching [`Summary::to_array`] order.
     pub fn names() -> [&'static str; Summary::LEN] {
         [
             "mean", "std", "var", "max", "min", "median", "p10", "p25", "p75", "p90", "total",
@@ -136,14 +147,18 @@ pub fn histogram(values: &[f32], lo: f32, hi: f32, bins: usize) -> Vec<f32> {
     if values.is_empty() {
         return counts;
     }
-    let width = (hi - lo) / bins as f32;
     for &v in values {
-        let idx = (((v - lo) / width).floor() as isize).clamp(0, bins as isize - 1) as usize;
-        counts[idx] += 1.0;
+        counts[bin_index(v, lo, hi, bins)] += 1.0;
     }
     let n = values.len() as f32;
     counts.iter_mut().for_each(|c| *c /= n);
     counts
+}
+
+/// The [`histogram`] bin `v` falls into.
+pub(crate) fn bin_index(v: f32, lo: f32, hi: f32, bins: usize) -> usize {
+    let width = (hi - lo) / bins as f32;
+    (((v - lo) / width).floor() as isize).clamp(0, bins as isize - 1) as usize
 }
 
 /// Mean of a sample (0 when empty).
@@ -183,13 +198,13 @@ mod tests {
     fn summary_empty_is_zero() {
         let s = Summary::of(&[]);
         assert_eq!(s, Summary::default());
-        assert_eq!(s.to_vec(), vec![0.0; Summary::LEN]);
+        assert_eq!(s.to_array(), [0.0; Summary::LEN]);
     }
 
     #[test]
     fn summary_vec_len_matches_names() {
         let s = Summary::of(&[5.0]);
-        assert_eq!(s.to_vec().len(), Summary::LEN);
+        assert_eq!(s.to_array().len(), Summary::LEN);
         assert_eq!(Summary::names().len(), Summary::LEN);
     }
 
