@@ -2,7 +2,7 @@
 //!
 //! The whole Amoeba stack rests on one invariant: **wire output is a
 //! pure function of `(seed, session_id, policy, censor)`** — shard
-//! count, batch size, backend, pipelining, stealing, telemetry and
+//! count, batch size, backend, stealing, telemetry and
 //! admission order are pure throughput/observability knobs. Until now
 //! that contract was enforced only *dynamically* (wire fingerprints,
 //! invariance proptests); this crate is the *static* gate: a

@@ -7,11 +7,10 @@
 //!   that is not a non-negative integer stops the binary with exit
 //!   status 2 and an error naming it — never a silent fallback.
 //! * `--steal {on,off}` toggles work stealing between shards (default
-//!   on). Also a pure throughput knob: the smoke modes cross-check both
-//!   settings bit-for-bit.
-//! * `--pipeline {on,off}` toggles the per-shard two-stage pipeline
-//!   (default on; the overlap needs a spare core per shard to pay off,
-//!   so turn it off when benchmarking on a 1-core box).
+//!   on). A pure throughput knob: the smoke modes cross-check both
+//!   settings bit-for-bit. Each shard's driver thread runs its work
+//!   inline; there is no pipelining knob (`--pipeline` is an unknown
+//!   argument).
 //! * `--skew` switches to the 90/10 skewed tenant mix (90% of sessions
 //!   on the trained policy, 10% on a tiny one) — the load-imbalanced
 //!   workload work stealing exists for.
@@ -58,7 +57,6 @@ struct Args {
     telemetry_base: Option<String>,
     scenario: String,
     steal: bool,
-    pipeline: bool,
 }
 
 /// Parses the arguments after the program name. Any argument it does not
@@ -72,7 +70,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         telemetry_base: None,
         scenario: "classifier".into(),
         steal: true,
-        pipeline: true,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -96,17 +93,12 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                 }
                 parsed.scenario = v;
             }
-            "--steal" | "--pipeline" => {
-                let on = match value()?.as_str() {
+            "--steal" => {
+                parsed.steal = match value()?.as_str() {
                     "on" => true,
                     "off" => false,
                     other => return Err(format!("{arg} needs on|off, got {other:?}")),
                 };
-                if arg == "--steal" {
-                    parsed.steal = on;
-                } else {
-                    parsed.pipeline = on;
-                }
             }
             other => return Err(format!("unknown argument {other:?}")),
         }
@@ -139,7 +131,6 @@ fn main() {
         telemetry_base,
         scenario,
         steal,
-        pipeline,
     } = parse_args(&argv).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         exit(2)
@@ -160,7 +151,7 @@ fn main() {
         return;
     }
     if let Some(base) = &telemetry_base {
-        let report = serve::run_serve_instrumented(&mut ctx, n_flows, 64, 4, pipeline, steal);
+        let report = serve::run_serve_instrumented(&mut ctx, n_flows, 64, 4, steal);
         let (prom, trace) =
             serve::write_telemetry_artifacts(&report, base).expect("write telemetry artifacts");
         println!("telemetry artifacts: {prom} {trace}");
@@ -181,11 +172,11 @@ fn main() {
         (false, false, _) => {
             print!(
                 "{}",
-                serve::serve_throughput(&mut ctx, n_flows, &[1, 16, 64, 256], pipeline, steal)
+                serve::serve_throughput(&mut ctx, n_flows, &[1, 16, 64, 256], steal)
             );
             print!(
                 "{}",
-                serve::serve_shard_scaling(&mut ctx, n_flows, 64, &[1, 2, 4, 8], pipeline, steal)
+                serve::serve_shard_scaling(&mut ctx, n_flows, 64, &[1, 2, 4, 8], steal)
             );
         }
     }
@@ -207,31 +198,31 @@ mod tests {
             "all",
             "--steal",
             "off",
-            "--pipeline",
-            "on",
             "--telemetry",
             "/tmp/t",
         ])
         .unwrap();
         assert!(a.matrix && !a.skew && !a.scaling && !a.overhead);
         assert_eq!(a.scenario, "all");
-        assert!(!a.steal && a.pipeline);
+        assert!(!a.steal);
         assert_eq!(a.telemetry_base.as_deref(), Some("/tmp/t"));
         let d = parse(&[]).unwrap();
         assert_eq!(d.scenario, "classifier");
-        assert!(d.steal && d.pipeline && d.telemetry_base.is_none());
+        assert!(d.steal && d.telemetry_base.is_none());
     }
 
-    /// Unknown arguments (`--backend` and `--json` among them) and
-    /// malformed values are errors naming the argument, never ignored.
+    /// Unknown arguments (`--backend`, `--json` and `--pipeline` among
+    /// them) and malformed values are errors naming the argument, never
+    /// ignored.
     #[test]
     fn unknown_and_malformed_arguments_are_errors() {
         for (args, needle) in [
             (&["--backend", "packed"][..], "\"--backend\""),
             (&["--json", "out.json"][..], "\"--json\""),
+            (&["--pipeline", "off"][..], "\"--pipeline\""),
             (&["--matirx"][..], "\"--matirx\""),
             (&["--steal", "maybe"][..], "--steal needs on|off"),
-            (&["--pipeline"][..], "--pipeline needs a value"),
+            (&["--steal"][..], "--steal needs a value"),
             (&["--scenario", "nope"][..], "--scenario needs"),
             (&["--telemetry"][..], "--telemetry needs a value"),
         ] {

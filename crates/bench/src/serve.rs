@@ -102,18 +102,11 @@ pub fn parse_scenarios(arg: &str) -> Vec<Scenario> {
     })]
 }
 
-fn serve_config(
-    ctx: &mut Context,
-    batch: usize,
-    shards: usize,
-    pipeline: bool,
-    steal: bool,
-) -> ServeConfig {
+fn serve_config(ctx: &mut Context, batch: usize, shards: usize, steal: bool) -> ServeConfig {
     let (agent, _) = ctx.agent(DatasetKind::Tor, CensorKind::Dt);
     ServeConfig::builder_from_amoeba(agent.config(), DatasetKind::Tor.layer())
         .batch(batch)
         .shards(shards)
-        .pipeline(pipeline)
         .steal(steal)
         .verdicts(VerdictPolicy::Every(8))
         .seed(ctx.scale.seed)
@@ -136,22 +129,19 @@ pub fn run_serve(
     n_flows: usize,
     batch: usize,
     shards: usize,
-    pipeline: bool,
     steal: bool,
 ) -> ServeReport {
-    run_serve_with(ctx, n_flows, batch, shards, pipeline, steal, true, 0)
+    run_serve_with(ctx, n_flows, batch, shards, steal, true, 0)
 }
 
 /// [`run_serve`] with the telemetry knobs exposed — the overhead gate
 /// compares `telemetry` on vs off, and the artifact dump turns the
 /// trace ring on.
-#[allow(clippy::too_many_arguments)]
 fn run_serve_with(
     ctx: &mut Context,
     n_flows: usize,
     batch: usize,
     shards: usize,
-    pipeline: bool,
     steal: bool,
     telemetry: bool,
     trace_ring: usize,
@@ -159,7 +149,7 @@ fn run_serve_with(
     let (agent, _) = ctx.agent(DatasetKind::Tor, CensorKind::Dt);
     let censor = ctx.censor(DatasetKind::Tor, CensorKind::Dt);
     let flows = offered(ctx, n_flows);
-    let cfg = serve_config(ctx, batch, shards, pipeline, steal)
+    let cfg = serve_config(ctx, batch, shards, steal)
         .with_telemetry(telemetry)
         .with_trace_ring(trace_ring);
     let mut engine = ServeEngine::new(cfg);
@@ -176,10 +166,9 @@ pub fn run_serve_instrumented(
     n_flows: usize,
     batch: usize,
     shards: usize,
-    pipeline: bool,
     steal: bool,
 ) -> ServeReport {
-    run_serve_with(ctx, n_flows, batch, shards, pipeline, steal, true, 4096)
+    run_serve_with(ctx, n_flows, batch, shards, steal, true, 4096)
 }
 
 /// Runs a **skewed** two-tenant engine pass: 90% of sessions land on the
@@ -192,13 +181,12 @@ pub fn run_serve_skewed(
     n_flows: usize,
     batch: usize,
     shards: usize,
-    pipeline: bool,
     steal: bool,
 ) -> ServeReport {
     let (agent, _) = ctx.agent(DatasetKind::Tor, CensorKind::Dt);
     let censor = ctx.censor(DatasetKind::Tor, CensorKind::Dt);
     let flows = offered(ctx, n_flows);
-    let mut engine = ServeEngine::new(serve_config(ctx, batch, shards, pipeline, steal));
+    let mut engine = ServeEngine::new(serve_config(ctx, batch, shards, steal));
     let heavy = engine.register_policy(FrozenPolicy::from_agent(&agent));
     let light = engine.register_policy(amoeba_serve::testutil::tiny_policy(ctx.scale.seed));
     let c = engine.register_censor(censor);
@@ -237,20 +225,18 @@ pub fn serve_throughput(
     ctx: &mut Context,
     n_flows: usize,
     batches: &[usize],
-    pipeline: bool,
     steal: bool,
 ) -> String {
     let mut md = String::from("## amoeba-serve dataplane throughput\n\n");
     md += &format!(
         "{n_flows} concurrent flows (Tor test split, ≤{PREFIX_CAP}-packet prefixes), \
          DT censor inline every 8 frames, deterministic policy, \
-         pipelining {}, stealing {}.\n\n",
-        if pipeline { "on" } else { "off" },
+         stealing {}.\n\n",
         if steal { "on" } else { "off" },
     );
     md += TABLE_HEADER;
     for &batch in batches {
-        let r = run_serve(ctx, n_flows, batch, 1, pipeline, steal);
+        let r = run_serve(ctx, n_flows, batch, 1, steal);
         md += &throughput_row(&format!("batch {batch}"), &r);
     }
     md
@@ -265,21 +251,18 @@ pub fn serve_shard_scaling(
     n_flows: usize,
     batch: usize,
     shard_counts: &[usize],
-    pipeline: bool,
     steal: bool,
 ) -> String {
     let mut md = String::from("## amoeba-serve shard scaling\n\n");
     md += &format!(
         "{n_flows} concurrent flows (Tor test split, ≤{PREFIX_CAP}-packet prefixes), \
          DT censor inline every 8 frames, batch {batch}, deterministic policy, \
-         pipelining {}, stealing {}; sessions sharded across \
-         worker threads.\n\n",
-        if pipeline { "on" } else { "off" },
+         stealing {}; sessions sharded across worker threads.\n\n",
         if steal { "on" } else { "off" },
     );
     md += TABLE_HEADER;
     for &shards in shard_counts {
-        let r = run_serve(ctx, n_flows, batch, shards, pipeline, steal);
+        let r = run_serve(ctx, n_flows, batch, shards, steal);
         md += &throughput_row(&format!("{shards} shard(s)"), &r);
     }
     md
@@ -287,11 +270,11 @@ pub fn serve_shard_scaling(
 
 /// CI smoke pass: a small flow count served at 1 shard and 4 shards
 /// (stealing on and off), with the wire outputs cross-checked
-/// frame-by-frame — exercises the sharded, pipelined and stealing paths
+/// frame-by-frame — exercises the sharded and stealing paths
 /// on every push and fails loudly if the invariance contract breaks.
 pub fn serve_smoke(ctx: &mut Context, n_flows: usize, batch: usize) -> String {
-    let one = run_serve(ctx, n_flows, batch, 1, true, true);
-    let four = run_serve(ctx, n_flows, batch, 4, true, true);
+    let one = run_serve(ctx, n_flows, batch, 1, true);
+    let four = run_serve(ctx, n_flows, batch, 4, true);
     assert_eq!(
         one.wire_bits(),
         four.wire_bits(),
@@ -300,7 +283,7 @@ pub fn serve_smoke(ctx: &mut Context, n_flows: usize, batch: usize) -> String {
     assert_eq!(one.stream_ok_rate(), 1.0, "smoke: streams failed to verify");
     // Steal-off leg: work stealing is a pure throughput knob, so turning
     // it off at 4 shards must not move a single wire bit.
-    let no_steal = run_serve(ctx, n_flows, batch, 4, true, false);
+    let no_steal = run_serve(ctx, n_flows, batch, 4, false);
     assert_eq!(
         one.wire_bits(),
         no_steal.wire_bits(),
@@ -321,7 +304,7 @@ pub fn serve_smoke(ctx: &mut Context, n_flows: usize, batch: usize) -> String {
 /// single-shard steal-off run. Also reports how many batches the loaded
 /// shards lost to thieves at 4 shards.
 pub fn serve_skew_smoke(ctx: &mut Context, n_flows: usize, batch: usize) -> String {
-    let reference = run_serve_skewed(ctx, n_flows, batch, 1, false, false);
+    let reference = run_serve_skewed(ctx, n_flows, batch, 1, false);
     assert_eq!(
         reference.stream_ok_rate(),
         1.0,
@@ -339,7 +322,7 @@ pub fn serve_skew_smoke(ctx: &mut Context, n_flows: usize, batch: usize) -> Stri
             if !steal && shards == 1 {
                 continue; // the reference itself
             }
-            let r = run_serve_skewed(ctx, n_flows, batch, shards, true, steal);
+            let r = run_serve_skewed(ctx, n_flows, batch, shards, steal);
             assert_eq!(
                 reference.wire_bits(),
                 r.wire_bits(),
@@ -365,7 +348,7 @@ pub fn serve_skew_smoke(ctx: &mut Context, n_flows: usize, batch: usize) -> Stri
 }
 
 /// The 4-core CI scaling gate: serves the full workload at 1 shard and 4
-/// shards (pipelining and stealing on), best of `reps` alternating runs
+/// shards (stealing on), best of `reps` alternating runs
 /// each, cross-checks the wire bit-for-bit, and — on machines with at
 /// least 4 cores — **fails** unless the 4-shard run clears
 /// `AMOEBA_SERVE_MIN_SPEEDUP`× (default 2×) the single-shard throughput.
@@ -383,8 +366,8 @@ pub fn serve_scaling_gate(ctx: &mut Context, n_flows: usize, batch: usize) -> St
     for _ in 0..reps {
         // Alternate the two configurations so cache warmth and frequency
         // scaling bias neither side.
-        let one = run_serve(ctx, n_flows, batch, 1, true, true);
-        let four = run_serve(ctx, n_flows, batch, 4, true, true);
+        let one = run_serve(ctx, n_flows, batch, 1, true);
+        let four = run_serve(ctx, n_flows, batch, 4, true);
         assert_eq!(
             one.wire_bits(),
             four.wire_bits(),
@@ -414,7 +397,7 @@ pub fn serve_scaling_gate(ctx: &mut Context, n_flows: usize, batch: usize) -> St
     let mut md = String::from("## amoeba-serve 4-core scaling gate\n\n");
     md += &format!(
         "{n_flows} concurrent flows (Tor test split, ≤{PREFIX_CAP}-packet prefixes), \
-         batch {batch}, pipelining + stealing on, best of {reps} \
+         batch {batch}, stealing on, best of {reps} \
          alternating runs per shard count, {cores} cores visible.\n\n"
     );
     md += TABLE_HEADER;
@@ -456,8 +439,8 @@ pub fn serve_overhead_gate(ctx: &mut Context, n_flows: usize, batch: usize) -> S
     for _ in 0..reps {
         // Alternate the two configurations so cache warmth and frequency
         // scaling bias neither side.
-        let off = run_serve_with(ctx, n_flows, batch, shards, true, true, false, 0);
-        let on = run_serve(ctx, n_flows, batch, shards, true, true);
+        let off = run_serve_with(ctx, n_flows, batch, shards, true, false, 0);
+        let on = run_serve(ctx, n_flows, batch, shards, true);
         assert_eq!(
             off.wire_bits(),
             on.wire_bits(),
@@ -486,7 +469,7 @@ pub fn serve_overhead_gate(ctx: &mut Context, n_flows: usize, batch: usize) -> S
     let mut md = String::from("## amoeba-serve telemetry overhead gate\n\n");
     md += &format!(
         "{n_flows} concurrent flows (Tor test split, ≤{PREFIX_CAP}-packet prefixes), \
-         batch {batch}, {shards} shards, pipelining + stealing on, \
+         batch {batch}, {shards} shards, stealing on, \
          best of {reps} alternating runs per setting, {cores} cores visible.\n\n"
     );
     md += TABLE_HEADER;
@@ -563,11 +546,8 @@ fn run_matrix(
         })
         .collect();
     let flows = offered(ctx, n_flows);
-    let mut engine = ServeEngine::with_registries(
-        policies,
-        censors,
-        serve_config(ctx, batch, shards, true, true),
-    );
+    let mut engine =
+        ServeEngine::with_registries(policies, censors, serve_config(ctx, batch, shards, true));
     let cells = pids.len() * cids.len();
     for (i, f) in flows.iter().enumerate() {
         let cell = i % cells;
@@ -673,7 +653,7 @@ pub fn serve_matrix_smoke(ctx: &mut Context, n_flows: usize, batch: usize) -> St
         let censor_kind = censor_kinds[tenant.censor.index()];
         let policy = FrozenPolicy::from_agent(&ctx.agent(DatasetKind::Tor, agent_kind).0);
         let censor = ctx.censor(DatasetKind::Tor, censor_kind);
-        let mut solo = ServeEngine::new(serve_config(ctx, batch, 1, true, true));
+        let mut solo = ServeEngine::new(serve_config(ctx, batch, 1, true));
         let p = solo.register_policy(policy);
         let c = solo.register_censor(censor);
         for &(id, f) in &pairs {

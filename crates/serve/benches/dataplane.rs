@@ -154,10 +154,9 @@ fn bench_dataplane_sharding(c: &mut Criterion) {
     }
 }
 
-/// Sizes the scheduler knobs in isolation on the 400-flow workload at
-/// batch 64: pipelining on/off at 1 shard (the inference/framing overlap
-/// win), and stealing on/off at 4 shards (the idle-core fill win). Wire
-/// output is knob-invariant, so rows differ only in wall clock.
+/// Sizes the scheduler's stealing knob on the 400-flow workload at batch
+/// 64 and 4 shards (the idle-core fill win). Wire output is
+/// knob-invariant, so rows differ only in wall clock.
 fn bench_scheduler_knobs(c: &mut Criterion) {
     let flows = workload(400);
     let censor: Arc<dyn Censor> = Arc::new(ConstantCensor {
@@ -165,17 +164,10 @@ fn bench_scheduler_knobs(c: &mut Criterion) {
         as_kind: CensorKind::Dt,
     });
     let cases = [
-        (
-            "dataplane_400flows_shards1_pipeline_off",
-            1usize,
-            false,
-            false,
-        ),
-        ("dataplane_400flows_shards1_pipeline_on", 1, true, false),
-        ("dataplane_400flows_shards4_steal_off", 4, true, false),
-        ("dataplane_400flows_shards4_steal_on", 4, true, true),
+        ("dataplane_400flows_shards4_steal_off", false),
+        ("dataplane_400flows_shards4_steal_on", true),
     ];
-    for (name, shards, pipeline, steal) in cases {
+    for (name, steal) in cases {
         c.bench_function(name, |b| {
             b.iter_batched(
                 || {
@@ -183,8 +175,7 @@ fn bench_scheduler_knobs(c: &mut Criterion) {
                         ServeConfig::new(Layer::Tcp)
                             .with_seed(5)
                             .with_batch(64)
-                            .with_shards(shards)
-                            .with_pipeline(pipeline)
+                            .with_shards(4)
                             .with_steal(steal),
                         &censor,
                         &flows,

@@ -19,16 +19,15 @@
 //! frame is emitted (`ready_at`); the frame itself leaves `delay_ms`
 //! later, which is when the following decision is taken — inference cost
 //! hides inside the frame delay, exactly the §5.6.1 deployment argument.
-//! Each [`crate::shard::Shard`] keeps its sessions in a min-heap of
-//! `ready_at` times: every tick pops the earliest ready time `t` plus
-//! every session ready within the scheduler quantum `[t, t + tick_ms]`,
-//! buckets them by [`PolicyId`] (sessions sharing a policy share weights,
-//! so their observations fuse into the same GRU/MLP pass no matter which
-//! censor they face), and packages each bucket into inference batches of
-//! at most `max_batch` flows. The [`crate::scheduler`] executes those
-//! batches through the pluggable [`InferenceBackend`] — pipelined with a
-//! per-shard companion inference thread ([`ServeConfig::pipeline`]) and
-//! balanced across shards by work stealing ([`ServeConfig::steal`]).
+//! Each shard keeps its sessions in a min-heap of `ready_at` times: every
+//! tick pops the earliest ready time `t` plus every session ready within
+//! the scheduler quantum `[t, t + tick_ms]`, buckets them by [`PolicyId`]
+//! (sessions sharing a policy share weights, so their observations fuse
+//! into the same GRU/MLP pass no matter which censor they face), and
+//! packages each bucket into inference batches of at most `max_batch`
+//! flows. Each shard's driver thread runs those batches inline through
+//! the pluggable [`InferenceBackend`] (infer, frame, emit), and work
+//! stealing ([`ServeConfig::steal`]) balances them across shards.
 //!
 //! ## Sharding, tenancy and grouping invariance
 //!
@@ -36,11 +35,11 @@
 //! spawned from the tenant's factory, per-session RNGs derived from
 //! `(seed, session_id)` only, row-independent matrix
 //! kernels), so *any* grouping of sessions — into inference batches
-//! within a tick, across [`crate::shard::Shard`] worker threads, or
-//! alongside any mix of co-tenants — produces bit-identical per-session
-//! output. `max_batch`, `tick_ms`, `n_shards`, `pipeline` and `steal`
-//! are pure throughput knobs, and multi-tenancy is a pure *packing*
-//! knob: a session's wire output depends only on
+//! within a tick, across shard worker threads, or alongside any mix of
+//! co-tenants — produces bit-identical per-session output. `max_batch`,
+//! `tick_ms`, `n_shards` and `steal` are pure throughput knobs, and
+//! multi-tenancy is a pure *packing* knob: a session's wire output
+//! depends only on
 //! `(seed, session_id, policy, censor)`. The
 //! regression tests below pin a 1 000-flow run split across 2 policies ×
 //! 3 censors against the corresponding single-tenant runs, and
@@ -101,7 +100,12 @@ impl TelemetryHandle {
 impl ServeEngine {
     /// An empty engine. Register at least one policy and one censor
     /// before admitting sessions.
+    ///
+    /// # Panics
+    /// Panics on an invalid config: `max_batch == 0`, or a negative or
+    /// NaN `tick_ms` or `max_delay_ms`.
     pub fn new(cfg: ServeConfig) -> Self {
+        cfg.validate();
         Self {
             policies: PolicyRegistry::new(),
             censors: CensorRegistry::new(),
@@ -115,11 +119,15 @@ impl ServeEngine {
 
     /// An engine over pre-built registries (sweep harnesses that assemble
     /// their tenant tables up front).
+    ///
+    /// # Panics
+    /// Panics on an invalid config, like [`ServeEngine::new`].
     pub fn with_registries(
         policies: PolicyRegistry,
         censors: CensorRegistry,
         cfg: ServeConfig,
     ) -> Self {
+        cfg.validate();
         Self {
             policies,
             censors,
@@ -258,7 +266,7 @@ impl ServeEngine {
     /// report.
     ///
     /// Sessions are sorted by id, partitioned round-robin across
-    /// [`Shard`]s, run to completion on `std::thread::scope` workers
+    /// shards, run to completion on `std::thread::scope` workers
     /// (inline for a single shard), and the shard reports are merged
     /// deterministically by session id — so the report is identical for
     /// any shard count, wall-clock fields aside. Slice it per tenant with
@@ -988,6 +996,27 @@ mod tests {
         engine.admit(&flows[0]).id(3).submit();
         engine.admit(&flows[1]).id(3).submit();
         let _ = engine.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "max_batch must be at least 1")]
+    fn engine_rejects_zero_batch() {
+        let _ = ServeEngine::new(ServeConfig::new(Layer::Tcp).with_batch(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "tick_ms must be non-negative")]
+    fn engine_rejects_nan_tick() {
+        let _ = ServeEngine::new(ServeConfig::new(Layer::Tcp).with_tick(f32::NAN));
+    }
+
+    /// A direct field write is caught too, here by `with_registries`.
+    #[test]
+    #[should_panic(expected = "max_batch must be at least 1")]
+    fn engine_rejects_zero_batch_field() {
+        let mut cfg = ServeConfig::new(Layer::Tcp);
+        cfg.max_batch = 0;
+        let _ = ServeEngine::with_registries(PolicyRegistry::new(), CensorRegistry::new(), cfg);
     }
 
     /// How [`bulk_admission_is_wire_identical_to_loop_admission`]

@@ -33,7 +33,7 @@
 //!   gym uses) turns policy actions into legal frame shapes, frames go on
 //!   the wire with the §5.6.1 header, and a `ShapedReceiver` at the far
 //!   end reassembles the exact original stream.
-//! * [`shard::Shard`] — the shard-local event loop: a virtual clock
+//! * Shards — the shard-local event loop: a virtual clock
 //!   honouring per-frame delays, optional [`amoeba_traffic::NetEm`]
 //!   impairment of what the on-path censor observes, inline per-tenant
 //!   censor verdicts, and the **batched inference scheduler**: at every
@@ -51,7 +51,7 @@
 //!   the bit-identical degenerate adapter). Programs must be
 //!   deterministic pure functions of their observation sequence — the
 //!   program travels *inside* the session's work item, which is what
-//!   keeps stateful censors compatible with pipelining and work
+//!   keeps stateful censors compatible with sharding and work
 //!   stealing. A program may answer `Allow`, `Score`, `Block`, or
 //!   `Reset` (mid-stream teardown, surfacing as
 //!   [`metrics::SessionStatus::Torn`] and per-tenant `teardowns`
@@ -117,9 +117,9 @@ pub mod backend;
 pub mod engine;
 pub mod metrics;
 pub mod registry;
-pub mod scheduler;
+mod scheduler;
 pub mod session;
-pub mod shard;
+mod shard;
 pub mod testutil;
 
 use std::sync::Arc;
@@ -135,7 +135,6 @@ pub use engine::{Admission, ServeEngine, TelemetryHandle};
 pub use metrics::{FrameRun, ServeReport, SessionOutcome, SessionStatus};
 pub use registry::{CensorId, CensorRegistry, PolicyId, PolicyRegistry, Tenant};
 pub use session::Session;
-pub use shard::Shard;
 
 /// The slice of a trained agent the dataplane needs: the frozen
 /// StateEncoder and actor. (Serving never needs the critic.)
@@ -202,8 +201,8 @@ pub enum VerdictPolicy {
 ///
 /// Construct via [`ServeConfig::new`] / [`ServeConfig::from_amoeba`] and
 /// the `with_*` setters, or the [`ServeConfig::builder`]; the struct is
-/// `#[non_exhaustive]` so future knobs (async backends, work stealing)
-/// can land without breaking callers.
+/// `#[non_exhaustive]` so future knobs can land without breaking
+/// callers. Every engine constructor validates the config it is given.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct ServeConfig {
@@ -244,13 +243,6 @@ pub struct ServeConfig {
     /// instantiates; [`BackendKind::Cpu`] is the only one. Other
     /// backends go through [`ServeEngine::with_backend`].
     pub backend: BackendKind,
-    /// Two-stage software pipelining: each shard spawns a companion
-    /// inference thread so batch *t*'s fused GRU/MLP pass overlaps batch
-    /// *t−1*'s framing/impairment/verdict stage (default `true`; `false`
-    /// is the inline fallback with no extra threads). A pure throughput
-    /// knob — wire output is pipelining-invariant by the
-    /// [`shard`] module-docs argument.
-    pub pipeline: bool,
     /// Work stealing between shards: idle shards execute due work items
     /// stolen from loaded peers' deques, so one heavy tenant cannot idle
     /// the other shards under skewed session mixes (default `true`; moot
@@ -267,7 +259,7 @@ pub struct ServeConfig {
     pub telemetry: bool,
     /// Flight-recorder capacity per shard driver, in stage-trace events
     /// (0 = stage tracing off, the default). When non-zero, each shard
-    /// keeps the most recent `trace_ring` pipeline-stage spans in a
+    /// keeps the most recent `trace_ring` work-item stage spans in a
     /// fixed-size ring, dumpable as Chrome-trace JSON via
     /// [`amoeba_telemetry::TelemetrySnapshot::trace_json`] and to stderr
     /// on panic. A pure observability knob — wire output is
@@ -302,7 +294,6 @@ impl ServeConfig {
             verify_streams: true,
             seed: 0,
             backend: BackendKind::Cpu,
-            pipeline: true,
             steal: true,
             telemetry: true,
             trace_ring: 0,
@@ -338,9 +329,9 @@ impl ServeConfig {
         }
     }
 
-    /// Sets the inference batch cap.
+    /// Sets the inference batch cap (≥ 1, checked when an engine is
+    /// built on the config).
     pub fn with_batch(mut self, max_batch: usize) -> Self {
-        assert!(max_batch >= 1, "max_batch must be at least 1");
         self.max_batch = max_batch;
         self
     }
@@ -351,9 +342,9 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the scheduler quantum (virtual ms).
+    /// Sets the scheduler quantum (virtual ms, non-negative, checked when
+    /// an engine is built on the config).
     pub fn with_tick(mut self, tick_ms: f32) -> Self {
-        assert!(tick_ms >= 0.0, "tick_ms must be non-negative");
         self.tick_ms = tick_ms;
         self
     }
@@ -382,12 +373,6 @@ impl ServeConfig {
         self
     }
 
-    /// Enables or disables the per-shard inference/framing pipeline.
-    pub fn with_pipeline(mut self, pipeline: bool) -> Self {
-        self.pipeline = pipeline;
-        self
-    }
-
     /// Enables or disables work stealing between shards.
     pub fn with_steal(mut self, steal: bool) -> Self {
         self.steal = steal;
@@ -413,6 +398,23 @@ impl ServeConfig {
     pub fn with_exact_frame_stats(mut self, exact: bool) -> Self {
         self.exact_frame_stats = exact;
         self
+    }
+
+    /// Checks the fields the scheduler relies on. [`ServeEngine::new`],
+    /// [`ServeEngine::with_registries`] and [`ServeConfigBuilder::build`]
+    /// call it, so a config is checked wherever it enters, however it was
+    /// assembled (builder, `with_*` chain or direct field writes).
+    ///
+    /// # Panics
+    /// Panics if `max_batch == 0`, or if `tick_ms` or `max_delay_ms` is
+    /// negative or NaN.
+    pub(crate) fn validate(&self) {
+        assert!(self.max_batch >= 1, "max_batch must be at least 1");
+        assert!(self.tick_ms >= 0.0, "tick_ms must be non-negative");
+        assert!(
+            self.max_delay_ms >= 0.0,
+            "max_delay_ms must be non-negative"
+        );
     }
 
     /// The shaping kernel this configuration induces — shared §4.2
@@ -492,9 +494,11 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Per-shard inference/framing pipelining (a pure throughput knob).
-    pub fn pipeline(mut self, pipeline: bool) -> Self {
-        self.cfg.pipeline = pipeline;
+    /// Does nothing: every shard runs its work inline, so there is no
+    /// pipelining to switch. Kept only because the `ledger/` benchmark
+    /// package names it; remove it together with those calls.
+    #[doc(hidden)]
+    pub fn pipeline(self, _pipeline: bool) -> Self {
         self
     }
 
@@ -535,18 +539,14 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Validates and returns the config.
+    /// Validates and returns the config (the same check
+    /// [`ServeEngine::new`] applies).
     ///
     /// # Panics
-    /// Panics on an invalid combination (`max_batch == 0`, negative
+    /// Panics on an invalid field (`max_batch == 0`, negative or NaN
     /// `tick_ms` or `max_delay_ms`).
     pub fn build(self) -> ServeConfig {
-        assert!(self.cfg.max_batch >= 1, "max_batch must be at least 1");
-        assert!(self.cfg.tick_ms >= 0.0, "tick_ms must be non-negative");
-        assert!(
-            self.cfg.max_delay_ms >= 0.0,
-            "max_delay_ms must be non-negative"
-        );
+        self.cfg.validate();
         self.cfg
     }
 }
@@ -567,7 +567,6 @@ mod tests {
             .verify_streams(false)
             .seed(99)
             .backend(BackendKind::Cpu)
-            .pipeline(false)
             .steal(false)
             .telemetry(false)
             .trace_ring(128)
@@ -580,7 +579,6 @@ mod tests {
             .with_mode(ActionMode::Sample)
             .with_verdicts(VerdictPolicy::Every(8))
             .with_seed(99)
-            .with_pipeline(false)
             .with_steal(false)
             .with_telemetry(false)
             .with_trace_ring(128)
@@ -609,7 +607,6 @@ mod tests {
         assert_eq!(cfg.verdicts, VerdictPolicy::Final);
         assert!(cfg.verify_streams);
         assert_eq!(cfg.seed, 0);
-        assert!(cfg.pipeline, "pipelining defaults on");
         assert!(cfg.steal, "work stealing defaults on");
         assert!(cfg.telemetry, "telemetry defaults on (zero-perturbation)");
         assert_eq!(cfg.trace_ring, 0, "stage tracing defaults off");

@@ -132,14 +132,14 @@ pub struct ServeReport {
     /// 0 when `n_shards == 1` or stealing is disabled).
     pub stolen_batches: usize,
     /// Total wall-clock spent in the fused inference stages, summed over
-    /// batches and shards (µs). With pipelining, stages overlap — the
-    /// per-stage totals can exceed `wall_seconds`.
+    /// batches and shards (µs). Shards run in parallel, so the per-stage
+    /// totals can exceed `wall_seconds`.
     pub infer_stage_us: f64,
     /// Total wall-clock spent in the framing/impairment/verdict stage,
     /// summed over batches and shards (µs).
     pub framing_stage_us: f64,
-    /// Largest number of work items any one shard had simultaneously
-    /// queued or in flight.
+    /// Largest number of work items any one shard formed in a single tick
+    /// (the high-water mark of its work deque).
     pub max_queue_depth: usize,
     /// The aggregated telemetry snapshot of this run (counters,
     /// bounded-memory latency histograms, per-tenant feedback, trace

@@ -1,28 +1,23 @@
-//! The shard executor: a two-stage software pipeline per shard plus a
-//! work-stealing scheduler between shards.
+//! The shard executor: one driver thread per shard runs its work items
+//! inline, and a work-stealing scheduler balances items between shards.
 //!
-//! ## Pipeline
+//! ## Execution
 //!
-//! Each shard's driver thread owns the virtual clock and the framing
-//! stage; with [`crate::ServeConfig::pipeline`] enabled it spawns one
-//! *companion* inference thread. A `WorkItem` then flows
+//! Each shard's driver thread owns the virtual clock. It turns every tick
+//! into `WorkItem`s and runs each item's three stages back to back on
+//! its own thread:
 //!
 //! ```text
-//! driver ──Analyze──▶ companion: gather obs, fused push/head   (stage 1)
-//! driver ◀─(item, means, logstds)─ bounded two-slot channel
-//! driver: act, frame, impair, verdict                          (stage 2)
-//! driver ──Finish──▶ companion: fused E(a) push                (stage 3)
-//! companion ──▶ the item's *home* shard's return channel
+//! infer: gather obs, fused push/head                  (stage 1)
+//! frame: act, frame, impair, verdict                  (stage 2)
+//! emit:  fused E(a) push                              (stage 3)
+//! ──▶ the item's *home* shard's return channel
 //! ```
 //!
-//! so while batch *t* runs its fused GRU/MLP pass on the companion,
-//! batch *t−1* frames on the driver. At most `PIPELINE_DEPTH` items are
-//! in flight per shard (the bounded channel), and a new tick starts only
-//! after every item of the previous tick returned — the barrier that
-//! keeps tick grouping independent of execution timing. With
-//! `pipeline` off (or via [`Shard::run`] on one thread) the same three
-//! stages run inline on the driver — the single-shard fallback with zero
-//! thread or channel overhead per batch beyond one self-send.
+//! A new tick starts only after every item of the previous tick returned
+//! — the barrier that keeps tick grouping independent of execution
+//! timing. The drivers are the only threads the crate spawns
+//! ([`run_shards`]; a single shard runs on the caller).
 //!
 //! ## Work stealing
 //!
@@ -35,17 +30,15 @@
 //! channel, where it is absorbed in sequence order. One heavy tenant can
 //! therefore no longer idle the other shards under skewed mixes. See the
 //! determinism argument in the [`crate::shard`] module docs — shard
-//! placement, pipelining depth and steal order are pure throughput knobs.
+//! placement and steal order are pure throughput knobs.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use amoeba_classifiers::CensorProgram;
-use amoeba_nn::matrix::Matrix;
 use amoeba_telemetry::{
     install_recorder, take_recorder, with_recorder, FlightRecorder, ShardTelemetry, StageKind,
     TenantKey, TraceEvent,
@@ -56,11 +49,6 @@ use crate::registry::PolicyId;
 use crate::session::Session;
 use crate::shard::{ChunkProcessor, Shard, ShardReport};
 use amoeba_core::encoder::EncoderState;
-
-/// Maximum work items in flight between a driver and its companion — the
-/// bounded two-slot channel that gives one batch of lookahead without
-/// unbounded queueing.
-pub(crate) const PIPELINE_DEPTH: usize = 2;
 
 /// How long a driver blocks on its return channel when it has nothing to
 /// execute locally and nothing to steal.
@@ -256,218 +244,49 @@ fn elapsed_us(t: Instant) -> f32 {
     (t.elapsed().as_nanos() as f64 / 1e3) as f32
 }
 
-/// A companion-thread job.
-enum Job {
-    /// Stage 1: stamp queue wait, fused push/head, hand back for framing.
-    Analyze(WorkItem),
-    /// Stage 3: fused `E(a)` push of the framed packets, then send the
-    /// finished item to its home shard.
-    Finish(WorkItem, Matrix),
-    Stop,
-}
-
-fn companion_loop(
-    proc: ChunkProcessor,
-    jobs: Receiver<Job>,
-    analyzed: SyncSender<(WorkItem, Matrix, Matrix)>,
-    homes: Vec<Sender<WorkItem>>,
-) {
-    while let Ok(job) = jobs.recv() {
-        match job {
-            Job::Analyze(mut item) => {
-                item.acct.queue_us = elapsed_us(item.acct.enqueued);
-                if proc.trace_on() {
-                    item.acct.infer_t0_ns = proc.now_ns();
-                }
-                // audit:allow(AMB002, reason = "infer-stage latency telemetry (ChunkAcct::infer_us); never read by control flow")
-                let t0 = Instant::now();
-                let (means, logstds) = proc.infer(&mut item);
-                item.acct.infer_us += elapsed_us(t0);
-                if proc.trace_on() {
-                    item.acct.infer_dur_ns = proc.now_ns().saturating_sub(item.acct.infer_t0_ns);
-                }
-                if analyzed.send((item, means, logstds)).is_err() {
-                    return; // driver gone
-                }
-            }
-            Job::Finish(mut item, emitted) => {
-                if proc.trace_on() {
-                    item.acct.emit_t0_ns = proc.now_ns();
-                }
-                // audit:allow(AMB002, reason = "emit-stage latency telemetry (ChunkAcct::infer_us); never read by control flow")
-                let t0 = Instant::now();
-                proc.push_emitted(&mut item, &emitted);
-                item.acct.infer_us += elapsed_us(t0);
-                if proc.trace_on() {
-                    item.acct.emit_dur_ns = proc.now_ns().saturating_sub(item.acct.emit_t0_ns);
-                }
-                // The home driver holds its receiver for its whole run;
-                // a failed send means it already has every item it was
-                // owed, which this item contradicts — panic loudly.
-                homes[item.home]
-                    .send(item)
-                    .expect("home shard dropped its return channel");
-            }
-            Job::Stop => return,
-        }
+/// Runs all three stages of one item on the calling thread — infer,
+/// frame, emit — then sends it to its home shard's return channel.
+fn execute(mut item: WorkItem, proc: &ChunkProcessor, homes: &[Sender<WorkItem>]) {
+    let trace = proc.trace_on();
+    item.acct.queue_us = elapsed_us(item.acct.enqueued);
+    if trace {
+        item.acct.infer_t0_ns = proc.now_ns();
     }
-}
-
-/// The driver-side half of the pipeline: at most [`PIPELINE_DEPTH`]
-/// items live between `jobs` and `analyzed` at a time.
-struct Pipe {
-    jobs: Sender<Job>,
-    analyzed: Receiver<(WorkItem, Matrix, Matrix)>,
-    inflight: usize,
-    companion: Option<JoinHandle<()>>,
-}
-
-impl Pipe {
-    /// Stage 2 on the driver, then stage 3 back to the companion.
-    fn frame_and_finish(
-        &mut self,
-        mut item: WorkItem,
-        means: Matrix,
-        logstds: Matrix,
-        proc: &ChunkProcessor,
-    ) {
-        if proc.trace_on() {
-            item.acct.frame_t0_ns = proc.now_ns();
-        }
-        // audit:allow(AMB002, reason = "framing-stage latency telemetry (ChunkAcct::framing_us); never read by control flow")
-        let t0 = Instant::now();
-        let emitted = proc.frame(&mut item, &means, &logstds);
-        item.acct.framing_us = elapsed_us(t0);
-        if proc.trace_on() {
-            item.acct.frame_dur_ns = proc.now_ns().saturating_sub(item.acct.frame_t0_ns);
-        }
-        self.jobs
-            .send(Job::Finish(item, emitted))
-            .expect("companion thread died");
-        self.inflight -= 1;
+    // audit:allow(AMB002, reason = "infer-stage latency telemetry (ChunkAcct::infer_us); never read by control flow")
+    let t0 = Instant::now();
+    let (means, logstds) = proc.infer(&mut item);
+    item.acct.infer_us += elapsed_us(t0);
+    if trace {
+        item.acct.infer_dur_ns = proc.now_ns().saturating_sub(item.acct.infer_t0_ns);
+        item.acct.frame_t0_ns = proc.now_ns();
     }
-
-    fn try_step(&mut self, proc: &ChunkProcessor) -> bool {
-        match self.analyzed.try_recv() {
-            Ok((item, means, logstds)) => {
-                self.frame_and_finish(item, means, logstds, proc);
-                true
-            }
-            Err(_) => false,
-        }
+    // audit:allow(AMB002, reason = "framing-stage latency telemetry (ChunkAcct::framing_us); never read by control flow")
+    let t1 = Instant::now();
+    let emitted = proc.frame(&mut item, &means, &logstds);
+    item.acct.framing_us = elapsed_us(t1);
+    if trace {
+        item.acct.frame_dur_ns = proc.now_ns().saturating_sub(item.acct.frame_t0_ns);
+        item.acct.emit_t0_ns = proc.now_ns();
     }
-
-    fn step_blocking(&mut self, proc: &ChunkProcessor) {
-        let (item, means, logstds) = self.analyzed.recv().expect("companion thread died");
-        self.frame_and_finish(item, means, logstds, proc);
+    // audit:allow(AMB002, reason = "emit-stage latency telemetry (ChunkAcct::infer_us); never read by control flow")
+    let t2 = Instant::now();
+    proc.push_emitted(&mut item, &emitted);
+    item.acct.infer_us += elapsed_us(t2);
+    if trace {
+        item.acct.emit_dur_ns = proc.now_ns().saturating_sub(item.acct.emit_t0_ns);
     }
-}
-
-/// Executes work items: inline (the fallback with no extra threads) or
-/// pipelined through a companion inference thread.
-enum Executor {
-    Inline,
-    Pipelined(Pipe),
-}
-
-impl Executor {
-    fn new(pipeline: bool, proc: &ChunkProcessor, homes: &[Sender<WorkItem>]) -> Self {
-        if !pipeline {
-            return Executor::Inline;
-        }
-        let (jobs_tx, jobs_rx) = mpsc::channel();
-        let (an_tx, an_rx) = mpsc::sync_channel(PIPELINE_DEPTH);
-        let proc = proc.clone();
-        let homes = homes.to_vec();
-        let companion = std::thread::Builder::new()
-            .name("amoeba-serve-infer".into())
-            .spawn(move || companion_loop(proc, jobs_rx, an_tx, homes))
-            .expect("spawn companion inference thread");
-        Executor::Pipelined(Pipe {
-            jobs: jobs_tx,
-            analyzed: an_rx,
-            inflight: 0,
-            companion: Some(companion),
-        })
-    }
-
-    /// Accepts one item for execution. Inline: runs all three stages now
-    /// and sends the result home. Pipelined: enqueues stage 1, first
-    /// draining the pipe if it is full.
-    fn feed(&mut self, mut item: WorkItem, proc: &ChunkProcessor, homes: &[Sender<WorkItem>]) {
-        match self {
-            Executor::Inline => {
-                let trace = proc.trace_on();
-                item.acct.queue_us = elapsed_us(item.acct.enqueued);
-                if trace {
-                    item.acct.infer_t0_ns = proc.now_ns();
-                }
-                // audit:allow(AMB002, reason = "inline-path infer-stage latency telemetry; never read by control flow")
-                let t0 = Instant::now();
-                let (means, logstds) = proc.infer(&mut item);
-                item.acct.infer_us += elapsed_us(t0);
-                if trace {
-                    item.acct.infer_dur_ns = proc.now_ns().saturating_sub(item.acct.infer_t0_ns);
-                    item.acct.frame_t0_ns = proc.now_ns();
-                }
-                // audit:allow(AMB002, reason = "inline-path framing-stage latency telemetry; never read by control flow")
-                let t1 = Instant::now();
-                let emitted = proc.frame(&mut item, &means, &logstds);
-                item.acct.framing_us = elapsed_us(t1);
-                if trace {
-                    item.acct.frame_dur_ns = proc.now_ns().saturating_sub(item.acct.frame_t0_ns);
-                    item.acct.emit_t0_ns = proc.now_ns();
-                }
-                // audit:allow(AMB002, reason = "inline-path emit-stage latency telemetry; never read by control flow")
-                let t2 = Instant::now();
-                proc.push_emitted(&mut item, &emitted);
-                item.acct.infer_us += elapsed_us(t2);
-                if trace {
-                    item.acct.emit_dur_ns = proc.now_ns().saturating_sub(item.acct.emit_t0_ns);
-                }
-                homes[item.home]
-                    .send(item)
-                    .expect("home shard dropped its return channel");
-            }
-            Executor::Pipelined(pipe) => {
-                while pipe.inflight >= PIPELINE_DEPTH {
-                    pipe.step_blocking(proc);
-                }
-                pipe.jobs
-                    .send(Job::Analyze(item))
-                    .expect("companion thread died");
-                pipe.inflight += 1;
-            }
-        }
-    }
-
-    /// Makes one unit of progress on in-flight work, if any is ready.
-    fn try_step(&mut self, proc: &ChunkProcessor) -> bool {
-        match self {
-            Executor::Inline => false,
-            Executor::Pipelined(pipe) => pipe.try_step(proc),
-        }
-    }
-
-    /// Drains in-flight work and joins the companion.
-    fn shutdown(self, proc: &ChunkProcessor) {
-        if let Executor::Pipelined(mut pipe) = self {
-            while pipe.inflight > 0 {
-                pipe.step_blocking(proc);
-            }
-            pipe.jobs.send(Job::Stop).expect("companion thread died");
-            if let Some(handle) = pipe.companion.take() {
-                handle.join().expect("companion inference thread panicked");
-            }
-        }
-    }
+    // The home driver holds its receiver for its whole run; a failed
+    // send means it already has every item it was owed, which this item
+    // contradicts — panic loudly.
+    homes[item.home]
+        .send(item)
+        .expect("home shard dropped its return channel");
 }
 
 /// Runs a fleet of shards to completion — one driver thread per shard
-/// (inline on the caller for a single shard), each with an optional
-/// companion inference thread, stealing work from peers when
-/// [`crate::ServeConfig::steal`] is on — and returns their reports in
-/// shard order.
+/// (inline on the caller for a single shard), stealing work from peers
+/// when [`crate::ServeConfig::steal`] is on — and returns their reports
+/// in shard order.
 pub(crate) fn run_shards(mut shards: Vec<Shard>) -> Vec<ShardReport> {
     assert!(!shards.is_empty(), "run_shards needs at least one shard");
     let n = shards.len();
@@ -617,9 +436,9 @@ fn absorb(
     }
 }
 
-/// One shard's driver loop: form ticks, execute own work (pipelined or
-/// inline), absorb returns, steal when idle, and — once its own sessions
-/// are done — keep stealing until every peer has retired.
+/// One shard's driver loop: form ticks, execute own work, absorb returns,
+/// steal when idle, and — once its own sessions are done — keep stealing
+/// until every peer has retired.
 fn drive(
     mut shard: Shard,
     shared: &Shared,
@@ -628,20 +447,18 @@ fn drive(
     steal: bool,
 ) -> ShardReport {
     let me = shard.index();
-    let proc = shard.proc.clone();
-    let mut exec = Executor::new(proc.cfg.pipeline, &proc, homes);
     let mut acct = DriveAcct::default();
     let mut next_seq = 0u64;
     let mut next_absorb = 0u64;
     let mut parked: BTreeMap<u64, WorkItem> = BTreeMap::new();
-    let telemetry = proc.cfg.telemetry;
-    let trace_on = proc.trace_on();
+    let telemetry = shard.proc.cfg.telemetry;
+    let trace_on = shard.proc.trace_on();
     if trace_on {
         // The ring lives in a thread-local so `absorb` (and the panic
         // hook) can reach it without threading a parameter through every
         // call; absorbs only ever run on the home driver, so one
         // recorder per driver covers all of this shard's items.
-        install_recorder(FlightRecorder::new(proc.cfg.trace_ring));
+        install_recorder(FlightRecorder::new(shard.proc.cfg.trace_ring));
     }
 
     while shard.has_pending() {
@@ -663,15 +480,12 @@ fn drive(
                 break;
             }
             if let Some(item) = shared.pop_own(me) {
-                exec.feed(item, &proc, homes);
-                continue;
-            }
-            if exec.try_step(&proc) {
+                execute(item, &shard.proc, homes);
                 continue;
             }
             if steal {
                 if let Some(item) = shared.steal(me) {
-                    exec.feed(item, &proc, homes);
+                    execute(item, &shard.proc, homes);
                     continue;
                 }
             }
@@ -693,13 +507,12 @@ fn drive(
     if steal {
         while shared.live() > 0 {
             if let Some(item) = shared.steal(me) {
-                exec.feed(item, &proc, homes);
-            } else if !exec.try_step(&proc) {
+                execute(item, &shard.proc, homes);
+            } else {
                 std::thread::sleep(STEAL_IDLE);
             }
         }
     }
-    exec.shutdown(&proc);
     if trace_on {
         if let Some(rec) = take_recorder() {
             acct.tel.dropped_events = rec.dropped();

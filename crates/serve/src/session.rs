@@ -173,8 +173,8 @@ impl Session {
     /// Assigns the `(policy, censor)` pair serving this session
     /// (builder-style; defaults to the first registered policy and
     /// censor). The handles must come from the engine this session will
-    /// run on — `ServeEngine` validates them at admission, and
-    /// `Shard::new` re-validates against its tenant tables.
+    /// run on — `ServeEngine` validates them at admission, and the
+    /// engine's shards re-validate them against their tenant tables.
     pub fn with_tenant(mut self, tenant: Tenant) -> Self {
         self.tenant = tenant;
         self

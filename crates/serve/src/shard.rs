@@ -3,9 +3,8 @@
 //! encoder states and RNGs — tracks which of them are due next in a
 //! min-heap of `ready_at` times, and packages each virtual tick's due
 //! sessions into self-contained `WorkItem`s that the
-//! [`crate::scheduler`] executes (inline, pipelined with a companion
-//! inference thread, and/or on a *different* shard's thread via work
-//! stealing).
+//! [`crate::scheduler`] executes, on the shard's own driver thread or on
+//! a *different* shard's thread via work stealing.
 //!
 //! ## Multi-tenant scheduling
 //!
@@ -28,7 +27,7 @@
 //! re-enter the heap when their work item returns, with their advanced
 //! `ready_at`.
 //!
-//! ## Why sharding, pipelining and stealing cannot change results
+//! ## Why sharding and stealing cannot change results
 //!
 //! Sessions are fully independent: each session owns a private
 //! [`CensorProgram`] spawned from its tenant's factory (censor state
@@ -41,28 +40,26 @@
 //! grouping-invariant — partitioning sessions across 1, 2, 4 or 8 shards
 //! produces bit-identical per-session wire output. The same argument covers tenancy (which other tenants share
 //! the process, the tick, or the fused batch cannot shift any session's
-//! stream) **and the executors layered on top**:
+//! stream) **and work stealing layered on top**.
 //!
-//! * *Pipelining* overlaps batch *t*'s inference with batch *t−1*'s
-//!   framing on a companion thread, but a session is owned by exactly one
-//!   in-flight `WorkItem` at a time, the stages of one item run in
-//!   program order, and the shard starts a new tick only after every item
-//!   of the previous tick has returned — so each session still sees the
-//!   exact sequence of `infer → frame → push` steps the serial loop ran.
-//! * *Work stealing* executes a whole item on an idle peer's thread. The
-//!   item physically carries its sessions, encoder states and RNGs
-//!   (moves, never aliases), its sessions keep their global ids, and the
-//!   thief runs the same pure stage functions over the same policy
-//!   snapshots, so *where* an item executes is invisible to its bits;
-//!   results return to the home shard and are absorbed in item sequence
-//!   order, keeping every subsequent tick's grouping identical too.
+//! A session is owned by exactly one `WorkItem` at a time, the three
+//! stages of one item run in program order on one thread, and the shard
+//! starts a new tick only after every item of the previous tick has
+//! returned — so each session sees the exact sequence of
+//! `infer → frame → push` steps a serial loop would run. Stealing
+//! executes a whole item on an idle peer's thread. The item physically
+//! carries its sessions, encoder states and RNGs (moves, never aliases),
+//! its sessions keep their global ids, and the thief runs the same pure
+//! stage functions over the same policy snapshots, so *where* an item
+//! executes is invisible to its bits; results return to the home shard
+//! and are absorbed in item sequence order, keeping every subsequent
+//! tick's grouping identical too.
 //!
 //! A session's wire output is a pure function of
-//! `(seed, session_id, policy, censor)`; shard count, batch size,
-//! pipelining and steal order are pure throughput knobs.
-//! `crates/serve/src/engine.rs` pins this with regression tests (including
-//! a pipelining × stealing × shards × batch sweep against a fingerprint
-//! recorded from the pre-heap scan scheduler), and
+//! `(seed, session_id, policy, censor)`; shard count, batch size and
+//! steal order are pure throughput knobs. The workspace's
+//! `tests/serve_pin.rs` pins this with a stealing × shards × batch sweep
+//! against a fingerprint recorded from the pre-heap scan scheduler, and
 //! `tests/tenancy_invariance.rs`, `tests/grouping_invariance.rs` and
 //! `tests/skewed_steal_invariance.rs` property-test it end-to-end.
 
@@ -84,7 +81,7 @@ use crate::session::Session;
 use crate::{ActionMode, FrozenPolicy, ServeConfig, VerdictPolicy};
 
 /// One shard's share of an engine run, before the deterministic merge.
-pub struct ShardReport {
+pub(crate) struct ShardReport {
     /// Outcomes of this shard's sessions, in session-id order.
     pub outcomes: Vec<SessionOutcome>,
     /// Frames this shard's sessions emitted.
@@ -103,7 +100,7 @@ pub struct ShardReport {
     pub infer_us: f64,
     /// Total wall-clock spent in the framing/impairment/verdict stage (µs).
     pub framing_us: f64,
-    /// Largest number of work items simultaneously queued or in flight.
+    /// Largest number of work items one tick formed on this shard.
     pub max_queue_depth: usize,
     /// Shard-local telemetry: counters, latency histograms, per-tenant
     /// feedback and flight-recorder contents. Default-empty when
@@ -178,8 +175,9 @@ fn pop_due(heap: &mut BinaryHeap<DueEntry>, quantum: f64) -> Vec<usize> {
 }
 
 /// The pure, shard-independent batch stage functions plus everything they
-/// close over (tenant tables, backend, config, kernel). `Clone` is cheap
-/// (`Arc`s + config) — every driver and companion thread holds its own.
+/// close over (tenant tables, backend, config, kernel). Every shard holds
+/// the same tables, so a thief runs a stolen item through its own
+/// shard's processor.
 ///
 /// The three stages of one [`WorkItem`]:
 /// 1. [`ChunkProcessor::infer`] — gather observations, advance
@@ -188,7 +186,6 @@ fn pop_due(heap: &mut BinaryHeap<DueEntry>, quantum: f64) -> Vec<usize> {
 ///    verdict (the only stage that touches session RNGs);
 /// 3. [`ChunkProcessor::push_emitted`] — record what went on the wire in
 ///    `E(a_{1:t})` with one fused GRU step.
-#[derive(Clone)]
 pub(crate) struct ChunkProcessor {
     pub(crate) policies: Arc<[FrozenPolicy]>,
     pub(crate) backend: Arc<dyn InferenceBackend>,
@@ -365,7 +362,7 @@ impl ChunkProcessor {
 /// (through the sessions) their RNGs; shares only the frozen policy
 /// table, the censor table and the inference backend, all immutable and
 /// `Send + Sync`.
-pub struct Shard {
+pub(crate) struct Shard {
     pub(crate) proc: ChunkProcessor,
     /// Session slots, locally indexed (ids stay global). `None` while the
     /// session is travelling inside an in-flight [`WorkItem`].
@@ -384,16 +381,13 @@ impl Shard {
     /// tables. Encoder states start at the zero state (`E` of an empty
     /// sequence) of each session's own policy, identical for every
     /// session of that policy, so where a session is admitted cannot
-    /// matter.
-    ///
-    /// Normally constructed by [`crate::ServeEngine::run`]'s round-robin
-    /// partition; public so callers with their own placement policy can
-    /// build sessions via [`Session::new`] and run shards directly.
+    /// matter. Constructed by [`crate::ServeEngine::run`]'s round-robin
+    /// partition.
     ///
     /// # Panics
     /// Panics if a session references a policy or censor outside the
     /// tables.
-    pub fn new(
+    pub(crate) fn new(
         policies: Arc<[FrozenPolicy]>,
         censors: Arc<[Arc<dyn CensorProgramFactory>]>,
         backend: Arc<dyn InferenceBackend>,
@@ -477,13 +471,13 @@ impl Shard {
     /// sequence-stamped [`WorkItem`]s. Returns an empty vec when nothing
     /// is pending.
     pub(crate) fn next_tick(&mut self, next_seq: &mut u64) -> Vec<WorkItem> {
-        let quantum = self.proc.cfg.tick_ms.max(0.0) as f64;
+        let quantum = self.proc.cfg.tick_ms as f64;
         let due = pop_due(&mut self.heap, quantum);
         for &i in &due {
             let slot = self.slots[i].as_ref().expect("due session is resident");
             self.buckets[slot.session.tenant().policy.index()].push(i);
         }
-        let max_batch = self.proc.cfg.max_batch.max(1);
+        let max_batch = self.proc.cfg.max_batch;
         let mut items = Vec::new();
         for (p, bucket) in self.buckets.iter_mut().enumerate() {
             for chunk in bucket.chunks(max_batch) {
@@ -581,15 +575,6 @@ impl Shard {
             max_queue_depth: acct.max_queue_depth,
             telemetry: acct.tel,
         }
-    }
-
-    /// Drives every session in this shard to completion on the calling
-    /// thread (the single-shard entry point; the engine runs multi-shard
-    /// fleets through the [`crate::scheduler`] directly).
-    pub fn run(self) -> ShardReport {
-        crate::scheduler::run_shards(vec![self])
-            .pop()
-            .expect("one shard in, one report out")
     }
 }
 

@@ -185,11 +185,11 @@ fn assert_reports_wire_identical(a: &ServeReport, b: &ServeReport, what: &str) {
 
 /// Conformance check 2: a pinned multi-tenant engine run (60 flows, 2
 /// policies × 3 censors, sampled actions, inline verdicts every 4
-/// frames, NetEm impairment, batch 16 × 2 shards with pipelining and
-/// stealing on) against the [`CpuBackend`] reference at batch 1 × 1
-/// shard with both off — the candidate backend must reproduce the
-/// reference wire output and verdicts bit-for-bit even though the
-/// backend, the grouping *and* the scheduler mode all changed.
+/// frames, NetEm impairment, batch 16 × 2 shards with stealing on)
+/// against the [`CpuBackend`] reference at batch 1 × 1 shard with
+/// stealing off — the candidate backend must reproduce the reference
+/// wire output and verdicts bit-for-bit even though the backend, the
+/// grouping *and* the scheduler mode all changed.
 ///
 /// # Panics
 /// Panics (failing the test) on the first divergence.
@@ -198,13 +198,12 @@ pub fn check_engine_matches_cpu_reference(backend: Arc<dyn InferenceBackend>) {
     let flows = offered_flows(60, 3);
     let policies = [tiny_policy(7), tiny_policy(19)];
     let scores = [0.1, 0.45, 0.9];
-    let run = |batch: usize, shards: usize, pipelined: bool, backend: Arc<dyn InferenceBackend>| {
+    let run = |batch: usize, shards: usize, steal: bool, backend: Arc<dyn InferenceBackend>| {
         let cfg = ServeConfig::builder(Layer::Tcp)
             .seed(23)
             .batch(batch)
             .shards(shards)
-            .pipeline(pipelined)
-            .steal(pipelined)
+            .steal(steal)
             .mode(ActionMode::Sample)
             .netem(Some(NetEm {
                 drop_rate: 0.08,

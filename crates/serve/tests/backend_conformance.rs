@@ -1,7 +1,7 @@
 //! The backend-conformance checks, run against [`CpuBackend`]: the
 //! executable form of the `amoeba_serve::backend` bit-exactness
 //! obligations. One test pins the backend's batch operations against the
-//! per-flow snapshot paths; the other pins a grouped, pipelined,
+//! per-flow snapshot paths; the other pins a grouped, sharded,
 //! stealing multi-tenant engine run against the batch-1, single-shard
 //! reference run.
 //!

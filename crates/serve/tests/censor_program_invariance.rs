@@ -11,7 +11,7 @@
 //! every cadence point over growing wire prefixes, final score over the
 //! full wire — and the session's `blocked_midstream` / `final_score` /
 //! `evaded` must match bit-for-bit. The same run is then repeated across
-//! shards 1/4 × pipeline on/off × steal on/off × batch 1/64 and the
+//! shards 1/4 × steal on/off × batch 1/64 and the
 //! wire plus every per-session verdict must be identical: program state
 //! rides the work item, so grouping stays a pure throughput knob.
 
@@ -54,19 +54,11 @@ impl Censor for FoldCensor {
     }
 }
 
-fn run(
-    flows: &[Flow],
-    seed: u64,
-    batch: usize,
-    shards: usize,
-    pipeline: bool,
-    steal: bool,
-) -> ServeReport {
+fn run(flows: &[Flow], seed: u64, batch: usize, shards: usize, steal: bool) -> ServeReport {
     let cfg = ServeConfig::new(Layer::Tcp)
         .with_seed(seed)
         .with_batch(batch)
         .with_shards(shards)
-        .with_pipeline(pipeline)
         .with_steal(steal)
         .with_verdicts(VerdictPolicy::Every(EVERY));
     let mut engine = ServeEngine::new(cfg);
@@ -98,16 +90,15 @@ proptest! {
 
     /// Random flows: the adapted classifier program's verdicts equal the
     /// recomputed one-shot oracle session-by-session, and every grouping
-    /// (shards × pipeline × steal × batch) reproduces wire and verdicts
+    /// (shards × steal × batch) reproduces wire and verdicts
     /// bit-for-bit.
     #[test]
     fn adapted_classifier_matches_one_shot_path_across_groupings(
         flows in prop::collection::vec(arb_flow(), 4..20),
         seed in any::<u64>(),
-        pipeline in any::<bool>(),
         steal in any::<bool>(),
     ) {
-        let reference = run(&flows, seed, 1, 1, false, false);
+        let reference = run(&flows, seed, 1, 1, false);
         prop_assert_eq!(reference.outcomes.len(), flows.len());
         for o in &reference.outcomes {
             // A degenerate classifier program never tears a session down.
@@ -127,12 +118,12 @@ proptest! {
         let ref_bits = reference.wire_bits();
         for shards in [1usize, 4] {
             for batch in [1usize, 64] {
-                let r = run(&flows, seed, batch, shards, pipeline, steal);
+                let r = run(&flows, seed, batch, shards, steal);
                 prop_assert_eq!(
                     r.wire_bits(),
                     ref_bits.clone(),
-                    "{} shards x batch {} (pipeline {}, steal {}) moved a wire bit",
-                    shards, batch, pipeline, steal
+                    "{} shards x batch {} (steal {}) moved a wire bit",
+                    shards, batch, steal
                 );
                 for (a, b) in reference.outcomes.iter().zip(&r.outcomes) {
                     prop_assert_eq!(a.id, b.id);

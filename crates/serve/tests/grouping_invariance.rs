@@ -22,7 +22,6 @@ fn run(
     seed: u64,
     batch: usize,
     shards: usize,
-    pipeline: bool,
     steal: bool,
     netem: Option<NetEm>,
     telemetry: bool,
@@ -32,7 +31,6 @@ fn run(
         .with_seed(seed)
         .with_batch(batch)
         .with_shards(shards)
-        .with_pipeline(pipeline)
         .with_steal(steal)
         .with_telemetry(telemetry)
         .with_trace_ring(trace_ring)
@@ -54,16 +52,14 @@ proptest! {
     // Each case runs the full dataplane three times; keep the count low.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random flows, random shard count, random pipelining/stealing,
-    /// batch 1 vs 64: identical `ServeReport` frame streams. The
-    /// reference run is always the inline scheduler (pipeline and
-    /// stealing off) at batch 1 × 1 shard.
+    /// Random flows, random shard count, random stealing, batch 1 vs 64:
+    /// identical `ServeReport` frame streams. The reference run is always
+    /// stealing off at batch 1 × 1 shard.
     #[test]
     fn shard_count_and_batch_size_never_change_wire_output(
         flows in prop::collection::vec(arb_flow(), 4..24),
         seed in any::<u64>(),
         n_shards in 1usize..=8,
-        pipeline in any::<bool>(),
         steal in any::<bool>(),
         with_netem in any::<bool>(),
         telemetry in any::<bool>(),
@@ -78,21 +74,20 @@ proptest! {
         // Reference run: telemetry off entirely — the sharded runs vary
         // the telemetry/trace knobs to prove observability never leaks
         // into the wire.
-        let reference = run(&flows, seed, 1, 1, false, false, netem, false, 0);
+        let reference = run(&flows, seed, 1, 1, false, netem, false, 0);
         prop_assert_eq!(reference.outcomes.len(), flows.len());
         let ref_bits = wire_bits(&reference);
         for batch in [1usize, 64] {
             let sharded = run(
-                &flows, seed, batch, n_shards, pipeline, steal, netem, telemetry, trace_ring,
+                &flows, seed, batch, n_shards, steal, netem, telemetry, trace_ring,
             );
             prop_assert_eq!(sharded.frames, reference.frames);
             prop_assert_eq!(
                 wire_bits(&sharded),
                 ref_bits.clone(),
-                "{} shards x batch {} (pipeline {}, steal {}) diverged",
+                "{} shards x batch {} (steal {}) diverged",
                 n_shards,
                 batch,
-                pipeline,
                 steal
             );
         }

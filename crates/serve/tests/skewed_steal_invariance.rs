@@ -4,8 +4,7 @@
 //! and the steal path actually fires. The property pinned here is the
 //! engine's invariance contract at its most load-imbalanced: wire output
 //! is bit-identical across steal on/off × shards 1/4 × batch 1/64, with
-//! the inline (steal-off, pipeline-off, batch-1, single-shard) run as
-//! the reference.
+//! the steal-off, batch-1, single-shard run as the reference.
 //!
 //! The balanced-mix variants of this property live in
 //! `grouping_invariance.rs` and `tenancy_invariance.rs`.
@@ -25,7 +24,6 @@ fn run_skewed(
     seed: u64,
     batch: usize,
     shards: usize,
-    pipeline: bool,
     steal: bool,
     netem: Option<NetEm>,
 ) -> ServeReport {
@@ -33,7 +31,6 @@ fn run_skewed(
         .seed(seed)
         .batch(batch)
         .shards(shards)
-        .pipeline(pipeline)
         .steal(steal)
         .mode(ActionMode::Sample)
         .netem(netem)
@@ -62,7 +59,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// 90%-one-policy mixes: steal on/off × shards 1/4 × batch 1/64 all
-    /// reproduce the inline reference bit for bit.
+    /// reproduce the reference bit for bit.
     #[test]
     fn skewed_tenant_mix_is_invariant_across_stealing_shards_and_batches(
         flows in prop::collection::vec(arb_flow(), 10..30),
@@ -74,13 +71,13 @@ proptest! {
             retransmit_timeout_ms: 50.0,
             jitter_std: 0.2,
         });
-        let reference = run_skewed(&flows, seed, 1, 1, false, false, netem);
+        let reference = run_skewed(&flows, seed, 1, 1, false, netem);
         prop_assert_eq!(reference.outcomes.len(), flows.len());
         let ref_bits = reference.wire_bits();
         for steal in [false, true] {
             for shards in [1usize, 4] {
                 for batch in [1usize, 64] {
-                    let r = run_skewed(&flows, seed, batch, shards, true, steal, netem);
+                    let r = run_skewed(&flows, seed, batch, shards, steal, netem);
                     prop_assert_eq!(
                         r.wire_bits(),
                         ref_bits.clone(),
@@ -102,7 +99,7 @@ fn steal_counter_is_zero_on_a_single_shard() {
     let flows: Vec<Flow> = (0..30)
         .map(|i| Flow::from_pairs(&[(200 + 10 * i, 0.0), (-(300 + 5 * i), 2.0), (150, 1.0)]))
         .collect();
-    let report = run_skewed(&flows, 11, 8, 1, true, true, None);
+    let report = run_skewed(&flows, 11, 8, 1, true, None);
     assert_eq!(report.stolen_batches, 0, "n_shards == 1 cannot steal");
     assert!(report.frames > 0);
 }

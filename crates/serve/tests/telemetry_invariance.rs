@@ -16,12 +16,10 @@ use proptest::prelude::*;
 use amoeba_serve::{ActionMode, FrameRun, ServeConfig, ServeEngine, ServeReport};
 use amoeba_traffic::{Flow, Layer};
 
-#[allow(clippy::too_many_arguments)]
 fn run(
     flows: &[Flow],
     seed: u64,
     shards: usize,
-    pipeline: bool,
     steal: bool,
     telemetry: bool,
     trace_ring: usize,
@@ -31,7 +29,6 @@ fn run(
         .with_seed(seed)
         .with_batch(8)
         .with_shards(shards)
-        .with_pipeline(pipeline)
         .with_steal(steal)
         .with_telemetry(telemetry)
         .with_trace_ring(trace_ring)
@@ -78,17 +75,16 @@ proptest! {
     fn telemetry_knobs_never_change_wire_or_report(
         flows in prop::collection::vec(arb_flow(), 4..16),
         seed in any::<u64>(),
-        pipeline in any::<bool>(),
         steal in any::<bool>(),
     ) {
         for shards in [1usize, 4] {
-            let off = run(&flows, seed, shards, pipeline, steal, false, 0, false);
+            let off = run(&flows, seed, shards, steal, false, 0, false);
             prop_assert!(off.telemetry.is_none(), "telemetry off must omit the snapshot");
             let ref_bits = off.wire_bits();
             let ref_view = deterministic_view(&off);
             // (telemetry, trace_ring, exact_frame_stats) variants.
             for (tel, ring, exact) in [(true, 0, false), (true, 8, false), (true, 4096, true)] {
-                let on = run(&flows, seed, shards, pipeline, steal, tel, ring, exact);
+                let on = run(&flows, seed, shards, steal, tel, ring, exact);
                 prop_assert_eq!(
                     on.wire_bits(),
                     ref_bits.clone(),
@@ -129,7 +125,7 @@ fn histogram_percentiles_track_exact_ones() {
             Flow::from_pairs(&pairs)
         })
         .collect();
-    let report = run(&flows, 42, 2, true, true, true, 0, true);
+    let report = run(&flows, 42, 2, true, true, 0, true);
     let snap = report.telemetry.as_ref().expect("telemetry snapshot");
 
     // The exact per-frame samples, expanded from the report's runs.

@@ -6,7 +6,7 @@
 //!
 //! Each case builds one multi-tenant engine (random flows spread across
 //! 2 policies × 3 censors), runs it at a random shard count (1 or 4),
-//! batch size (1 or 64), pipelining on/off and work-stealing on/off, and
+//! batch size (1 or 64) and work-stealing on/off, and
 //! asserts every session is bit-identical to a
 //! fresh single-tenant engine run carrying only that session's
 //! `(id, flow)` under its `(policy, censor)` pair.
@@ -23,7 +23,6 @@ fn config(
     seed: u64,
     batch: usize,
     shards: usize,
-    pipeline: bool,
     steal: bool,
     netem: Option<NetEm>,
 ) -> ServeConfig {
@@ -31,7 +30,6 @@ fn config(
         .seed(seed)
         .batch(batch)
         .shards(shards)
-        .pipeline(pipeline)
         .steal(steal)
         .mode(ActionMode::Sample)
         .netem(netem)
@@ -55,7 +53,6 @@ proptest! {
         seed in any::<u64>(),
         four_shards in any::<bool>(),
         big_batch in any::<bool>(),
-        pipeline in any::<bool>(),
         steal in any::<bool>(),
         with_netem in any::<bool>(),
         // Random tenant assignment per session.
@@ -70,7 +67,7 @@ proptest! {
         let batch = if big_batch { 64 } else { 1 };
         let policies = [tiny_policy(7), tiny_policy(19)];
 
-        let mut engine = ServeEngine::new(config(seed, batch, shards, pipeline, steal, netem));
+        let mut engine = ServeEngine::new(config(seed, batch, shards, steal, netem));
         let pids: Vec<_> = policies
             .iter()
             .map(|p| engine.register_policy(p.clone()))
@@ -89,7 +86,7 @@ proptest! {
 
         for (i, f) in flows.iter().enumerate() {
             let (p, c) = assignment[i];
-            let mut solo = ServeEngine::new(config(seed, 1, 1, false, false, netem));
+            let mut solo = ServeEngine::new(config(seed, 1, 1, false, netem));
             let pid = solo.register_policy(policies[p].clone());
             let cid = solo.register_censor(censor(CENSOR_SCORES[c]));
             solo.admit(f).id(i).policy(pid).censor(cid).submit();

@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 ///
 /// Scheduling-dependent fields (`ticks`, `batches`, `stolen_batches`,
 /// `absorbs_out_of_order`, `max_queue_depth`) legitimately vary with
-/// shard count / pipelining / stealing; per-session fields (`frames`,
+/// shard count / batch size / stealing; per-session fields (`frames`,
 /// `sessions`, and everything in [`TenantCounters`]) do not.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Counters {

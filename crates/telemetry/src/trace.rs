@@ -18,11 +18,11 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Once;
 
-/// Which pipeline stage (or scheduler action) an event covers. The
+/// Which work-item stage (or scheduler action) an event covers. The
 /// names are the Chrome-trace event names.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StageKind {
-    /// Fused inference pass (companion thread when pipelined).
+    /// Fused inference pass (on the executing driver thread).
     Infer,
     /// Framing / impairment / censor verdicts (driver thread).
     Frame,

@@ -1,6 +1,6 @@
 //! The serving wire pin: a fixed multi-tenant workload must reproduce
-//! one FNV-1a wire fingerprint at every shard count, batch size,
-//! pipelining and stealing setting. Wire output is a pure function of
+//! one FNV-1a wire fingerprint at every shard count, batch size and
+//! stealing setting. Wire output is a pure function of
 //! `(seed, session_id, policy, censor)`, so any change that moves a
 //! wire bit — in the inference kernels, the snapshots, the scheduler or
 //! the framing — fails here.
@@ -9,10 +9,10 @@ use amoeba::serve::testutil::{offered_flows, scoring_censor, tiny_policy};
 use amoeba::serve::{ActionMode, CensorId, PolicyId, ServeConfig, ServeEngine, VerdictPolicy};
 use amoeba::traffic::{Layer, NetEm};
 
-/// Regression pin against the pre-pipeline scan scheduler: the exact
+/// Regression pin against the original scan scheduler: the exact
 /// workload below produced this wire fingerprint under the original
 /// fold-min + refill-scan tick selection (batch 16, 2 shards). The heap
-/// scheduler, with pipelining and stealing at every shard/batch
+/// scheduler, with stealing on and off at every shard/batch
 /// combination, must reproduce it bit for bit.
 #[test]
 fn wire_output_is_pinned_to_scan_scheduler_fingerprint() {
@@ -27,44 +27,40 @@ fn wire_output_is_pinned_to_scan_scheduler_fingerprint() {
     };
     for shards in [1usize, 2, 4, 8] {
         for batch in [1usize, 16, 64] {
-            for pipeline in [false, true] {
-                for steal in [false, true] {
-                    let mut c = ServeConfig::new(Layer::Tcp)
-                        .with_seed(11)
-                        .with_batch(batch)
-                        .with_shards(shards)
-                        .with_mode(ActionMode::Sample)
-                        .with_exact_frame_stats(true)
-                        .with_verdicts(VerdictPolicy::Every(4))
-                        .with_pipeline(pipeline)
-                        .with_steal(steal);
-                    c.netem = Some(netem);
-                    let mut engine = ServeEngine::new(c);
-                    let pids: Vec<PolicyId> = policies
-                        .iter()
-                        .map(|p| engine.register_policy(p.clone()))
-                        .collect();
-                    let cids: Vec<CensorId> = scores
-                        .iter()
-                        .map(|&s| engine.register_censor(scoring_censor(s)))
-                        .collect();
-                    for (i, f) in flows.iter().enumerate() {
-                        engine
-                            .admit(f)
-                            .id(i)
-                            .policy(pids[i % 2])
-                            .censor(cids[i % 2])
-                            .submit();
-                    }
-                    let report = engine.run();
-                    assert_eq!(
-                        report.wire_fingerprint(),
-                        SCAN_FINGERPRINT,
-                        "wire diverged from the scan scheduler at \
-                         shards={shards} batch={batch} \
-                         pipeline={pipeline} steal={steal}"
-                    );
+            for steal in [false, true] {
+                let mut c = ServeConfig::new(Layer::Tcp)
+                    .with_seed(11)
+                    .with_batch(batch)
+                    .with_shards(shards)
+                    .with_mode(ActionMode::Sample)
+                    .with_exact_frame_stats(true)
+                    .with_verdicts(VerdictPolicy::Every(4))
+                    .with_steal(steal);
+                c.netem = Some(netem);
+                let mut engine = ServeEngine::new(c);
+                let pids: Vec<PolicyId> = policies
+                    .iter()
+                    .map(|p| engine.register_policy(p.clone()))
+                    .collect();
+                let cids: Vec<CensorId> = scores
+                    .iter()
+                    .map(|&s| engine.register_censor(scoring_censor(s)))
+                    .collect();
+                for (i, f) in flows.iter().enumerate() {
+                    engine
+                        .admit(f)
+                        .id(i)
+                        .policy(pids[i % 2])
+                        .censor(cids[i % 2])
+                        .submit();
                 }
+                let report = engine.run();
+                assert_eq!(
+                    report.wire_fingerprint(),
+                    SCAN_FINGERPRINT,
+                    "wire diverged from the scan scheduler at \
+                     shards={shards} batch={batch} steal={steal}"
+                );
             }
         }
     }
