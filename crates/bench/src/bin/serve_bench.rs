@@ -3,9 +3,10 @@
 //!
 //! * Scale via `AMOEBA_SCALE=paper`; flow count via `AMOEBA_SERVE_FLOWS`
 //!   (default 1000).
-//! * An unknown argument, a bad flag value or an `AMOEBA_SERVE_FLOWS`
-//!   that is not a non-negative integer stops the binary with exit
-//!   status 2 and an error naming it — never a silent fallback.
+//! * An unknown argument, a bad flag value, an `AMOEBA_SERVE_FLOWS`
+//!   that is not a non-negative integer or a gate bound that is not a
+//!   positive finite number stops the binary with exit status 2 and an
+//!   error naming it — never a silent fallback.
 //! * `--steal {on,off}` toggles work stealing between shards (default
 //!   on). A pure throughput knob: the smoke modes cross-check both
 //!   settings bit-for-bit. Each shard's driver thread runs its work
@@ -106,6 +107,26 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     Ok(parsed)
 }
 
+/// A gate bound: the value of `var` when set, else `default`. A set
+/// value that is not a positive finite number is an error naming `var`.
+fn bound_from(
+    var: &'static str,
+    value: Option<&OsStr>,
+    default: f64,
+) -> Result<f64, ScaleEnvError> {
+    let Some(v) = value else {
+        return Ok(default);
+    };
+    v.to_str()
+        .and_then(|s| s.parse::<f64>().ok())
+        .filter(|b| b.is_finite() && *b > 0.0)
+        .ok_or_else(|| ScaleEnvError {
+            var,
+            value: v.to_string_lossy().into_owned(),
+            expected: "a positive finite number",
+        })
+}
+
 /// The flow count: `AMOEBA_SERVE_FLOWS` when set, else `default`. A set
 /// value that is not a non-negative integer is an error naming it.
 fn flows_from(value: Option<&OsStr>, default: usize) -> Result<usize, ScaleEnvError> {
@@ -141,13 +162,24 @@ fn main() {
         if smoke { 96 } else { 1000 },
     )
     .unwrap_or_else(|e| e.exit());
+    let bound = |var: &'static str| {
+        bound_from(var, std::env::var_os(var).as_deref(), 2.0).unwrap_or_else(|e| e.exit())
+    };
+    let min_speedup = bound("AMOEBA_SERVE_MIN_SPEEDUP");
+    let max_overhead_pct = bound("AMOEBA_TELEMETRY_MAX_OVERHEAD_PCT");
     let mut ctx = Context::new(Scale::from_env().unwrap_or_else(|e| e.exit()));
     if scaling {
-        print!("{}", serve::serve_scaling_gate(&mut ctx, n_flows, 64));
+        print!(
+            "{}",
+            serve::serve_scaling_gate(&mut ctx, n_flows, 64, min_speedup)
+        );
         return;
     }
     if overhead {
-        print!("{}", serve::serve_overhead_gate(&mut ctx, n_flows, 64));
+        print!(
+            "{}",
+            serve::serve_overhead_gate(&mut ctx, n_flows, 64, max_overhead_pct)
+        );
         return;
     }
     if let Some(base) = &telemetry_base {
@@ -240,6 +272,19 @@ mod tests {
             assert_eq!(err.var, "AMOEBA_SERVE_FLOWS");
             assert_eq!(err.value, bad);
             assert!(err.to_string().contains("AMOEBA_SERVE_FLOWS"), "{err}");
+        }
+    }
+
+    #[test]
+    fn gate_bounds_reject_unparseable_values() {
+        let var = "AMOEBA_SERVE_MIN_SPEEDUP";
+        assert_eq!(bound_from(var, None, 2.0), Ok(2.0));
+        assert_eq!(bound_from(var, Some(OsStr::new("1.5")), 2.0), Ok(1.5));
+        for bad in ["two", "", "-1", "NaN", "0", "inf"] {
+            let err = bound_from(var, Some(OsStr::new(bad)), 2.0).unwrap_err();
+            assert_eq!(err.var, var);
+            assert_eq!(err.value, bad);
+            assert!(err.to_string().contains(var), "{err}");
         }
     }
 }

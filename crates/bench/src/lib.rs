@@ -1,10 +1,10 @@
 //! # amoeba-bench
 //!
 //! Experiment harness regenerating every table and figure of the paper's
-//! evaluation (§5). Each experiment lives in [`experiments`] and is
-//! exposed both as a library function (returning a markdown block) and as
-//! a binary (`cargo run --release -p amoeba-bench --bin table1`, …).
-//! `repro_all` runs the full suite and emits the EXPERIMENTS.md body.
+//! evaluation (§5). Each experiment lives in [`experiments`] as a library
+//! function returning a markdown block. The `repro_all` binary runs the
+//! full suite and emits the EXPERIMENTS.md body, or runs only the
+//! experiments it is given by name (`repro_all -- fig7 table1`).
 //!
 //! The default [`Scale`] is CPU-sized; set `AMOEBA_SCALE=paper` for
 //! paper-scale budgets (hours of CPU time).

@@ -11,8 +11,8 @@ use amoeba_classifiers::{
     Censor, CensorKind, CensorProgramFactory, HardLabelFactory, StatefulProgramFactory,
 };
 use amoeba_serve::{
-    CensorId, CensorRegistry, FrozenPolicy, PolicyId, PolicyRegistry, ServeConfig, ServeEngine,
-    ServeReport, VerdictPolicy,
+    CensorId, CensorRegistry, FrozenPolicy, PolicyId, PolicyRegistry, ServeConfig,
+    ServeConfigBuilder, ServeEngine, ServeReport, VerdictPolicy,
 };
 use amoeba_traffic::{DatasetKind, Flow};
 
@@ -102,7 +102,7 @@ pub fn parse_scenarios(arg: &str) -> Vec<Scenario> {
     })]
 }
 
-fn serve_config(ctx: &mut Context, batch: usize, shards: usize, steal: bool) -> ServeConfig {
+fn serve_config(ctx: &mut Context, batch: usize, shards: usize, steal: bool) -> ServeConfigBuilder {
     let (agent, _) = ctx.agent(DatasetKind::Tor, CensorKind::Dt);
     ServeConfig::builder_from_amoeba(agent.config(), DatasetKind::Tor.layer())
         .batch(batch)
@@ -110,7 +110,6 @@ fn serve_config(ctx: &mut Context, batch: usize, shards: usize, steal: bool) -> 
         .steal(steal)
         .verdicts(VerdictPolicy::Every(8))
         .seed(ctx.scale.seed)
-        .build()
 }
 
 fn offered(ctx: &mut Context, n_flows: usize) -> Vec<Flow> {
@@ -150,8 +149,9 @@ fn run_serve_with(
     let censor = ctx.censor(DatasetKind::Tor, CensorKind::Dt);
     let flows = offered(ctx, n_flows);
     let cfg = serve_config(ctx, batch, shards, steal)
-        .with_telemetry(telemetry)
-        .with_trace_ring(trace_ring);
+        .telemetry(telemetry)
+        .trace_ring(trace_ring)
+        .build();
     let mut engine = ServeEngine::new(cfg);
     let p = engine.register_policy(FrozenPolicy::from_agent(&agent));
     let c = engine.register_censor(censor);
@@ -186,7 +186,7 @@ pub fn run_serve_skewed(
     let (agent, _) = ctx.agent(DatasetKind::Tor, CensorKind::Dt);
     let censor = ctx.censor(DatasetKind::Tor, CensorKind::Dt);
     let flows = offered(ctx, n_flows);
-    let mut engine = ServeEngine::new(serve_config(ctx, batch, shards, steal));
+    let mut engine = ServeEngine::new(serve_config(ctx, batch, shards, steal).build());
     let heavy = engine.register_policy(FrozenPolicy::from_agent(&agent));
     let light = engine.register_policy(amoeba_serve::testutil::tiny_policy(ctx.scale.seed));
     let c = engine.register_censor(censor);
@@ -347,51 +347,65 @@ pub fn serve_skew_smoke(ctx: &mut Context, n_flows: usize, batch: usize) -> Stri
     md
 }
 
-/// The 4-core CI scaling gate: serves the full workload at 1 shard and 4
-/// shards (stealing on), best of `reps` alternating runs
-/// each, cross-checks the wire bit-for-bit, and — on machines with at
-/// least 4 cores — **fails** unless the 4-shard run clears
-/// `AMOEBA_SERVE_MIN_SPEEDUP`× (default 2×) the single-shard throughput.
-/// On smaller machines the measurement still runs and prints, but the
-/// gate is reported as skipped rather than enforced.
-pub fn serve_scaling_gate(ctx: &mut Context, n_flows: usize, batch: usize) -> String {
-    let reps = 3;
-    let min_speedup: f64 = std::env::var("AMOEBA_SERVE_MIN_SPEEDUP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2.0);
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-
-    let (mut best_one, mut best_four): (Option<ServeReport>, Option<ServeReport>) = (None, None);
+/// Runs two configurations alternately `reps` times (`run(ctx, false)`
+/// then `run(ctx, true)`), so cache warmth and frequency scaling bias
+/// neither side. Each pair's wire output must be bit-identical (the
+/// panic names `diverged`) and pass `check`. Returns each side's fastest
+/// run.
+fn best_of_alternating(
+    ctx: &mut Context,
+    reps: usize,
+    mut run: impl FnMut(&mut Context, bool) -> ServeReport,
+    diverged: &str,
+    check: impl Fn(&ServeReport, &ServeReport),
+) -> (ServeReport, ServeReport) {
+    let mut best: [Option<ServeReport>; 2] = [None, None];
     for _ in 0..reps {
-        // Alternate the two configurations so cache warmth and frequency
-        // scaling bias neither side.
-        let one = run_serve(ctx, n_flows, batch, 1, true);
-        let four = run_serve(ctx, n_flows, batch, 4, true);
-        assert_eq!(
-            one.wire_bits(),
-            four.wire_bits(),
-            "scaling gate: 4-shard wire output diverged from 1-shard"
-        );
-        assert_eq!(
-            one.stream_ok_rate(),
-            1.0,
-            "scaling gate: streams failed to verify"
-        );
-        if best_one
-            .as_ref()
-            .is_none_or(|b| one.flows_per_sec() > b.flows_per_sec())
-        {
-            best_one = Some(one);
-        }
-        if best_four
-            .as_ref()
-            .is_none_or(|b| four.flows_per_sec() > b.flows_per_sec())
-        {
-            best_four = Some(four);
+        let pair = [run(ctx, false), run(ctx, true)];
+        assert_eq!(pair[0].wire_bits(), pair[1].wire_bits(), "{diverged}");
+        check(&pair[0], &pair[1]);
+        for (slot, r) in best.iter_mut().zip(pair) {
+            if slot
+                .as_ref()
+                .is_none_or(|b| r.flows_per_sec() > b.flows_per_sec())
+            {
+                *slot = Some(r);
+            }
         }
     }
-    let (one, four) = (best_one.unwrap(), best_four.unwrap());
+    let [a, b] = best.map(|r| r.expect("at least one repetition"));
+    (a, b)
+}
+
+/// The 4-core CI scaling gate: serves the full workload at 1 shard and 4
+/// shards (stealing on), best of 3 alternating runs each, cross-checks
+/// the wire bit-for-bit, and — on machines with at least 4 cores —
+/// **fails** unless the 4-shard run clears `min_speedup`× the
+/// single-shard throughput (`serve_bench` reads it from
+/// `AMOEBA_SERVE_MIN_SPEEDUP`, default 2×). On smaller machines the
+/// measurement still runs and prints, but the gate is reported as
+/// skipped rather than enforced.
+pub fn serve_scaling_gate(
+    ctx: &mut Context,
+    n_flows: usize,
+    batch: usize,
+    min_speedup: f64,
+) -> String {
+    let reps = 3;
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let (one, four) = best_of_alternating(
+        ctx,
+        reps,
+        |ctx, four| run_serve(ctx, n_flows, batch, if four { 4 } else { 1 }, true),
+        "scaling gate: 4-shard wire output diverged from 1-shard",
+        |one, _| {
+            assert_eq!(
+                one.stream_ok_rate(),
+                1.0,
+                "scaling gate: streams failed to verify"
+            )
+        },
+    );
     let speedup = four.flows_per_sec() / one.flows_per_sec();
 
     let mut md = String::from("## amoeba-serve 4-core scaling gate\n\n");
@@ -420,50 +434,34 @@ pub fn serve_scaling_gate(ctx: &mut Context, n_flows: usize, batch: usize) -> St
 
 /// The CI telemetry-overhead gate: serves the full workload at 4 shards
 /// with telemetry off and on (default config: counters + histograms, no
-/// trace ring), best of `reps` alternating runs each, cross-checks the
-/// wire bit-for-bit, and — on machines with at least 4 cores — **fails**
-/// if the telemetry-on run loses more than
-/// `AMOEBA_TELEMETRY_MAX_OVERHEAD_PCT` percent throughput (default 2%).
-/// On smaller machines the measurement still runs and prints, but the
-/// gate is reported as skipped rather than enforced.
-pub fn serve_overhead_gate(ctx: &mut Context, n_flows: usize, batch: usize) -> String {
+/// trace ring), best of 3 alternating runs each, cross-checks the wire
+/// bit-for-bit, and — on machines with at least 4 cores — **fails** if
+/// the telemetry-on run loses more than `max_overhead_pct` percent
+/// throughput (`serve_bench` reads it from
+/// `AMOEBA_TELEMETRY_MAX_OVERHEAD_PCT`, default 2%). On smaller machines
+/// the measurement still runs and prints, but the gate is reported as
+/// skipped rather than enforced.
+pub fn serve_overhead_gate(
+    ctx: &mut Context,
+    n_flows: usize,
+    batch: usize,
+    max_overhead_pct: f64,
+) -> String {
     let shards = 4;
     let reps = 3;
-    let max_overhead_pct: f64 = std::env::var("AMOEBA_TELEMETRY_MAX_OVERHEAD_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2.0);
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
-
-    let (mut best_off, mut best_on): (Option<ServeReport>, Option<ServeReport>) = (None, None);
-    for _ in 0..reps {
-        // Alternate the two configurations so cache warmth and frequency
-        // scaling bias neither side.
-        let off = run_serve_with(ctx, n_flows, batch, shards, true, false, 0);
-        let on = run_serve(ctx, n_flows, batch, shards, true);
-        assert_eq!(
-            off.wire_bits(),
-            on.wire_bits(),
-            "overhead gate: telemetry-on wire output diverged from telemetry-off"
-        );
-        assert!(
-            off.telemetry.is_none() && on.telemetry.is_some(),
-            "overhead gate: snapshot attachment does not match the telemetry switch"
-        );
-        if best_off
-            .as_ref()
-            .is_none_or(|b| off.flows_per_sec() > b.flows_per_sec())
-        {
-            best_off = Some(off);
-        }
-        if best_on
-            .as_ref()
-            .is_none_or(|b| on.flows_per_sec() > b.flows_per_sec())
-        {
-            best_on = Some(on);
-        }
-    }
-    let (off, on) = (best_off.unwrap(), best_on.unwrap());
+    let (off, on) = best_of_alternating(
+        ctx,
+        reps,
+        |ctx, on| run_serve_with(ctx, n_flows, batch, shards, true, on, 0),
+        "overhead gate: telemetry-on wire output diverged from telemetry-off",
+        |off, on| {
+            assert!(
+                off.telemetry.is_none() && on.telemetry.is_some(),
+                "overhead gate: snapshot attachment does not match the telemetry switch"
+            )
+        },
+    );
     let overhead_pct = (1.0 - on.flows_per_sec() / off.flows_per_sec()) * 100.0;
 
     let mut md = String::from("## amoeba-serve telemetry overhead gate\n\n");
@@ -546,8 +544,8 @@ fn run_matrix(
         })
         .collect();
     let flows = offered(ctx, n_flows);
-    let mut engine =
-        ServeEngine::with_registries(policies, censors, serve_config(ctx, batch, shards, true));
+    let cfg = serve_config(ctx, batch, shards, true).build();
+    let mut engine = ServeEngine::with_registries(policies, censors, cfg);
     let cells = pids.len() * cids.len();
     for (i, f) in flows.iter().enumerate() {
         let cell = i % cells;
@@ -653,7 +651,7 @@ pub fn serve_matrix_smoke(ctx: &mut Context, n_flows: usize, batch: usize) -> St
         let censor_kind = censor_kinds[tenant.censor.index()];
         let policy = FrozenPolicy::from_agent(&ctx.agent(DatasetKind::Tor, agent_kind).0);
         let censor = ctx.censor(DatasetKind::Tor, censor_kind);
-        let mut solo = ServeEngine::new(serve_config(ctx, batch, 1, true));
+        let mut solo = ServeEngine::new(serve_config(ctx, batch, 1, true).build());
         let p = solo.register_policy(policy);
         let c = solo.register_censor(censor);
         for &(id, f) in &pairs {

@@ -377,19 +377,26 @@ mod tests {
         EnvConfig::from(&AmoebaConfig::fast())
     }
 
+    /// A TCP kernel with the gym's 100 ms delay cap.
+    fn tcp(min_packet: u32, space: ActionSpace) -> ShapingKernel {
+        ShapingKernel::new(Layer::Tcp, 100.0, min_packet, space)
+    }
+
     #[test]
     fn emulator_conserves_payload_under_truncation() {
         let flow = flow3();
         let mut em = TransportEmulator::new(&flow);
         let mut sent_per_packet = [0u64; 3];
         let mut idx = 0;
+        let k = tcp(1, ActionSpace::Both);
         while !em.finished() {
             let action = Action::clamped(0.2, 0.0); // 292-byte chunks
             let before = em.observe().unwrap();
-            let (pkt, _, truncated, _) = em.apply(action, Layer::Tcp, 100.0, 1, false);
+            let frame = em.apply_kernel(&k, action, false);
+            let pkt = frame.packet;
             assert_eq!(pkt.direction(), before.direction);
             sent_per_packet[idx] += pkt.magnitude() as u64;
-            if !truncated {
+            if !frame.truncated {
                 idx += 1;
             }
         }
@@ -405,9 +412,9 @@ mod tests {
         let mut em = TransportEmulator::new(&flow);
         let obs1 = em.observe().unwrap();
         assert_eq!(obs1.base_delay_ms, 7.0);
-        let (pkt1, _, truncated, _) =
-            em.apply(Action::clamped(0.3, 0.0), Layer::Tcp, 100.0, 1, false);
-        assert!(truncated);
+        let frame = em.apply_kernel(&tcp(1, ActionSpace::Both), Action::clamped(0.3, 0.0), false);
+        let pkt1 = frame.packet;
+        assert!(frame.truncated);
         // Eq. 2: emitted delay >= φ_i.
         assert!(pkt1.delay_ms >= 7.0);
         let obs2 = em.observe().unwrap();
@@ -419,11 +426,10 @@ mod tests {
     fn padding_is_accounted() {
         let flow = Flow::from_pairs(&[(100, 0.0)]);
         let mut em = TransportEmulator::new(&flow);
-        let (pkt, padding, truncated, _) =
-            em.apply(Action::clamped(0.5, 0.0), Layer::Tcp, 100.0, 1, false);
-        assert!(!truncated);
-        assert_eq!(pkt.magnitude(), 730);
-        assert_eq!(padding, 630);
+        let frame = em.apply_kernel(&tcp(1, ActionSpace::Both), Action::clamped(0.5, 0.0), false);
+        assert!(!frame.truncated);
+        assert_eq!(frame.packet.magnitude(), 730);
+        assert_eq!(frame.padding, 630);
         assert!(em.finished());
     }
 
@@ -505,8 +511,12 @@ mod tests {
     fn min_packet_floor_applies() {
         let flow = Flow::from_pairs(&[(1000, 0.0)]);
         let mut em = TransportEmulator::new(&flow);
-        let (pkt, _, _, _) = em.apply(Action::clamped(0.0, 0.0), Layer::Tcp, 100.0, 64, false);
-        assert!(pkt.magnitude() >= 64);
+        let frame = em.apply_kernel(
+            &tcp(64, ActionSpace::Both),
+            Action::clamped(0.0, 0.0),
+            false,
+        );
+        assert!(frame.packet.magnitude() >= 64);
     }
 
     #[test]
@@ -514,8 +524,8 @@ mod tests {
         // Inbound payload, positive action sign: packet must stay inbound.
         let flow = Flow::from_pairs(&[(-500, 0.0)]);
         let mut em = TransportEmulator::new(&flow);
-        let (pkt, _, _, _) = em.apply(Action::clamped(0.9, 0.0), Layer::Tcp, 100.0, 1, false);
-        assert_eq!(pkt.direction(), Direction::Inbound);
+        let frame = em.apply_kernel(&tcp(1, ActionSpace::Both), Action::clamped(0.9, 0.0), false);
+        assert_eq!(frame.packet.direction(), Direction::Inbound);
     }
 
     #[test]
@@ -523,16 +533,10 @@ mod tests {
         let flow = Flow::from_pairs(&[(1400, 0.0), (-900, 2.0)]);
         let mut em = TransportEmulator::new(&flow);
         let mut packets = 0;
+        let k = tcp(1, ActionSpace::PaddingOnly);
         while !em.finished() {
-            let (_, _, truncated, _) = em.apply_mode(
-                Action::clamped(0.05, 0.0),
-                Layer::Tcp,
-                100.0,
-                1,
-                false,
-                ActionSpace::PaddingOnly,
-            );
-            assert!(!truncated, "PaddingOnly must never truncate");
+            let frame = em.apply_kernel(&k, Action::clamped(0.05, 0.0), false);
+            assert!(!frame.truncated, "PaddingOnly must never truncate");
             packets += 1;
         }
         assert_eq!(packets, 2, "one wire packet per original packet");
@@ -543,17 +547,11 @@ mod tests {
         let flow = Flow::from_pairs(&[(1400, 0.0)]);
         let mut em = TransportEmulator::new(&flow);
         let mut total = 0u64;
+        let k = tcp(1, ActionSpace::TruncationOnly);
         while !em.finished() {
-            let (pkt, padding, _, _) = em.apply_mode(
-                Action::clamped(0.9, 0.0),
-                Layer::Tcp,
-                100.0,
-                1,
-                false,
-                ActionSpace::TruncationOnly,
-            );
-            assert_eq!(padding, 0, "TruncationOnly must never pad");
-            total += pkt.magnitude() as u64;
+            let frame = em.apply_kernel(&k, Action::clamped(0.9, 0.0), false);
+            assert_eq!(frame.padding, 0, "TruncationOnly must never pad");
+            total += frame.packet.magnitude() as u64;
         }
         assert_eq!(total, 1400, "payload exactly conserved with no padding");
     }

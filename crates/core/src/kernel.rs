@@ -242,11 +242,6 @@ impl TransportEmulator {
         self.original.iter().map(|p| p.magnitude() as u64).sum()
     }
 
-    /// Number of original packets.
-    pub fn original_len(&self) -> usize {
-        self.original.len()
-    }
-
     /// Current observation, or `None` when the flow is fully transmitted.
     pub fn observe(&self) -> Option<Observation> {
         let p = self.original.get(self.cursor)?;
@@ -260,53 +255,6 @@ impl TransportEmulator {
     /// True when every original byte has been transmitted.
     pub fn finished(&self) -> bool {
         self.cursor >= self.original.len()
-    }
-
-    /// Emits one adversarial packet for the current observation, with the
-    /// full [`ActionSpace::Both`] semantics.
-    ///
-    /// Returns `(packet, padding bytes, was truncation, truncation count
-    /// for this original packet so far)`.
-    ///
-    /// # Panics
-    /// Panics if called after the flow finished.
-    pub fn apply(
-        &mut self,
-        action: Action,
-        layer: Layer,
-        max_delay_ms: f32,
-        min_packet: u32,
-        force_flush: bool,
-    ) -> (Packet, u32, bool, usize) {
-        self.apply_mode(
-            action,
-            layer,
-            max_delay_ms,
-            min_packet,
-            force_flush,
-            ActionSpace::Both,
-        )
-    }
-
-    /// [`TransportEmulator::apply`] restricted to an [`ActionSpace`]
-    /// (§4.2 ablation).
-    pub fn apply_mode(
-        &mut self,
-        action: Action,
-        layer: Layer,
-        max_delay_ms: f32,
-        min_packet: u32,
-        force_flush: bool,
-        mode: ActionSpace,
-    ) -> (Packet, u32, bool, usize) {
-        let kernel = ShapingKernel::new(layer, max_delay_ms, min_packet, mode);
-        let frame = self.apply_kernel(&kernel, action, force_flush);
-        (
-            frame.packet,
-            frame.padding,
-            frame.truncated,
-            frame.truncation_count,
-        )
     }
 
     /// Emits one adversarial frame through a shared [`ShapingKernel`] —
@@ -408,33 +356,6 @@ mod tests {
         let d = trunc_only.decide(&obs, Action::clamped(0.9, 0.0), false);
         assert_eq!(d.padding, 0, "TruncationOnly never pads");
         assert!(d.size <= 700);
-    }
-
-    #[test]
-    fn apply_kernel_matches_apply_mode() {
-        let flow = Flow::from_pairs(&[(1000, 2.0), (-600, 5.0)]);
-        let mut a = TransportEmulator::new(&flow);
-        let mut b = TransportEmulator::new(&flow);
-        let k = kernel();
-        let actions = [
-            Action::clamped(0.2, 0.1),
-            Action::clamped(0.9, 0.0),
-            Action::clamped(0.05, 0.8),
-            Action::clamped(1.0, 1.0),
-        ];
-        let mut i = 0;
-        while !a.finished() {
-            let act = actions[i % actions.len()];
-            i += 1;
-            let frame = a.apply_kernel(&k, act, false);
-            let (pkt, padding, truncated, count) =
-                b.apply_mode(act, Layer::Tcp, 100.0, 1, false, ActionSpace::Both);
-            assert_eq!(frame.packet, pkt);
-            assert_eq!(frame.padding, padding);
-            assert_eq!(frame.truncated, truncated);
-            assert_eq!(frame.truncation_count, count);
-        }
-        assert!(b.finished());
     }
 
     #[test]

@@ -72,16 +72,6 @@ impl Linear {
         }
     }
 
-    /// Builds a layer from explicit weights (e.g. for tests).
-    pub fn from_weights(w: Matrix, b: Matrix) -> Self {
-        assert_eq!(b.rows(), 1, "Linear bias must be a row vector");
-        assert_eq!(w.cols(), b.cols(), "Linear weight/bias width mismatch");
-        Self {
-            w: Tensor::parameter(w),
-            b: Tensor::parameter(b),
-        }
-    }
-
     /// Input dimensionality.
     pub fn in_dim(&self) -> usize {
         self.w.shape().0

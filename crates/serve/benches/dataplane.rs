@@ -112,7 +112,10 @@ fn bench_dataplane_batching(c: &mut Criterion) {
             b.iter_batched(
                 || {
                     one_tenant(
-                        ServeConfig::new(Layer::Tcp).with_seed(5).with_batch(batch),
+                        ServeConfig::builder(Layer::Tcp)
+                            .seed(5)
+                            .batch(batch)
+                            .build(),
                         &censor,
                         &flows,
                     )
@@ -139,10 +142,11 @@ fn bench_dataplane_sharding(c: &mut Criterion) {
             b.iter_batched(
                 || {
                     one_tenant(
-                        ServeConfig::new(Layer::Tcp)
-                            .with_seed(5)
-                            .with_batch(64)
-                            .with_shards(shards),
+                        ServeConfig::builder(Layer::Tcp)
+                            .seed(5)
+                            .batch(64)
+                            .shards(shards)
+                            .build(),
                         &censor,
                         &flows,
                     )
@@ -172,11 +176,12 @@ fn bench_scheduler_knobs(c: &mut Criterion) {
             b.iter_batched(
                 || {
                     one_tenant(
-                        ServeConfig::new(Layer::Tcp)
-                            .with_seed(5)
-                            .with_batch(64)
-                            .with_shards(4)
-                            .with_steal(steal),
+                        ServeConfig::builder(Layer::Tcp)
+                            .seed(5)
+                            .batch(64)
+                            .shards(4)
+                            .steal(steal)
+                            .build(),
                         &censor,
                         &flows,
                     )
@@ -217,7 +222,7 @@ fn bench_engine_multi_tenant(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let mut engine =
-                    ServeEngine::new(ServeConfig::new(Layer::Tcp).with_seed(5).with_batch(64));
+                    ServeEngine::new(ServeConfig::builder(Layer::Tcp).seed(5).batch(64).build());
                 let pids: Vec<_> = [7u64, 19]
                     .iter()
                     .map(|&s| engine.register_policy(mk_policy(s)))

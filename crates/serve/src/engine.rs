@@ -21,7 +21,7 @@
 //! hides inside the frame delay, exactly the §5.6.1 deployment argument.
 //! Each shard keeps its sessions in a min-heap of `ready_at` times: every
 //! tick pops the earliest ready time `t` plus every session ready within
-//! the scheduler quantum `[t, t + tick_ms]`, buckets them by [`PolicyId`]
+//! a fixed 5 ms virtual quantum `[t, t + 5]`, buckets them by [`PolicyId`]
 //! (sessions sharing a policy share weights, so their observations fuse
 //! into the same GRU/MLP pass no matter which censor they face), and
 //! packages each bucket into inference batches of at most `max_batch`
@@ -37,7 +37,7 @@
 //! kernels), so *any* grouping of sessions — into inference batches
 //! within a tick, across shard worker threads, or alongside any mix of
 //! co-tenants — produces bit-identical per-session output. `max_batch`,
-//! `tick_ms`, `n_shards` and `steal` are pure throughput knobs, and
+//! `n_shards` and `steal` are pure throughput knobs, and
 //! multi-tenancy is a pure *packing* knob: a session's wire output
 //! depends only on
 //! `(seed, session_id, policy, censor)`. The
@@ -103,7 +103,7 @@ impl ServeEngine {
     ///
     /// # Panics
     /// Panics on an invalid config: `max_batch == 0`, or a negative or
-    /// NaN `tick_ms` or `max_delay_ms`.
+    /// NaN `max_delay_ms`.
     pub fn new(cfg: ServeConfig) -> Self {
         cfg.validate();
         Self {
@@ -451,19 +451,23 @@ impl Admission<'_, '_> {
 mod tests {
     use super::*;
     use crate::testutil::{offered_flows, scoring_censor, tiny_policy};
-    use crate::{ActionMode, VerdictPolicy};
+    use crate::{ActionMode, ServeConfigBuilder, VerdictPolicy};
     use amoeba_traffic::{Layer, NetEm};
 
-    fn cfg(batch: usize, shards: usize, mode: ActionMode) -> ServeConfig {
+    fn builder(batch: usize, shards: usize, mode: ActionMode) -> ServeConfigBuilder {
         // Exact per-frame vectors stay on in this suite: the accounting
         // tests assert on them, and running the invariance pins with
         // them enabled doubles as proof they cannot perturb the wire.
-        ServeConfig::new(Layer::Tcp)
-            .with_seed(11)
-            .with_batch(batch)
-            .with_shards(shards)
-            .with_mode(mode)
-            .with_exact_frame_stats(true)
+        ServeConfig::builder(Layer::Tcp)
+            .seed(11)
+            .batch(batch)
+            .shards(shards)
+            .mode(mode)
+            .exact_frame_stats(true)
+    }
+
+    fn cfg(batch: usize, shards: usize, mode: ActionMode) -> ServeConfig {
+        builder(batch, shards, mode).build()
     }
 
     /// Admits `flows[i]` (id `i`) to tenant `tenants[i % tenants.len()]`.
@@ -674,8 +678,11 @@ mod tests {
         let flows = offered_flows(60, 13);
         let policies = [tiny_policy(7), tiny_policy(19)];
         let scores = [0.1, 0.4, 0.9];
-        let mut engine =
-            ServeEngine::new(cfg(16, 2, ActionMode::Deterministic).with_trace_ring(256));
+        let mut engine = ServeEngine::new(
+            builder(16, 2, ActionMode::Deterministic)
+                .trace_ring(256)
+                .build(),
+        );
         let pids: Vec<PolicyId> = policies
             .iter()
             .map(|p| engine.register_policy(p.clone()))
@@ -761,9 +768,10 @@ mod tests {
         let flows = offered_flows(24, 9);
         let run = |telemetry: bool, trace_ring: usize| {
             let mut engine = ServeEngine::new(
-                cfg(8, 2, ActionMode::Sample)
-                    .with_telemetry(telemetry)
-                    .with_trace_ring(trace_ring),
+                builder(8, 2, ActionMode::Sample)
+                    .telemetry(telemetry)
+                    .trace_ring(trace_ring)
+                    .build(),
             );
             let p = engine.register_policy(tiny_policy(7));
             let c = engine.register_censor(scoring_censor(0.4));
@@ -781,6 +789,51 @@ mod tests {
         assert_eq!(on.wire_bits(), traced.wire_bits());
     }
 
+    /// Each shard driver's flight recorder stays bounded through the
+    /// engine: with a 4-event ring on 2 shards a multi-tick run keeps at
+    /// most 8 spans, counts every other span as dropped, and keeps the
+    /// newest window of both home shards. A 0-event ring keeps nothing.
+    #[test]
+    fn trace_ring_stays_bounded_per_shard() {
+        let flows = offered_flows(48, 11);
+        let run = |trace_ring: usize| {
+            let mut engine = ServeEngine::new(
+                builder(4, 2, ActionMode::Deterministic)
+                    .steal(true)
+                    .trace_ring(trace_ring)
+                    .build(),
+            );
+            let p = engine.register_policy(tiny_policy(7));
+            let c = engine.register_censor(scoring_censor(0.4));
+            engine.admit_all(flows.iter(), p, c);
+            engine.run()
+        };
+        let ringed = run(4);
+        let snap = ringed.telemetry.as_ref().expect("telemetry defaults on");
+        assert!(snap.counters.ticks > 2, "a multi-tick run");
+        assert_eq!(snap.events.len(), 8, "two full 4-event rings");
+        // Every absorbed item pushes infer/frame/emit spans, plus a
+        // steal marker when a peer ran it.
+        let pushed = 3 * ringed.inference_batches + ringed.stolen_batches;
+        assert_eq!(
+            snap.events.len() as u64 + snap.dropped_events,
+            pushed as u64
+        );
+        for home in 0..2 {
+            assert_eq!(
+                snap.events.iter().filter(|e| e.shard == home).count(),
+                4,
+                "home shard {home} keeps its own window"
+            );
+        }
+
+        let off = run(0);
+        let snap = off.telemetry.as_ref().expect("telemetry defaults on");
+        assert!(snap.events.is_empty());
+        assert_eq!(snap.dropped_events, 0);
+        assert_eq!(off.wire_bits(), ringed.wire_bits());
+    }
+
     /// A single shard has nobody to steal from: the counter must stay
     /// zero even with stealing enabled.
     #[test]
@@ -788,7 +841,8 @@ mod tests {
         let flows = offered_flows(40, 5);
         let policies = [tiny_policy(7), tiny_policy(19)];
         let scores = [0.1, 0.9];
-        let mut engine = ServeEngine::new(cfg(8, 1, ActionMode::Deterministic).with_steal(true));
+        let mut engine =
+            ServeEngine::new(builder(8, 1, ActionMode::Deterministic).steal(true).build());
         let pids: Vec<PolicyId> = policies
             .iter()
             .map(|p| engine.register_policy(p.clone()))
@@ -817,7 +871,9 @@ mod tests {
         let flows = offered_flows(24, 9);
         let policy = tiny_policy(7);
         let mut engine = ServeEngine::new(
-            cfg(8, 1, ActionMode::Deterministic).with_verdicts(VerdictPolicy::EveryFrame),
+            builder(8, 1, ActionMode::Deterministic)
+                .verdicts(VerdictPolicy::EveryFrame)
+                .build(),
         );
         let p = engine.register_policy(policy);
         let allow = engine.register_censor(scoring_censor(0.1));
@@ -860,9 +916,9 @@ mod tests {
             jitter_std: 0.1,
         };
         let mk = |batch: usize, shards: usize| {
-            let mut c = cfg(batch, shards, ActionMode::Sample);
-            c.netem = Some(netem);
-            c
+            builder(batch, shards, ActionMode::Sample)
+                .netem(Some(netem))
+                .build()
         };
         let mut engine = ServeEngine::new(mk(64, 4));
         let pids: Vec<PolicyId> = policies
@@ -998,23 +1054,28 @@ mod tests {
         let _ = engine.run();
     }
 
+    /// A field written after `build` is caught by the engine itself.
     #[test]
     #[should_panic(expected = "max_batch must be at least 1")]
     fn engine_rejects_zero_batch() {
-        let _ = ServeEngine::new(ServeConfig::new(Layer::Tcp).with_batch(0));
+        let mut cfg = ServeConfig::builder(Layer::Tcp).build();
+        cfg.max_batch = 0;
+        let _ = ServeEngine::new(cfg);
     }
 
     #[test]
-    #[should_panic(expected = "tick_ms must be non-negative")]
-    fn engine_rejects_nan_tick() {
-        let _ = ServeEngine::new(ServeConfig::new(Layer::Tcp).with_tick(f32::NAN));
+    #[should_panic(expected = "max_delay_ms must be non-negative")]
+    fn engine_rejects_nan_max_delay() {
+        let mut cfg = ServeConfig::builder(Layer::Tcp).build();
+        cfg.max_delay_ms = f32::NAN;
+        let _ = ServeEngine::new(cfg);
     }
 
-    /// A direct field write is caught too, here by `with_registries`.
+    /// A direct field write is caught by `with_registries` too.
     #[test]
     #[should_panic(expected = "max_batch must be at least 1")]
     fn engine_rejects_zero_batch_field() {
-        let mut cfg = ServeConfig::new(Layer::Tcp);
+        let mut cfg = ServeConfig::builder(Layer::Tcp).build();
         cfg.max_batch = 0;
         let _ = ServeEngine::with_registries(PolicyRegistry::new(), CensorRegistry::new(), cfg);
     }

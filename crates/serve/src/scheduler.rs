@@ -39,10 +39,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use amoeba_classifiers::CensorProgram;
-use amoeba_telemetry::{
-    install_recorder, take_recorder, with_recorder, FlightRecorder, ShardTelemetry, StageKind,
-    TenantKey, TraceEvent,
-};
+use amoeba_telemetry::{FlightRecorder, ShardTelemetry, StageKind, TenantKey, TraceEvent};
 
 use crate::metrics::FrameRun;
 use crate::registry::PolicyId;
@@ -84,7 +81,8 @@ pub(crate) struct ChunkAcct {
     pub(crate) queries: Vec<u8>,
     /// Stage-trace stamps, nanoseconds since the run epoch. Written only
     /// when stage tracing is on; materialized into [`TraceEvent`]s at
-    /// absorb time on the home driver, where the flight recorder lives.
+    /// absorb time on the home driver, whose [`DriveAcct`] owns the
+    /// flight recorder.
     pub(crate) infer_t0_ns: u64,
     pub(crate) infer_dur_ns: u64,
     pub(crate) frame_t0_ns: u64,
@@ -182,6 +180,10 @@ pub(crate) struct DriveAcct {
     /// [`crate::ServeConfig::telemetry`] is on; folded deterministically
     /// at the engine's k-way merge.
     pub(crate) tel: ShardTelemetry,
+    /// This driver's stage-trace ring: spans of its own work items,
+    /// pushed at absorb wherever the item executed. Capacity 0 (tracing
+    /// off) makes every push a no-op.
+    pub(crate) rec: FlightRecorder,
 }
 
 /// State shared by every driver thread: one work deque per shard and the
@@ -383,36 +385,35 @@ fn absorb(
                 }
             }
             if trace {
-                with_recorder(|rec| {
-                    let span = |stage, t0_ns, dur_ns| TraceEvent {
-                        stage,
-                        shard: item.home as u32,
-                        executor: item.acct.executor,
-                        seq: item.seq,
-                        t0_ns,
-                        dur_ns,
-                        batch: item.len() as u32,
-                    };
-                    if item.acct.stolen {
-                        // Instantaneous marker at the thief's stage-1 start.
-                        rec.push(span(StageKind::Steal, item.acct.infer_t0_ns, 0));
-                    }
-                    rec.push(span(
-                        StageKind::Infer,
-                        item.acct.infer_t0_ns,
-                        item.acct.infer_dur_ns,
-                    ));
-                    rec.push(span(
-                        StageKind::Frame,
-                        item.acct.frame_t0_ns,
-                        item.acct.frame_dur_ns,
-                    ));
-                    rec.push(span(
-                        StageKind::Emit,
-                        item.acct.emit_t0_ns,
-                        item.acct.emit_dur_ns,
-                    ));
-                });
+                let span = |stage, t0_ns, dur_ns| TraceEvent {
+                    stage,
+                    shard: item.home as u32,
+                    executor: item.acct.executor,
+                    seq: item.seq,
+                    t0_ns,
+                    dur_ns,
+                    batch: item.len() as u32,
+                };
+                let rec = &mut acct.rec;
+                if item.acct.stolen {
+                    // Instantaneous marker at the thief's stage-1 start.
+                    rec.push(span(StageKind::Steal, item.acct.infer_t0_ns, 0));
+                }
+                rec.push(span(
+                    StageKind::Infer,
+                    item.acct.infer_t0_ns,
+                    item.acct.infer_dur_ns,
+                ));
+                rec.push(span(
+                    StageKind::Frame,
+                    item.acct.frame_t0_ns,
+                    item.acct.frame_dur_ns,
+                ));
+                rec.push(span(
+                    StageKind::Emit,
+                    item.acct.emit_t0_ns,
+                    item.acct.emit_dur_ns,
+                ));
             }
         }
         if exact {
@@ -447,19 +448,16 @@ fn drive(
     steal: bool,
 ) -> ShardReport {
     let me = shard.index();
-    let mut acct = DriveAcct::default();
+    // Absorbs only ever run on the home driver, so one ring per driver
+    // covers all of this shard's items.
+    let mut acct = DriveAcct {
+        rec: FlightRecorder::new(shard.proc.cfg.trace_ring),
+        ..DriveAcct::default()
+    };
     let mut next_seq = 0u64;
     let mut next_absorb = 0u64;
     let mut parked: BTreeMap<u64, WorkItem> = BTreeMap::new();
     let telemetry = shard.proc.cfg.telemetry;
-    let trace_on = shard.proc.trace_on();
-    if trace_on {
-        // The ring lives in a thread-local so `absorb` (and the panic
-        // hook) can reach it without threading a parameter through every
-        // call; absorbs only ever run on the home driver, so one
-        // recorder per driver covers all of this shard's items.
-        install_recorder(FlightRecorder::new(shard.proc.cfg.trace_ring));
-    }
 
     while shard.has_pending() {
         if telemetry {
@@ -511,12 +509,6 @@ fn drive(
             } else {
                 std::thread::sleep(STEAL_IDLE);
             }
-        }
-    }
-    if trace_on {
-        if let Some(rec) = take_recorder() {
-            acct.tel.dropped_events = rec.dropped();
-            acct.tel.events = rec.events();
         }
     }
     debug_assert!(parked.is_empty(), "absorbed all items in seq order");

@@ -49,20 +49,20 @@ fn stream_rng(seed: u64, session_id: usize, stream: u64) -> StdRng {
 
 /// What one [`Session::advance`] call emitted.
 #[derive(Debug, Clone, Copy)]
-pub struct FrameEvent {
+pub(crate) struct FrameEvent {
     /// The emitted packet in the *kernel's* coordinates (header-exclusive
     /// size, pre-impairment delay) — exactly what the training gym fed
     /// the action-history encoder `E(a_{1:t})`, so the frozen policy sees
     /// the input distribution it was trained on. The on-path wire copy
     /// (header included, possibly impaired) lives in [`Session::wire`].
-    pub emitted: Packet,
+    pub(crate) emitted: Packet,
     /// The session transmitted its last frame.
-    pub done: bool,
+    pub(crate) done: bool,
 }
 
 /// One live shaped connection: offered application traffic, per-direction
 /// byte streams in flight, and the adversarial wire flow the censor sees.
-pub struct Session {
+pub(crate) struct Session {
     id: usize,
     /// The `(policy, censor)` pair serving this session. Deliberately
     /// *not* part of the RNG derivation: payload bytes depend on
@@ -99,7 +99,7 @@ impl Session {
     /// Opens a session over an offered application flow, generating a
     /// deterministic pseudo-random payload stream per direction sized to
     /// the flow's byte totals.
-    pub fn new(id: usize, offered: &Flow, cfg: &ServeConfig) -> Self {
+    pub(crate) fn new(id: usize, offered: &Flow, cfg: &ServeConfig) -> Self {
         let mut payload_rng = stream_rng(cfg.seed, id, STREAM_PAYLOAD);
         let mut stream = |dir: Direction| {
             let mut bytes = vec![0u8; offered.bytes(dir) as usize];
@@ -117,7 +117,7 @@ impl Session {
     ///
     /// # Panics
     /// Panics if a stream exceeds its direction's offered capacity.
-    pub fn with_payload(
+    pub(crate) fn with_payload(
         id: usize,
         offered: &Flow,
         cfg: &ServeConfig,
@@ -134,13 +134,9 @@ impl Session {
         );
         let emulator = TransportEmulator::new(offered);
         let done = emulator.finished();
-        // Reference copies are only needed when the dataplane will verify
-        // reassembly; at scale the doubled payload memory matters.
-        let expected = if cfg.verify_streams {
-            [outbound.clone(), inbound.clone()]
-        } else {
-            [Vec::new(), Vec::new()]
-        };
+        // Reference copies for the end-to-end reassembly check; released
+        // by `finish_streams` as the session finishes.
+        let expected = [outbound.clone(), inbound.clone()];
         Self {
             id,
             tenant: Tenant::default(),
@@ -166,7 +162,7 @@ impl Session {
     }
 
     /// Session identifier (index in the dataplane).
-    pub fn id(&self) -> usize {
+    pub(crate) fn id(&self) -> usize {
         self.id
     }
 
@@ -175,43 +171,38 @@ impl Session {
     /// censor). The handles must come from the engine this session will
     /// run on — `ServeEngine` validates them at admission, and the
     /// engine's shards re-validate them against their tenant tables.
-    pub fn with_tenant(mut self, tenant: Tenant) -> Self {
+    pub(crate) fn with_tenant(mut self, tenant: Tenant) -> Self {
         self.tenant = tenant;
         self
     }
 
     /// The `(policy, censor)` pair serving this session.
-    pub fn tenant(&self) -> Tenant {
+    pub(crate) fn tenant(&self) -> Tenant {
         self.tenant
     }
 
     /// Virtual time at which this session's next decision is due.
-    pub fn ready_at(&self) -> f64 {
+    pub(crate) fn ready_at(&self) -> f64 {
         self.clock_ms
     }
 
     /// All frames transmitted.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.done
     }
 
     /// Frames emitted so far (pre-impairment).
-    pub fn frames(&self) -> usize {
+    pub(crate) fn frames(&self) -> usize {
         self.frames
     }
 
-    /// Application payload bytes carried (both directions).
-    pub fn payload_bytes(&self) -> u64 {
-        self.payload_bytes
-    }
-
     /// The adversarial flow as the on-path censor observes it.
-    pub fn wire(&self) -> &Flow {
+    pub(crate) fn wire(&self) -> &Flow {
         &self.wire
     }
 
     /// The censor's verdict on a mid-stream prefix, once one blocked.
-    pub fn blocked_midstream(&self) -> bool {
+    pub(crate) fn blocked_midstream(&self) -> bool {
         self.blocked_midstream
     }
 
@@ -222,7 +213,7 @@ impl Session {
 
     /// The censor program tore the connection down mid-stream
     /// ([`amoeba_classifiers::CensorDecision::Reset`]).
-    pub fn torn(&self) -> bool {
+    pub(crate) fn torn(&self) -> bool {
         self.torn
     }
 
@@ -236,17 +227,12 @@ impl Session {
         self.done = true;
     }
 
-    /// Final censor score (populated by the dataplane on completion).
-    pub fn final_score(&self) -> f32 {
-        self.final_score
-    }
-
     pub(crate) fn set_final_score(&mut self, score: f32) {
         self.final_score = score;
     }
 
     /// Current head-of-buffer observation, `None` once done.
-    pub fn observe(&self) -> Option<Observation> {
+    pub(crate) fn observe(&self) -> Option<Observation> {
         self.emulator.observe()
     }
 
@@ -262,7 +248,7 @@ impl Session {
     ///
     /// # Panics
     /// Panics if called on a finished session.
-    pub fn advance(
+    pub(crate) fn advance(
         &mut self,
         kernel: &ShapingKernel,
         action: Action,
@@ -314,14 +300,9 @@ impl Session {
     /// Verifies end-to-end reassembly (both directions drained and
     /// reconstructed exactly) and releases the stream buffers. Returns
     /// whether the streams survived intact.
-    pub(crate) fn finish_streams(&mut self, verify: bool) -> bool {
-        if verify {
-            self.stream_ok = (0..2).all(|d| {
-                self.tx[d].finished() && self.rx[d].payload() == self.expected[d].as_slice()
-            });
-        } else {
-            self.stream_ok = true;
-        }
+    pub(crate) fn finish_streams(&mut self) -> bool {
+        self.stream_ok = (0..2)
+            .all(|d| self.tx[d].finished() && self.rx[d].payload() == self.expected[d].as_slice());
         for d in 0..2 {
             self.tx[d] = ShapedSender::new(Vec::new());
             self.rx[d] = ShapedReceiver::new();
@@ -376,7 +357,7 @@ mod tests {
     use amoeba_traffic::Layer;
 
     fn cfg() -> ServeConfig {
-        ServeConfig::new(Layer::Tcp).with_seed(3)
+        ServeConfig::builder(Layer::Tcp).seed(3).build()
     }
 
     fn offered() -> Flow {
@@ -388,7 +369,7 @@ mod tests {
         let cfg = cfg();
         let kernel = cfg.kernel();
         let mut s = Session::new(0, &offered(), &cfg);
-        assert_eq!(s.payload_bytes(), 2800);
+        assert_eq!(s.payload_bytes, 2800);
         let expected = s.expected.clone();
         let actions = [
             Action::clamped(0.25, 0.1),
@@ -406,7 +387,7 @@ mod tests {
             assert!(s.tx[d].finished(), "direction {d} not drained");
             assert_eq!(s.rx[d].payload(), exp.as_slice());
         }
-        assert!(s.finish_streams(true));
+        assert!(s.finish_streams());
         // Wire sizes are header-inclusive.
         assert!(s.wire().total_bytes() >= 2800 + (s.frames() * HEADER_LEN) as u64);
         assert!((s.ready_at() - s.wire().delays().iter().sum::<f32>() as f64).abs() < 1e-3);
@@ -425,23 +406,26 @@ mod tests {
             s.advance(&kernel, Action::clamped(0.005, 0.0), None);
             assert!(s.frames() <= s.max_frames + offered.len(), "cap overrun");
         }
-        assert!(s.finish_streams(true), "flushed streams must still verify");
+        assert!(s.finish_streams(), "flushed streams must still verify");
     }
 
     #[test]
     fn netem_impairs_censor_view_but_not_reassembly() {
-        let cfg = cfg().with_netem(NetEm {
-            drop_rate: 0.3,
-            retransmit_timeout_ms: 80.0,
-            jitter_std: 0.2,
-        });
+        let cfg = ServeConfig::builder(Layer::Tcp)
+            .seed(3)
+            .netem(Some(NetEm {
+                drop_rate: 0.3,
+                retransmit_timeout_ms: 80.0,
+                jitter_std: 0.2,
+            }))
+            .build();
         let kernel = cfg.kernel();
         let netem = cfg.netem;
         let mut s = Session::new(2, &offered(), &cfg);
         while !s.is_done() {
             s.advance(&kernel, Action::clamped(0.4, 0.2), netem.as_ref());
         }
-        assert!(s.finish_streams(true));
+        assert!(s.finish_streams());
         // With 30% duplication the on-path view should hold extra packets.
         assert!(s.wire().len() >= s.frames());
     }

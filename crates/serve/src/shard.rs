@@ -22,10 +22,10 @@
 //! `fold`-min for the earliest `ready_at`, then a refill scan for the due
 //! set) — O(active²) over a shard's lifetime. The shard now keeps a
 //! `BinaryHeap` keyed by `ready_at`: one pop yields the earliest time
-//! `t`, and popping while `ready_at ≤ t + tick_ms` yields exactly the
-//! scan's due set (see `pop_due`) in O(due · log active). Sessions
-//! re-enter the heap when their work item returns, with their advanced
-//! `ready_at`.
+//! `t`, and popping while `ready_at ≤ t + TICK_MS` (a fixed 5 virtual
+//! ms quantum) yields exactly the scan's due set (see `pop_due`) in
+//! O(due · log active). Sessions re-enter the heap when their work item
+//! returns, with their advanced `ready_at`.
 //!
 //! ## Why sharding and stealing cannot change results
 //!
@@ -124,6 +124,12 @@ pub(crate) struct SessionSlot {
     /// item executes.
     pub(crate) prog: Box<dyn CensorProgram>,
 }
+
+/// Scheduler quantum (virtual ms): every session ready within
+/// `[t, t + TICK_MS]` of the earliest ready time `t` joins one tick.
+/// Per-session output is grouping-invariant, so the quantum only decides
+/// how many sessions share a fused pass.
+const TICK_MS: f64 = 5.0;
 
 /// Min-heap entry: the next decision time of one resident session.
 struct DueEntry {
@@ -311,7 +317,7 @@ impl ChunkProcessor {
                     }
                 };
                 session.set_final_score(score);
-                session.finish_streams(self.cfg.verify_streams);
+                session.finish_streams();
             } else if due && !session.blocked_midstream() {
                 if telemetry {
                     item.acct.queries[r] += 1;
@@ -338,7 +344,7 @@ impl ChunkProcessor {
                         }
                         session.tear_down();
                         session.set_final_score(1.0);
-                        session.finish_streams(self.cfg.verify_streams);
+                        session.finish_streams();
                     }
                 }
             }
@@ -471,8 +477,7 @@ impl Shard {
     /// sequence-stamped [`WorkItem`]s. Returns an empty vec when nothing
     /// is pending.
     pub(crate) fn next_tick(&mut self, next_seq: &mut u64) -> Vec<WorkItem> {
-        let quantum = self.proc.cfg.tick_ms as f64;
-        let due = pop_due(&mut self.heap, quantum);
+        let due = pop_due(&mut self.heap, TICK_MS);
         for &i in &due {
             let slot = self.slots[i].as_ref().expect("due session is resident");
             self.buckets[slot.session.tenant().policy.index()].push(i);
@@ -563,6 +568,8 @@ impl Shard {
             acct.tel.counters.stolen_batches = acct.stolen_batches as u64;
             acct.tel.counters.max_queue_depth = acct.max_queue_depth as u64;
             acct.tel.counters.sessions = outcomes.len() as u64;
+            acct.tel.dropped_events = acct.rec.dropped();
+            acct.tel.events = acct.rec.events();
         }
         ShardReport {
             outcomes,

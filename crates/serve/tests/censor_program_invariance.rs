@@ -55,12 +55,13 @@ impl Censor for FoldCensor {
 }
 
 fn run(flows: &[Flow], seed: u64, batch: usize, shards: usize, steal: bool) -> ServeReport {
-    let cfg = ServeConfig::new(Layer::Tcp)
-        .with_seed(seed)
-        .with_batch(batch)
-        .with_shards(shards)
-        .with_steal(steal)
-        .with_verdicts(VerdictPolicy::Every(EVERY));
+    let cfg = ServeConfig::builder(Layer::Tcp)
+        .seed(seed)
+        .batch(batch)
+        .shards(shards)
+        .steal(steal)
+        .verdicts(VerdictPolicy::Every(EVERY))
+        .build();
     let mut engine = ServeEngine::new(cfg);
     let p = engine.register_policy(tiny_policy(7));
     let c = engine.register_censor(Arc::new(FoldCensor));

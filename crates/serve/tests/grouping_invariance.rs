@@ -27,15 +27,16 @@ fn run(
     telemetry: bool,
     trace_ring: usize,
 ) -> ServeReport {
-    let mut cfg = ServeConfig::new(Layer::Tcp)
-        .with_seed(seed)
-        .with_batch(batch)
-        .with_shards(shards)
-        .with_steal(steal)
-        .with_telemetry(telemetry)
-        .with_trace_ring(trace_ring)
-        .with_mode(ActionMode::Sample);
-    cfg.netem = netem;
+    let cfg = ServeConfig::builder(Layer::Tcp)
+        .seed(seed)
+        .batch(batch)
+        .shards(shards)
+        .steal(steal)
+        .telemetry(telemetry)
+        .trace_ring(trace_ring)
+        .mode(ActionMode::Sample)
+        .netem(netem)
+        .build();
     let mut engine = ServeEngine::new(cfg);
     let p = engine.register_policy(tiny_policy(7));
     let c = engine.register_censor(scoring_censor(0.1));

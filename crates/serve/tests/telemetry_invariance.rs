@@ -25,15 +25,16 @@ fn run(
     trace_ring: usize,
     exact: bool,
 ) -> ServeReport {
-    let cfg = ServeConfig::new(Layer::Tcp)
-        .with_seed(seed)
-        .with_batch(8)
-        .with_shards(shards)
-        .with_steal(steal)
-        .with_telemetry(telemetry)
-        .with_trace_ring(trace_ring)
-        .with_exact_frame_stats(exact)
-        .with_mode(ActionMode::Sample);
+    let cfg = ServeConfig::builder(Layer::Tcp)
+        .seed(seed)
+        .batch(8)
+        .shards(shards)
+        .steal(steal)
+        .telemetry(telemetry)
+        .trace_ring(trace_ring)
+        .exact_frame_stats(exact)
+        .mode(ActionMode::Sample)
+        .build();
     let mut engine = ServeEngine::new(cfg);
     let p = engine.register_policy(tiny_policy(7));
     let c = engine.register_censor(scoring_censor(0.1));

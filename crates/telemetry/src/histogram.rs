@@ -232,16 +232,6 @@ impl Histogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// Non-empty buckets as `(inclusive low, exclusive high, count)`, in
-    /// ascending value order — the exposition-layer iteration.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_low(i), bucket_high(i), c))
-    }
 }
 
 #[cfg(test)]

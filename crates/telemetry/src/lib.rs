@@ -18,9 +18,8 @@
 //!    take a lock a data-path thread can contend on. Counters are
 //!    plain `u64` cells owned by one shard thread ([`Counters`],
 //!    [`ShardTelemetry`]); histograms are thread-owned arrays
-//!    ([`Histogram`]); trace events go to a thread-local ring
-//!    ([`FlightRecorder`]). The only synchronization in this crate is
-//!    in the opt-in panic-dump hook, which is outside the data path.
+//!    ([`Histogram`]); trace events go to a ring each shard driver
+//!    owns ([`FlightRecorder`]). Nothing in this crate synchronizes.
 //!
 //! 2. **Deterministic aggregation.** The k-way merge folds shard
 //!    telemetry in shard-index order, per-tenant maps are `BTreeMap`s,
@@ -32,7 +31,10 @@
 //!    documented as such on [`Counters`].
 //!
 //! Overhead is budgeted too: CI's `telemetry-overhead` gate fails the
-//! build if full telemetry costs more than 2% throughput.
+//! build if full telemetry costs more than 2% throughput, but enforces
+//! it only on runners with at least 4 cores. On a 2-vCPU host
+//! `serve_bench --overhead` measured 5.3–8.5%, so the 2% bound is
+//! unverified there.
 //!
 //! ## Exposition
 //!
@@ -52,7 +54,4 @@ pub mod trace;
 pub use counters::{Counters, ShardTelemetry, TenantCounters, TenantKey};
 pub use histogram::Histogram;
 pub use snapshot::{TelemetrySnapshot, QUANTILES};
-pub use trace::{
-    install_recorder, take_recorder, trace_json, with_recorder, FlightRecorder, ScopedPanicDump,
-    StageKind, TraceEvent,
-};
+pub use trace::{trace_json, FlightRecorder, StageKind, TraceEvent};

@@ -1,22 +1,16 @@
 //! Stage tracing: fixed-size flight recorder + Chrome-trace exposition.
 //!
-//! Each shard drive loop owns a [`FlightRecorder`] — a bounded ring of
+//! Each shard driver owns a [`FlightRecorder`] — a bounded ring of
 //! [`TraceEvent`]s timestamped against the run's epoch `Instant`. The
 //! ring overwrites oldest-first, so memory is fixed at
 //! `capacity × size_of::<TraceEvent>()` regardless of run length, and
-//! the recorder always holds the *most recent* window of activity —
-//! exactly what you want when a run dies: [`ScopedPanicDump`] dumps the
-//! panicking thread's recorder to stderr as Chrome-trace JSON so the
-//! last moments of scheduling are visible post-mortem.
+//! the recorder always holds the *most recent* window of activity,
+//! counting what it overwrote. When the driver finishes, its window and
+//! drop count move into its [`crate::ShardTelemetry`].
 //!
-//! Recording is push-only into thread-owned memory (the recorder lives
-//! in a thread-local while a drive loop runs); nothing here blocks,
+//! Recording is a push into driver-owned memory: nothing here blocks,
 //! allocates after construction, or is observable by the data path —
 //! the zero-perturbation obligation from the crate docs.
-
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Once;
 
 /// Which work-item stage (or scheduler action) an event covers. The
 /// names are the Chrome-trace event names.
@@ -160,88 +154,6 @@ pub fn trace_json(events: &[TraceEvent]) -> String {
     out
 }
 
-thread_local! {
-    static RECORDER: RefCell<Option<FlightRecorder>> = const { RefCell::new(None) };
-}
-
-/// Installs `rec` as this thread's active recorder (returned later by
-/// [`take_recorder`]). A drive loop calls this at start so the panic
-/// hook can find the ring without any cross-thread plumbing.
-pub fn install_recorder(rec: FlightRecorder) {
-    RECORDER.with(|r| *r.borrow_mut() = Some(rec));
-}
-
-/// Removes and returns this thread's recorder, if any.
-pub fn take_recorder() -> Option<FlightRecorder> {
-    RECORDER.with(|r| r.borrow_mut().take())
-}
-
-/// Runs `f` against this thread's recorder; no-op when none is
-/// installed.
-#[inline]
-pub fn with_recorder<F: FnOnce(&mut FlightRecorder)>(f: F) {
-    RECORDER.with(|r| {
-        if let Ok(mut guard) = r.try_borrow_mut() {
-            if let Some(rec) = guard.as_mut() {
-                f(rec);
-            }
-        }
-    });
-}
-
-static DUMP_SCOPES: AtomicUsize = AtomicUsize::new(0);
-static HOOK_INSTALL: Once = Once::new();
-
-/// While alive, a panic on any thread with an installed recorder dumps
-/// that thread's flight-recorder contents to stderr as Chrome-trace
-/// JSON before unwinding continues.
-///
-/// The underlying hook chains the previously installed hook and is
-/// installed once per process, never removed — scopes only toggle an
-/// activity counter, so overlapping scopes on parallel test threads
-/// can't race a hook swap.
-pub struct ScopedPanicDump;
-
-impl ScopedPanicDump {
-    pub fn new() -> Self {
-        HOOK_INSTALL.call_once(|| {
-            let prev = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                if DUMP_SCOPES.load(Ordering::SeqCst) > 0 {
-                    // try_borrow via with_recorder: survives panics that
-                    // fire while the recorder itself is borrowed.
-                    with_recorder(|rec| {
-                        if !rec.is_empty() {
-                            eprintln!(
-                                "=== amoeba-telemetry flight recorder ({} events, {} dropped) ===",
-                                rec.len(),
-                                rec.dropped()
-                            );
-                            eprintln!("{}", trace_json(&rec.events()));
-                            eprintln!("=== end flight recorder ===");
-                        }
-                    });
-                }
-                prev(info);
-            }));
-        });
-        DUMP_SCOPES.fetch_add(1, Ordering::SeqCst);
-        ScopedPanicDump
-    }
-}
-
-impl Default for ScopedPanicDump {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Drop for ScopedPanicDump {
-    fn drop(&mut self) {
-        DUMP_SCOPES.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,31 +205,5 @@ mod tests {
         assert!(json.contains("\"dur\":0.500"));
         assert!(json.contains("\"tid\":2"));
         assert!(json.contains("\"args\":{\"shard\":0,\"seq\":3,\"batch\":8}"));
-    }
-
-    #[test]
-    fn thread_local_install_take_roundtrip() {
-        let mut rec = FlightRecorder::new(8);
-        rec.push(ev(1));
-        install_recorder(rec);
-        with_recorder(|r| r.push(ev(2)));
-        let back = take_recorder().expect("recorder was installed");
-        assert_eq!(back.len(), 2);
-        assert!(take_recorder().is_none());
-        // with_recorder after take is a no-op, not a panic.
-        with_recorder(|r| r.push(ev(3)));
-    }
-
-    #[test]
-    fn panic_dump_emits_the_ring_to_stderr() {
-        let _scope = ScopedPanicDump::new();
-        let mut rec = FlightRecorder::new(8);
-        rec.push(ev(7));
-        install_recorder(rec);
-        let result = std::panic::catch_unwind(|| panic!("boom"));
-        assert!(result.is_err());
-        // The recorder survives the dump for post-mortem retrieval.
-        let back = take_recorder().expect("recorder still installed");
-        assert_eq!(back.len(), 1);
     }
 }

@@ -47,11 +47,6 @@ pub fn cumul_features(flow: &Flow, n_points: usize) -> Vec<f32> {
     out
 }
 
-/// Batch helper.
-pub fn cumul_features_batch(flows: &[Flow], n_points: usize) -> Vec<Vec<f32>> {
-    flows.iter().map(|f| cumul_features(f, n_points)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

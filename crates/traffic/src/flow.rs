@@ -23,14 +23,6 @@ impl Direction {
             Direction::Inbound => -1,
         }
     }
-
-    /// The opposite direction.
-    pub fn flip(&self) -> Direction {
-        match self {
-            Direction::Outbound => Direction::Inbound,
-            Direction::Inbound => Direction::Outbound,
-        }
-    }
 }
 
 /// One packet observation: signed size plus inter-packet delay.

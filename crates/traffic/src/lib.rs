@@ -20,7 +20,7 @@ pub mod netem;
 pub mod repr;
 pub mod stats;
 
-pub use cumul::{cumul_features, cumul_features_batch, DEFAULT_POINTS};
+pub use cumul::{cumul_features, DEFAULT_POINTS};
 pub use dataset::{build_dataset, Dataset, DatasetKind, Splits};
 pub use features::{
     extract_features, extract_features_batch, feature_schema, FeatureKind, FeatureSchema,

@@ -9,7 +9,8 @@
 use proptest::prelude::*;
 
 use amoeba::core::{
-    Action, ProfileStore, ShapedReceiver, ShapedSender, TransportEmulator, MIN_FRAME,
+    Action, ActionSpace, ProfileStore, ShapedReceiver, ShapedSender, ShapingKernel,
+    TransportEmulator, MIN_FRAME,
 };
 use amoeba::traffic::{extract_features, feature_schema, Flow, Layer, NUM_FEATURES};
 
@@ -34,6 +35,7 @@ proptest! {
     #[test]
     fn emulator_satisfies_constraints(flow in arb_flow(12), actions in arb_actions(256)) {
         let mut em = TransportEmulator::new(&flow);
+        let kernel = ShapingKernel::new(Layer::TlsRecord, 100.0, 1, ActionSpace::Both);
         let mut sent_out = 0u64;
         let mut sent_in = 0u64;
         let mut first_chunk_delays = Vec::new();
@@ -48,8 +50,8 @@ proptest! {
             // here so adversarially tiny actions still terminate.
             let force = steps > flow.len() * 6 + 24;
             let obs = em.observe().unwrap();
-            let (pkt, _, truncated, _) =
-                em.apply(Action::clamped(s, d), Layer::TlsRecord, 100.0, 1, force);
+            let frame = em.apply_kernel(&kernel, Action::clamped(s, d), force);
+            let pkt = frame.packet;
             match pkt.direction() {
                 amoeba::traffic::Direction::Outbound => sent_out += pkt.magnitude() as u64,
                 amoeba::traffic::Direction::Inbound => sent_in += pkt.magnitude() as u64,
@@ -58,7 +60,7 @@ proptest! {
                 first_chunk_delays.push((pkt.delay_ms, obs.base_delay_ms));
             }
             prop_assert!(pkt.delay_ms >= 0.0);
-            expecting_first = !truncated;
+            expecting_first = !frame.truncated;
         }
         prop_assert!(sent_out >= flow.bytes(amoeba::traffic::Direction::Outbound));
         prop_assert!(sent_in >= flow.bytes(amoeba::traffic::Direction::Inbound));

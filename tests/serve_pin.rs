@@ -28,15 +28,16 @@ fn wire_output_is_pinned_to_scan_scheduler_fingerprint() {
     for shards in [1usize, 2, 4, 8] {
         for batch in [1usize, 16, 64] {
             for steal in [false, true] {
-                let mut c = ServeConfig::new(Layer::Tcp)
-                    .with_seed(11)
-                    .with_batch(batch)
-                    .with_shards(shards)
-                    .with_mode(ActionMode::Sample)
-                    .with_exact_frame_stats(true)
-                    .with_verdicts(VerdictPolicy::Every(4))
-                    .with_steal(steal);
-                c.netem = Some(netem);
+                let c = ServeConfig::builder(Layer::Tcp)
+                    .seed(11)
+                    .batch(batch)
+                    .shards(shards)
+                    .mode(ActionMode::Sample)
+                    .exact_frame_stats(true)
+                    .verdicts(VerdictPolicy::Every(4))
+                    .steal(steal)
+                    .netem(Some(netem))
+                    .build();
                 let mut engine = ServeEngine::new(c);
                 let pids: Vec<PolicyId> = policies
                     .iter()
