@@ -54,9 +54,9 @@ fn bench_table1_classifier_inference(c: &mut Criterion) {
     c.bench_function("table1_dt_score_flow", |b| b.iter(|| dt.score(&flow)));
     c.bench_function("table1_df_score_flow", |b| b.iter(|| df.score(&flow)));
 
-    // The on-path censor's cost per flow (§5.6): one DT program scoring
-    // every prefix of a 157-packet wire, the length of a shaped full
-    // flow. Test flows are shorter, so the wire chains them.
+    // The on-path censor's cost per flow (§5.6): one DT or LSTM program
+    // scoring every prefix of a 157-packet wire, the length of a shaped
+    // full flow. Test flows are shorter, so the wire chains them.
     let wire = Flow {
         packets: splits
             .test
@@ -67,16 +67,31 @@ fn bench_table1_classifier_inference(c: &mut Criterion) {
             .collect(),
     };
     let prefixes: Vec<Flow> = (1..=wire.len()).map(|k| wire.prefix(k)).collect();
-    let factory = ClassifierProgramFactory::new(Arc::clone(&dt));
-    c.bench_function("dt_observe_every_prefix", |b| {
-        b.iter(|| {
-            let mut prog = factory.spawn();
-            let last = prefixes.len() - 1;
-            for (k, prefix) in prefixes.iter().enumerate() {
-                std::hint::black_box(prog.observe(prefix, k == last));
-            }
-        })
-    });
+    let lstm: Arc<dyn Censor> = Arc::new(train_censor(
+        CensorKind::Lstm,
+        &splits.clf_train,
+        Layer::Tcp,
+        &TrainConfig {
+            lstm_epochs: 1,
+            ..TrainConfig::fast()
+        },
+        2,
+    ));
+    for (name, censor) in [
+        ("dt_observe_every_prefix", &dt),
+        ("lstm_observe_every_prefix", &lstm),
+    ] {
+        let factory = ClassifierProgramFactory::new(Arc::clone(censor));
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let mut prog = factory.spawn();
+                let last = prefixes.len() - 1;
+                for (k, prefix) in prefixes.iter().enumerate() {
+                    std::hint::black_box(prog.observe(prefix, k == last));
+                }
+            })
+        });
+    }
 }
 
 /// Figure 4 kernel: the 166-feature extractor.

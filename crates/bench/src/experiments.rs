@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use amoeba_attacks::{cw_attack, train_bap, train_nidsgan, BapConfig, CwConfig, NidsGanConfig};
-use amoeba_classifiers::{evaluate, train_censor, train_df, CensorKind};
+use amoeba_classifiers::{evaluate, train_df, train_dt, train_rf, CensorKind};
 use amoeba_core::{train_amoeba_with_encoder, ProfileStore, StateEncoder};
 use amoeba_traffic::{
     build_dataset, ecdf, feature_schema, percentile, DatasetKind, Direction, FeatureKind, Flow,
@@ -107,25 +107,16 @@ pub fn fig4(ctx: &mut Context) -> String {
     let splits = ctx.splits(DatasetKind::V2Ray).clone();
     let layer = DatasetKind::V2Ray.layer();
     for name in ["DT", "RF"] {
-        let importances: Vec<f32> = match name {
-            "DT" => {
-                let c = train_censor(CensorKind::Dt, &splits.clf_train, layer, &ctx.scale.clf, 1);
-                match c {
-                    amoeba_classifiers::TrainedCensor::Dt(t) => {
-                        t.tree.feature_importances().to_vec()
-                    }
-                    _ => unreachable!(),
-                }
-            }
-            _ => {
-                let c = train_censor(CensorKind::Rf, &splits.clf_train, layer, &ctx.scale.clf, 1);
-                match c {
-                    amoeba_classifiers::TrainedCensor::Rf(f) => {
-                        f.forest.feature_importances().to_vec()
-                    }
-                    _ => unreachable!(),
-                }
-            }
+        let (train, clf) = (&splits.clf_train, &ctx.scale.clf);
+        let importances = match name {
+            "DT" => train_dt(train, layer, clf, 1)
+                .tree
+                .feature_importances()
+                .to_vec(),
+            _ => train_rf(train, layer, clf, 1)
+                .forest
+                .feature_importances()
+                .to_vec(),
         };
         let mut order: Vec<usize> = (0..importances.len()).collect();
         order.sort_by(|&a, &b| {

@@ -12,14 +12,15 @@
 //! `blocks == false`.
 
 use amoeba_nn::{Forward, Matrix};
-use amoeba_traffic::{Flow, Layer};
+use amoeba_traffic::Flow;
 
-/// The shared numeric scoring path: the per-flow probability of the NN
-/// and CUMUL censors is one [`Forward`] evaluation over that family's
-/// numeric representation (position-major rows for the NN censors,
+/// The shared numeric scoring path: the per-flow probability of the DF,
+/// SDAE and CUMUL censors is one [`Forward`] evaluation over that
+/// family's numeric representation (position-major rows for DF and SDAE,
 /// cumulative features for CUMUL). Centralising it here keeps those
 /// `Censor::score` impls free of duplicated forward plumbing; DT and RF
-/// score their feature row directly ([`Censor::score_features`]).
+/// score their 166-feature row, and LSTM runs a fresh [`PrefixState`]
+/// over the flow.
 pub(crate) fn score_row(net: &dyn Forward, row: &[f32]) -> f32 {
     let x = Matrix::from_vec(1, row.len(), row.to_vec());
     net.forward(&x)[(0, 0)]
@@ -41,25 +42,29 @@ pub trait Censor: Send + Sync {
     /// Model family identifier.
     fn kind(&self) -> CensorKind;
 
-    /// The observation layer of the 166-feature vector
-    /// ([`amoeba_traffic::extract_features`]) this censor scores, when
-    /// its score is a function of that vector alone. Streaming callers
-    /// then keep an [`amoeba_traffic::FeatureStream`] per flow and call
-    /// [`Censor::score_features`] instead of re-extracting every prefix.
-    fn feature_layer(&self) -> Option<Layer> {
+    /// A fresh state that scores growing prefixes of one flow, absorbing
+    /// each packet once, for censors that can do better than re-scoring
+    /// the whole prefix with [`Censor::score`]. `None` (the default)
+    /// means callers score every prefix with [`Censor::score`].
+    fn prefix_state(&self) -> Option<Box<dyn PrefixState>> {
         None
     }
+}
 
-    /// The score of one 166-feature row, bit-identical to
-    /// [`Censor::score`] on the flow the row was extracted from on
-    /// [`Censor::feature_layer`].
+/// One flow's incremental scorer, from [`Censor::prefix_state`].
+pub trait PrefixState: Send {
+    /// Absorbs `wire.packets[seen..]`, where `seen` counts the packets
+    /// absorbed so far, and returns the censor's score of `wire`: bit for
+    /// bit [`Censor::score`]`(wire)`.
     ///
-    /// # Panics
-    /// The provided method panics: only censors whose `feature_layer` is
-    /// `Some` score rows.
-    fn score_features(&self, _row: &[f32]) -> f32 {
-        panic!("{} censor does not score feature rows", self.kind())
-    }
+    /// Successive calls should pass growing prefixes of one flow. A wire
+    /// shorter than what has been absorbed starts the state over from
+    /// `wire`, so the score stays that of `wire`.
+    fn score(&mut self, wire: &Flow) -> f32;
+
+    /// Forgets every absorbed packet and frees the buffers; the next
+    /// [`PrefixState::score`] starts from an empty flow.
+    fn reset(&mut self);
 }
 
 /// The six classifier families evaluated in the paper (§5.1).

@@ -33,7 +33,7 @@ pub mod sdae;
 pub mod train;
 pub mod trees;
 
-pub use censor::{Censor, CensorKind, ConstantCensor};
+pub use censor::{Censor, CensorKind, ConstantCensor, PrefixState};
 pub use cumul::CumulCensor;
 pub use df::{DfCensor, DfConfig, DfModel};
 pub use lstm::{LstmCensor, LstmConfig, LstmModel};

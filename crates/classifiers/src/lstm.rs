@@ -4,18 +4,22 @@
 //!
 //! Unlike DF/SDAE, the LSTM censor does not pad flows to a fixed length at
 //! inference: it runs the recurrence over however many packets the (prefix
-//! of the) flow contains.
+//! of the) flow contains. Its [`PrefixState`] keeps the recurrence between
+//! observations, so a growing prefix costs one step per new packet, and
+//! [`Censor::score`] is that state run fresh over the whole flow.
+
+use std::sync::Arc;
 
 use rand::Rng;
 
-use amoeba_nn::forward::{Forward, Pipeline};
-use amoeba_nn::layers::{Activation, Linear};
+use amoeba_nn::forward::Forward;
+use amoeba_nn::layers::{Activation, Linear, LinearSnapshot};
 use amoeba_nn::matrix::Matrix;
-use amoeba_nn::rnn::Lstm;
+use amoeba_nn::rnn::{Lstm, LstmSnapshot};
 use amoeba_nn::tensor::Tensor;
 use amoeba_traffic::{Flow, FlowRepr};
 
-use crate::censor::{Censor, CensorKind};
+use crate::censor::{Censor, CensorKind, PrefixState};
 
 /// Architecture for [`LstmModel`].
 #[derive(Debug, Clone, Copy)]
@@ -89,45 +93,95 @@ impl LstmModel {
         p
     }
 
-    /// Freezes current weights into a thread-safe censor: the recurrence,
-    /// the dense head and the sigmoid squash become one [`Pipeline`].
+    /// Freezes current weights into a thread-safe censor: the recurrence
+    /// and the dense head, squashed by a sigmoid.
     pub fn censor(&self) -> LstmCensor {
         LstmCensor {
-            net: Pipeline::new()
-                .then(self.lstm.snapshot())
-                .then(self.head.snapshot())
-                .then(Activation::Sigmoid),
+            lstm: Arc::new(self.lstm.snapshot()),
+            head: Arc::new(self.head.snapshot()),
             repr: self.repr,
         }
     }
 }
 
-/// Inference-only LSTM censor (`Send + Sync`).
+/// Inference-only LSTM censor (`Send + Sync`). Clones share the weights.
 #[derive(Clone, Debug)]
 pub struct LstmCensor {
-    net: Pipeline,
+    lstm: Arc<LstmSnapshot>,
+    head: Arc<LinearSnapshot>,
     repr: FlowRepr,
+}
+
+impl LstmCensor {
+    /// The head and sigmoid over a top-layer hidden state `(1, hidden)`.
+    fn head_score(&self, h: &Matrix) -> f32 {
+        Activation::Sigmoid.forward(&self.head.forward(h))[(0, 0)]
+    }
 }
 
 impl Censor for LstmCensor {
     fn score(&self, flow: &Flow) -> f32 {
-        // One timestep per row, per the recurrent Forward convention; an
-        // empty flow contributes a single zero step (no evidence).
-        let steps = self.repr.to_steps(flow);
-        let x = if steps.is_empty() {
-            Matrix::zeros(1, 2)
-        } else {
-            let mut m = Matrix::zeros(steps.len(), 2);
-            for (t, s) in steps.iter().enumerate() {
-                m.row_mut(t).copy_from_slice(s);
-            }
-            m
-        };
-        self.net.forward(&x)[(0, 0)]
+        LstmPrefix::new(self.clone()).score(flow)
     }
 
     fn kind(&self) -> CensorKind {
         CensorKind::Lstm
+    }
+
+    fn prefix_state(&self) -> Option<Box<dyn PrefixState>> {
+        Some(Box::new(LstmPrefix::new(self.clone())))
+    }
+}
+
+/// The LSTM censor's prefix state: per-layer `(h, c)` rows after the
+/// first `seen` packets of the flow, one timestep per packet.
+struct LstmPrefix {
+    censor: LstmCensor,
+    /// Empty until the first packet is stepped, and after a reset.
+    state: Vec<(Matrix, Matrix)>,
+    seen: usize,
+}
+
+impl LstmPrefix {
+    fn new(censor: LstmCensor) -> Self {
+        Self {
+            censor,
+            state: Vec::new(),
+            seen: 0,
+        }
+    }
+}
+
+impl PrefixState for LstmPrefix {
+    fn score(&mut self, wire: &Flow) -> f32 {
+        if wire.len() < self.seen {
+            self.reset();
+        }
+        let LstmCensor { lstm, repr, .. } = &self.censor;
+        if wire.is_empty() {
+            // An empty flow carries no evidence: it scores a single zero
+            // step, taken on a scratch state so that it never precedes
+            // the first real packet.
+            let mut scratch = lstm.zero_state(1);
+            return self
+                .censor
+                .head_score(lstm.step(&Matrix::zeros(1, 2), &mut scratch));
+        }
+        if self.state.is_empty() {
+            self.state = lstm.zero_state(1);
+        }
+        for p in &wire.packets[self.seen..] {
+            let x = Matrix::from_vec(1, 2, repr.to_step(p).to_vec());
+            lstm.step(&x, &mut self.state);
+        }
+        self.seen = wire.len();
+        let top = &self.state.last().expect("nonempty state").0;
+        self.censor.head_score(top)
+    }
+
+    fn reset(&mut self) {
+        self.state = Vec::new();
+        self.seen = 0;
     }
 }
 

@@ -13,13 +13,12 @@
 //! or training layers knowing the difference.
 //!
 //! Programs over a one-shot censor score each observed prefix through
-//! one per-session scorer. For DT and RF, whose score is a function of
-//! the 166-feature vector ([`Censor::feature_layer`]), that scorer keeps
-//! an [`amoeba_traffic::FeatureStream`] which absorbs every wire packet
-//! once, so an observation costs two allocation-free passes over the
-//! wire rather than a fresh extraction with sorts and allocations; every
-//! other family scores the whole prefix with [`Censor::score`]. Either
-//! way the score is `censor.score(wire)` bit for bit.
+//! one per-session scorer. A censor that offers a
+//! [`Censor::prefix_state`] (DT, RF and LSTM) gets that state, which
+//! absorbs every wire packet once: DT and RF update their 166 features,
+//! LSTM steps its recurrence one packet further. Every other family
+//! scores the whole prefix with [`Censor::score`]. Either way the score
+//! is `censor.score(wire)` bit for bit.
 //!
 //! ## Program obligations
 //!
@@ -47,9 +46,9 @@
 
 use std::sync::Arc;
 
-use amoeba_traffic::{FeatureStream, Flow, NUM_FEATURES};
+use amoeba_traffic::Flow;
 
-use crate::censor::{Censor, CensorKind, ConstantCensor};
+use crate::censor::{Censor, CensorKind, ConstantCensor, PrefixState};
 
 /// One verdict from a streaming censor, per observation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -117,39 +116,33 @@ pub trait CensorProgramFactory: Send + Sync {
 }
 
 /// One session's scorer of growing wire prefixes, shared by every
-/// program over a one-shot [`Censor`].
-///
-/// A censor that scores the 166-feature vector
-/// ([`Censor::feature_layer`]) gets a [`FeatureStream`]: each new wire
-/// packet is absorbed once and the row is scored with
-/// [`Censor::score_features`]. Any other censor scores the whole prefix
-/// with [`Censor::score`]. Both give `censor.score(wire)` bit for bit.
-#[derive(Clone)]
+/// program over a one-shot [`Censor`]: the censor's
+/// [`Censor::prefix_state`] when it has one, else [`Censor::score`] of
+/// the whole prefix. Both give `censor.score(wire)` bit for bit.
 struct PrefixScorer {
     censor: Arc<dyn Censor>,
-    stream: Option<FeatureStream>,
+    state: Option<Box<dyn PrefixState>>,
 }
 
 impl PrefixScorer {
     fn new(censor: &Arc<dyn Censor>) -> Self {
         Self {
-            stream: censor.feature_layer().map(FeatureStream::new),
+            state: censor.prefix_state(),
             censor: Arc::clone(censor),
         }
     }
 
     /// Scores `wire`. The final observation (`last`) also frees the
-    /// stream's buffers: a finished session is never observed again, but
+    /// state's buffers: a finished session is never observed again, but
     /// its program may be kept until the whole run reports.
     fn score(&mut self, wire: &Flow, last: bool) -> f32 {
-        match &mut self.stream {
-            Some(stream) => {
-                let mut row = [0.0f32; NUM_FEATURES];
-                stream.observe(wire, &mut row);
+        match &mut self.state {
+            Some(state) => {
+                let score = state.score(wire);
                 if last {
-                    stream.reset();
+                    state.reset();
                 }
-                self.censor.score_features(&row)
+                score
             }
             None => self.censor.score(wire),
         }
@@ -162,11 +155,9 @@ impl PrefixScorer {
 /// wire prefix — exactly what the pre-program engine did with
 /// `censor.blocks(wire)` mid-stream and `censor.score(wire)` at the end,
 /// so adapted classifiers are pinned bit-for-bit against the one-shot
-/// path. DT and RF censors score incrementally: each observation absorbs
-/// only the packets added since the previous one into the session's
-/// [`FeatureStream`] instead of re-extracting every feature from the
-/// whole prefix.
-#[derive(Clone)]
+/// path. Censors with a [`Censor::prefix_state`] (DT, RF, LSTM) score
+/// incrementally: each observation absorbs only the packets added since
+/// the previous one instead of re-scoring the whole prefix.
 pub struct ClassifierProgram {
     scorer: PrefixScorer,
 }
@@ -622,10 +613,10 @@ mod tests {
     }
 
     /// Every trained family, adapted: the program's score equals
-    /// `Censor::score` bit for bit on every prefix. DT and RF (also
-    /// behind `TrainedCensor`) must take the streaming path, so a lost
-    /// `feature_layer` delegation fails here instead of silently falling
-    /// back to re-extraction.
+    /// `Censor::score` bit for bit on every prefix, the empty one
+    /// included. DT, RF and LSTM (also behind `TrainedCensor`) must take
+    /// the prefix-state path, so a lost `prefix_state` delegation fails
+    /// here instead of silently falling back to re-scoring every prefix.
     #[test]
     fn adapted_trained_censors_match_one_shot_scores_on_every_prefix() {
         use crate::train::{train_censor, TrainConfig};
@@ -640,12 +631,12 @@ mod tests {
         let flows = [&ds.flows[0], &ds.flows[1], &ds.flows[ds.len() - 1]];
         for kind in CensorKind::ALL {
             let censor: Arc<dyn Censor> = Arc::new(train_censor(kind, &ds, Layer::Tcp, &cfg, 3));
-            let streams = matches!(kind, CensorKind::Dt | CensorKind::Rf);
-            assert_eq!(censor.feature_layer().is_some(), streams, "{kind}");
+            let streams = matches!(kind, CensorKind::Dt | CensorKind::Rf | CensorKind::Lstm);
+            assert_eq!(censor.prefix_state().is_some(), streams, "{kind}");
             let factory = ClassifierProgramFactory::new(Arc::clone(&censor));
             for flow in flows {
                 let mut prog = factory.spawn();
-                for k in 1..=flow.len() {
+                for k in 0..=flow.len() {
                     let prefix = flow.prefix(k);
                     let want = censor.score(&prefix);
                     let got = match prog.observe(&prefix, k == flow.len()) {

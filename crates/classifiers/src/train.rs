@@ -6,6 +6,8 @@
 //! reachable through [`train_nn_model`] so the white-box attack baselines
 //! (C&W, NIDSGAN, BAP) can access their gradients.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -18,7 +20,7 @@ use amoeba_nn::optim::{Adam, Optimizer};
 use amoeba_nn::tensor::Tensor;
 use amoeba_traffic::{cumul_features, extract_features, Dataset, Flow, FlowRepr, Label, Layer};
 
-use crate::censor::{Censor, CensorKind};
+use crate::censor::{Censor, CensorKind, PrefixState};
 use crate::cumul::CumulCensor;
 use crate::df::{DfCensor, DfConfig, DfModel};
 use crate::lstm::{LstmCensor, LstmConfig, LstmModel};
@@ -253,7 +255,10 @@ pub fn train_dt(ds: &Dataset, layer: Layer, cfg: &TrainConfig, seed: u64) -> Tre
         .map(|f| extract_features(f, layer))
         .collect();
     let tree = DecisionTree::fit(&x, &ds.labels_u8(), cfg.tree, &mut rng);
-    TreeCensor { tree, layer }
+    TreeCensor {
+        tree: Arc::new(tree),
+        layer,
+    }
 }
 
 /// Trains the RF censor over the 166-feature representation.
@@ -265,7 +270,10 @@ pub fn train_rf(ds: &Dataset, layer: Layer, cfg: &TrainConfig, seed: u64) -> For
         .map(|f| extract_features(f, layer))
         .collect();
     let forest = RandomForest::fit(&x, &ds.labels_u8(), cfg.forest, &mut rng);
-    ForestCensor { forest, layer }
+    ForestCensor {
+        forest: Arc::new(forest),
+        layer,
+    }
 }
 
 /// Trains the CUMUL censor (scaler + SVM-RBF over cumulative traces).
@@ -301,49 +309,31 @@ pub enum TrainedCensor {
     Cumul(CumulCensor),
 }
 
+impl TrainedCensor {
+    /// The censor inside, whichever family it is.
+    fn inner(&self) -> &dyn Censor {
+        match self {
+            TrainedCensor::Df(c) => c,
+            TrainedCensor::Sdae(c) => c,
+            TrainedCensor::Lstm(c) => c,
+            TrainedCensor::Dt(c) => c,
+            TrainedCensor::Rf(c) => c,
+            TrainedCensor::Cumul(c) => c,
+        }
+    }
+}
+
 impl Censor for TrainedCensor {
     fn score(&self, flow: &Flow) -> f32 {
-        match self {
-            TrainedCensor::Df(c) => c.score(flow),
-            TrainedCensor::Sdae(c) => c.score(flow),
-            TrainedCensor::Lstm(c) => c.score(flow),
-            TrainedCensor::Dt(c) => c.score(flow),
-            TrainedCensor::Rf(c) => c.score(flow),
-            TrainedCensor::Cumul(c) => c.score(flow),
-        }
+        self.inner().score(flow)
     }
 
     fn kind(&self) -> CensorKind {
-        match self {
-            TrainedCensor::Df(_) => CensorKind::Df,
-            TrainedCensor::Sdae(_) => CensorKind::Sdae,
-            TrainedCensor::Lstm(_) => CensorKind::Lstm,
-            TrainedCensor::Dt(_) => CensorKind::Dt,
-            TrainedCensor::Rf(_) => CensorKind::Rf,
-            TrainedCensor::Cumul(_) => CensorKind::Cumul,
-        }
+        self.inner().kind()
     }
 
-    fn feature_layer(&self) -> Option<Layer> {
-        match self {
-            TrainedCensor::Df(c) => c.feature_layer(),
-            TrainedCensor::Sdae(c) => c.feature_layer(),
-            TrainedCensor::Lstm(c) => c.feature_layer(),
-            TrainedCensor::Dt(c) => c.feature_layer(),
-            TrainedCensor::Rf(c) => c.feature_layer(),
-            TrainedCensor::Cumul(c) => c.feature_layer(),
-        }
-    }
-
-    fn score_features(&self, row: &[f32]) -> f32 {
-        match self {
-            TrainedCensor::Df(c) => c.score_features(row),
-            TrainedCensor::Sdae(c) => c.score_features(row),
-            TrainedCensor::Lstm(c) => c.score_features(row),
-            TrainedCensor::Dt(c) => c.score_features(row),
-            TrainedCensor::Rf(c) => c.score_features(row),
-            TrainedCensor::Cumul(c) => c.score_features(row),
-        }
+    fn prefix_state(&self) -> Option<Box<dyn PrefixState>> {
+        self.inner().prefix_state()
     }
 }
 

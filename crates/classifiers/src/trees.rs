@@ -1,62 +1,89 @@
 //! Tree-based censors (DT and RF) over the 166-feature representation
 //! [Barradas et al., USENIX Security'18].
 
-use amoeba_ml::{DecisionTree, RandomForest};
-use amoeba_traffic::{extract_features, Flow, Layer};
+use std::sync::Arc;
 
-use crate::censor::{Censor, CensorKind};
+use amoeba_ml::{DecisionTree, RandomForest};
+use amoeba_traffic::{extract_features, FeatureStream, Flow, Layer, NUM_FEATURES};
+
+use crate::censor::{Censor, CensorKind, PrefixState};
 
 /// Decision-tree censor.
 #[derive(Debug, Clone)]
 pub struct TreeCensor {
-    /// The fitted tree.
-    pub tree: DecisionTree,
+    /// The fitted tree, shared with the censor's prefix states.
+    pub tree: Arc<DecisionTree>,
     /// Observation layer (sets the feature extractor's size normaliser).
     pub layer: Layer,
 }
 
 impl Censor for TreeCensor {
     fn score(&self, flow: &Flow) -> f32 {
-        self.score_features(&extract_features(flow, self.layer))
+        self.tree.predict_proba(&extract_features(flow, self.layer))
     }
 
     fn kind(&self) -> CensorKind {
         CensorKind::Dt
     }
 
-    fn feature_layer(&self) -> Option<Layer> {
-        Some(self.layer)
-    }
-
-    fn score_features(&self, row: &[f32]) -> f32 {
-        self.tree.predict_proba(row)
+    fn prefix_state(&self) -> Option<Box<dyn PrefixState>> {
+        let tree = Arc::clone(&self.tree);
+        FeatureState::boxed(self.layer, move |row| tree.predict_proba(row))
     }
 }
 
 /// Random-forest censor.
 #[derive(Debug, Clone)]
 pub struct ForestCensor {
-    /// The fitted forest.
-    pub forest: RandomForest,
+    /// The fitted forest, shared with the censor's prefix states.
+    pub forest: Arc<RandomForest>,
     /// Observation layer.
     pub layer: Layer,
 }
 
 impl Censor for ForestCensor {
     fn score(&self, flow: &Flow) -> f32 {
-        self.score_features(&extract_features(flow, self.layer))
+        self.forest
+            .predict_proba(&extract_features(flow, self.layer))
     }
 
     fn kind(&self) -> CensorKind {
         CensorKind::Rf
     }
 
-    fn feature_layer(&self) -> Option<Layer> {
-        Some(self.layer)
+    fn prefix_state(&self) -> Option<Box<dyn PrefixState>> {
+        let forest = Arc::clone(&self.forest);
+        FeatureState::boxed(self.layer, move |row| forest.predict_proba(row))
+    }
+}
+
+/// The prefix state of a censor whose score is a function of the
+/// 166-feature vector: a [`FeatureStream`] absorbs each new wire packet
+/// once and `predict` scores the row, which equals
+/// [`extract_features`] of the wire bit for bit.
+struct FeatureState<P> {
+    stream: FeatureStream,
+    predict: P,
+}
+
+impl<P: Fn(&[f32]) -> f32 + Send + 'static> FeatureState<P> {
+    fn boxed(layer: Layer, predict: P) -> Option<Box<dyn PrefixState>> {
+        Some(Box::new(Self {
+            stream: FeatureStream::new(layer),
+            predict,
+        }))
+    }
+}
+
+impl<P: Fn(&[f32]) -> f32 + Send> PrefixState for FeatureState<P> {
+    fn score(&mut self, wire: &Flow) -> f32 {
+        let mut row = [0.0f32; NUM_FEATURES];
+        self.stream.observe(wire, &mut row);
+        (self.predict)(&row)
     }
 
-    fn score_features(&self, row: &[f32]) -> f32 {
-        self.forest.predict_proba(row)
+    fn reset(&mut self) {
+        self.stream.reset();
     }
 }
 
@@ -80,7 +107,7 @@ mod tests {
         let y = ds.labels_u8();
         let tree = DecisionTree::fit(&x, &y, TreeConfig::default(), &mut rng);
         let censor = TreeCensor {
-            tree,
+            tree: Arc::new(tree),
             layer: Layer::Tcp,
         };
         let mut correct = 0;
@@ -116,7 +143,7 @@ mod tests {
             &mut rng,
         );
         let censor = ForestCensor {
-            forest,
+            forest: Arc::new(forest),
             layer: Layer::Tcp,
         };
         for f in &ds.flows {

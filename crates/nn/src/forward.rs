@@ -11,9 +11,12 @@
 //!   one independent sample — `(B, in) -> (B, out)`.
 //! * **Recurrent** implementors (`GruSnapshot`, `LstmSnapshot`) treat the
 //!   rows of `x` as the *timesteps* of a single batch-1 sequence —
-//!   `(T, in) -> (1, hidden)` — matching how the censors and the
-//!   incremental encoder consume them. Multi-sequence work goes through
-//!   [`Forward::forward_batch`].
+//!   `(T, in) -> (1, hidden)`. Their `forward` is a loop over their
+//!   public `step`, which is what streaming consumers call directly: the
+//!   incremental encoder and the LSTM censor's prefix state step one
+//!   packet at a time and keep the state between packets, so they run
+//!   the same arithmetic in the same order as `forward` over the whole
+//!   prefix. Multi-sequence work goes through [`Forward::forward_batch`].
 //!
 //! [`Pipeline`] composes stages into one `Forward` (e.g. the DF censor is
 //! `conv → relu → conv → relu → pool → mlp → sigmoid`), replacing the

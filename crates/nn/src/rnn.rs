@@ -454,10 +454,33 @@ impl Lstm {
 }
 
 /// Plain-weight copy of an [`Lstm`]; `Send + Sync`, inference via
-/// [`Forward`].
+/// [`Forward`] or step by step.
 #[derive(Clone, Debug)]
 pub struct LstmSnapshot {
     cells: Vec<LstmCellSnapshot>,
+}
+
+impl LstmSnapshot {
+    /// Zero initial per-layer `(h, c)` state for a batch of `b`.
+    pub fn zero_state(&self, b: usize) -> Vec<(Matrix, Matrix)> {
+        self.cells
+            .iter()
+            .map(|c| (Matrix::zeros(b, c.hidden), Matrix::zeros(b, c.hidden)))
+            .collect()
+    }
+
+    /// One inference step; `state` is updated in place, the top-layer hidden
+    /// is returned by reference.
+    pub fn step<'s>(&self, x: &Matrix, state: &'s mut [(Matrix, Matrix)]) -> &'s Matrix {
+        assert_eq!(state.len(), self.cells.len(), "Lstm state depth mismatch");
+        for (l, cell) in self.cells.iter().enumerate() {
+            let (below, rest) = state.split_at_mut(l);
+            let input = below.last().map_or(x, |(h, _)| h);
+            let (h, c) = &mut rest[0];
+            (*h, *c) = cell.step(input, h, c);
+        }
+        &state.last().expect("nonempty state").0
+    }
 }
 
 impl Forward for LstmSnapshot {
@@ -465,22 +488,12 @@ impl Forward for LstmSnapshot {
     /// row; returns the final top-layer hidden state `(1, hidden)`. An
     /// empty sequence (0 rows) yields the zero state.
     fn forward(&self, x: &Matrix) -> Matrix {
-        let mut hs: Vec<Matrix> = self
-            .cells
-            .iter()
-            .map(|c| Matrix::zeros(1, c.hidden))
-            .collect();
-        let mut cs = hs.clone();
+        let mut state = self.zero_state(1);
         for t in 0..x.rows() {
-            let mut input = Matrix::from_vec(1, x.cols(), x.row(t).to_vec());
-            for (l, cell) in self.cells.iter().enumerate() {
-                let (h_new, c_new) = cell.step(&input, &hs[l], &cs[l]);
-                input = h_new.clone();
-                hs[l] = h_new;
-                cs[l] = c_new;
-            }
+            let step = Matrix::from_vec(1, x.cols(), x.row(t).to_vec());
+            self.step(&step, &mut state);
         }
-        hs.pop().expect("nonempty state")
+        state.pop().expect("nonempty state").0
     }
 }
 
@@ -639,6 +652,40 @@ mod tests {
         }
         for (a, b) in full.as_slice().iter().zip(last.as_slice()) {
             assert!((a - b).abs() < 1e-6);
+        }
+    }
+
+    /// The step-wise LSTM forward runs each cell on the same inputs, in
+    /// the same order, as a plain per-layer loop over the cells, so
+    /// `forward` and explicit `step` calls both match that loop bit for
+    /// bit, cell state included.
+    #[test]
+    fn lstm_step_loop_is_bit_exact() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let snap = Lstm::new(2, 5, 3, &mut rng).snapshot();
+        let seq = Matrix::randn(6, 2, 1.0, &mut rng);
+        let mut hs: Vec<Matrix> = snap.cells.iter().map(|_| Matrix::zeros(1, 5)).collect();
+        let mut cs = hs.clone();
+        for t in 0..seq.rows() {
+            let mut input = Matrix::from_vec(1, 2, seq.row(t).to_vec());
+            for (l, cell) in snap.cells.iter().enumerate() {
+                let (h, c) = cell.step(&input, &hs[l], &cs[l]);
+                input = h.clone();
+                (hs[l], cs[l]) = (h, c);
+            }
+        }
+        let full = snap.forward(&seq);
+        let mut state = snap.zero_state(1);
+        for t in 0..seq.rows() {
+            snap.step(&Matrix::from_vec(1, 2, seq.row(t).to_vec()), &mut state);
+        }
+        for got in [&full, &state[2].0] {
+            for (a, b) in got.as_slice().iter().zip(hs[2].as_slice()) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+        for (a, b) in state[1].1.as_slice().iter().zip(cs[1].as_slice()) {
+            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

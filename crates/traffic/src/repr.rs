@@ -9,7 +9,7 @@
 //! * position-major fixed-length vectors (DF's Conv1d, SDAE's MLP);
 //! * per-step 2-vectors (LSTM, the RL StateEncoder).
 
-use crate::flow::Flow;
+use crate::flow::{Flow, Packet};
 use crate::generate::Layer;
 
 /// Normalisation + shaping configuration for model inputs.
@@ -83,10 +83,13 @@ impl FlowRepr {
     /// Per-packet `(size, delay)` normalised pairs (variable length), for
     /// recurrent consumers.
     pub fn to_steps(&self, flow: &Flow) -> Vec<[f32; 2]> {
-        flow.packets
-            .iter()
-            .map(|p| [self.norm_size(p.size), self.norm_delay(p.delay_ms)])
-            .collect()
+        flow.packets.iter().map(|p| self.to_step(p)).collect()
+    }
+
+    /// One packet's normalised `(size, delay)` pair: the timestep a
+    /// recurrent consumer absorbs for it.
+    pub fn to_step(&self, p: &Packet) -> [f32; 2] {
+        [self.norm_size(p.size), self.norm_delay(p.delay_ms)]
     }
 }
 

@@ -21,7 +21,8 @@
 //! defaults: ~1 000 sessions — offered flows × 3 censor tenants — and
 //! 8 192 PPO timesteps); `AMOEBA_SERVE_SHARDS` sets the engine
 //! worker-thread count (default 0 = one per core) — wire output is
-//! shard-count- and tenancy-invariant.
+//! shard-count- and tenancy-invariant. A set variable that is not a
+//! non-negative integer stops the demo with exit status 2, naming it.
 
 use std::sync::Arc;
 
@@ -35,11 +36,16 @@ use amoeba::core::{
 use amoeba::serve::{FrozenPolicy, ServeConfig, ServeEngine, Tenant, VerdictPolicy};
 use amoeba::traffic::{build_dataset, DatasetKind, Flow, Layer};
 
+/// The count in variable `name`, or `default` when it is unset. A set
+/// value that is not a non-negative integer exits with status 2.
 fn env_or(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    let Some(v) = std::env::var_os(name) else {
+        return default;
+    };
+    v.to_str().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
+        eprintln!("error: {name}={v:?} is not a non-negative integer");
+        std::process::exit(2)
+    })
 }
 
 fn main() {

@@ -4,6 +4,9 @@
 //! ```sh
 //! cargo run --release --example tor_evasion [timesteps]
 //! ```
+//!
+//! `timesteps` defaults to 60 000; a value that is not a non-negative
+//! integer exits with status 2.
 
 use std::sync::Arc;
 
@@ -12,10 +15,13 @@ use amoeba::core::{sensitive_flows, train_amoeba, AmoebaConfig};
 use amoeba::traffic::{build_dataset, DatasetKind, Layer, NetEm};
 
 fn main() {
-    let timesteps: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(60_000);
+    let timesteps: usize = match std::env::args().nth(1) {
+        None => 60_000,
+        Some(s) => s.parse().unwrap_or_else(|_| {
+            eprintln!("error: timesteps argument {s:?} is not a non-negative integer");
+            std::process::exit(2)
+        }),
+    };
 
     // Collect traffic through a mildly lossy path, as the paper does.
     let splits = build_dataset(DatasetKind::Tor, 300, Some(NetEm::default()), 42).split(42);
