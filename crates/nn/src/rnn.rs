@@ -5,6 +5,14 @@
 //! For a hidden width `h`, GRU gates are stored as `[r | z | n]` slices of a
 //! `3h`-wide matrix and LSTM gates as `[i | f | g | o]` slices of a
 //! `4h`-wide matrix.
+//!
+//! Training and serving share one GRU gate blend, `gru_blend`: the
+//! autograd [`GruCell::step`] records it as a single tape node after the
+//! two gate products, and [`GruCellSnapshot::step`] runs it on plain
+//! matrices. Both add each bias to its product inside the pass, in the
+//! order of the unfused formulation, so a frozen snapshot reproduces the
+//! graph's hidden states bit for bit. [`LstmCellSnapshot::step`] likewise
+//! writes its gates straight into its outputs, with no per-gate matrices.
 
 use rand::Rng;
 
@@ -13,26 +21,50 @@ use crate::init::xavier_uniform_shaped;
 use crate::matrix::Matrix;
 use crate::tensor::Tensor;
 
-/// The fused GRU gate blend behind [`GruCellSnapshot::step`]: given the
-/// pre-bias-added gate products `gx = x·Wx + bx` and `gh = h·Wh + bh`
-/// (both `(B, 3h)`, gates `[r|z|n]`), computes the new hidden state in a
-/// single pass with no `r`/`z`/`n` temporaries.
-fn gru_gate_blend(gx: &Matrix, gh: &Matrix, h: &Matrix, hs: usize) -> Matrix {
+/// The GRU gate blend: given the pre-bias products `xw = x·Wx` and
+/// `hw = h·Wh` (both `(B, 3h)`, gates `[r|z|n]`) and the biases, computes
+/// the new hidden state in one pass over the gate rows, with no `r`/`z`/`n`
+/// matrices. Each bias is added to its product before the gates combine,
+/// `(xw + bx) + (hw + bh)`, the order of the unfused formulation.
+///
+/// Training ([`GruCell::step`]) and serving ([`GruCellSnapshot::step`])
+/// both run this routine. `keep` receives every element's
+/// `[r, z, n, hw_n + bh_n]` in row-major order: the autograd cell keeps
+/// them for its backward, serving passes a no-op.
+pub(crate) fn gru_blend(
+    xw: &Matrix,
+    hw: &Matrix,
+    bx: &Matrix,
+    bh: &Matrix,
+    h: &Matrix,
+    mut keep: impl FnMut([f32; 4]),
+) -> Matrix {
     let sig = |v: f32| 1.0 / (1.0 + (-v).exp());
+    let hs = h.cols();
+    let [bxr, bxz, bxn] = gate_slices(bx.row(0), hs);
+    let [bhr, bhz, bhn] = gate_slices(bh.row(0), hs);
     let mut out = Matrix::zeros(h.rows(), hs);
     for row in 0..h.rows() {
-        let gx_row = gx.row(row);
-        let gh_row = gh.row(row);
-        let h_row = h.row(row);
-        let out_row = out.row_mut(row);
+        let [xr, xz, xn] = gate_slices(xw.row(row), hs);
+        let [hr, hz, hn] = gate_slices(hw.row(row), hs);
+        let h_row = &h.row(row)[..hs];
+        let out_row = &mut out.row_mut(row)[..hs];
         for c in 0..hs {
-            let r = sig(gx_row[c] + gh_row[c]);
-            let z = sig(gx_row[hs + c] + gh_row[hs + c]);
-            let n = (gx_row[2 * hs + c] + r * gh_row[2 * hs + c]).tanh();
+            let r = sig((xr[c] + bxr[c]) + (hr[c] + bhr[c]));
+            let z = sig((xz[c] + bxz[c]) + (hz[c] + bhz[c]));
+            let ghn = hn[c] + bhn[c];
+            let n = ((xn[c] + bxn[c]) + r * ghn).tanh();
             out_row[c] = (1.0 - z) * n + z * h_row[c];
+            keep([r, z, n, ghn]);
         }
     }
     out
+}
+
+/// The first `N` gate blocks of a fused gate row, each exactly `hs` wide
+/// (so indexing them by a column below `hs` needs no bounds check).
+fn gate_slices<const N: usize>(row: &[f32], hs: usize) -> [&[f32]; N] {
+    std::array::from_fn(|k| &row[k * hs..(k + 1) * hs])
 }
 
 /// Single GRU cell.
@@ -80,21 +112,13 @@ impl GruCell {
     }
 
     /// One autograd step: `x (B, in)`, `h (B, hidden)` → new hidden.
+    ///
+    /// Records three tape nodes: the products `x·Wx` and `h·Wh` and one
+    /// fused blend (see [`Tensor`]'s memory contract). Values and
+    /// gradients are bit-identical to the same update composed from
+    /// slice, add, sigmoid, tanh and Hadamard nodes.
     pub fn step(&self, x: &Tensor, h: &Tensor) -> Tensor {
-        let hs = self.hidden;
-        let gx = x.matmul(&self.wx).add_bias(&self.bx);
-        let gh = h.matmul(&self.wh).add_bias(&self.bh);
-        let r = gx.slice_cols(0, hs).add(&gh.slice_cols(0, hs)).sigmoid();
-        let z = gx
-            .slice_cols(hs, 2 * hs)
-            .add(&gh.slice_cols(hs, 2 * hs))
-            .sigmoid();
-        let n = gx
-            .slice_cols(2 * hs, 3 * hs)
-            .add(&r.mul(&gh.slice_cols(2 * hs, 3 * hs)))
-            .tanh();
-        let one_minus_z = z.neg().add_scalar(1.0);
-        one_minus_z.mul(&n).add(&z.mul(h))
+        Tensor::gru_cell(x, h, &self.wx, &self.wh, &self.bx, &self.bh)
     }
 
     /// Trainable parameters.
@@ -145,16 +169,15 @@ impl GruCellSnapshot {
 
     /// One inference step on raw matrices.
     ///
-    /// The two gate matmuls go through [`Matrix::matmul`]; the gate
-    /// nonlinearities and the hidden-state blend are
-    /// fused into a single pass over the gate rows (no `r`/`z`/`n`
-    /// temporaries). Both are bit-identical to the unfused autograd
-    /// formulation — the property the serving dataplane's batching and
+    /// The two gate products go through [`Matrix::matmul`]; the biases,
+    /// the gate nonlinearities and the hidden-state blend run in the same
+    /// single pass as the autograd [`GruCell::step`], so both are
+    /// bit-identical — the property the serving dataplane's batching and
     /// sharding rest on.
     pub fn step(&self, x: &Matrix, h: &Matrix) -> Matrix {
-        let gx = x.matmul(&self.wx).add_row_broadcast(&self.bx);
-        let gh = h.matmul(&self.wh).add_row_broadcast(&self.bh);
-        gru_gate_blend(&gx, &gh, h, self.hidden)
+        let xw = x.matmul(&self.wx);
+        let hw = h.matmul(&self.wh);
+        gru_blend(&xw, &hw, &self.bx, &self.bh, h, |_| {})
     }
 }
 
@@ -275,11 +298,10 @@ impl GruSnapshot {
     /// is returned by reference.
     pub fn step<'s>(&self, x: &Matrix, state: &'s mut [Matrix]) -> &'s Matrix {
         assert_eq!(state.len(), self.cells.len(), "Gru state depth mismatch");
-        let mut input = x.clone();
-        for (cell, h) in self.cells.iter().zip(state.iter_mut()) {
-            let h_new = cell.step(&input, h);
-            input = h_new.clone();
-            *h = h_new;
+        for (l, cell) in self.cells.iter().enumerate() {
+            let (below, rest) = state.split_at_mut(l);
+            let input = below.last().unwrap_or(x);
+            rest[0] = cell.step(input, &rest[0]);
         }
         state.last().expect("nonempty state")
     }
@@ -379,19 +401,43 @@ pub struct LstmCellSnapshot {
 
 impl LstmCellSnapshot {
     /// One inference step on raw matrices; returns `(h', c')`.
+    ///
+    /// After the two products, each gate row is computed in place in the
+    /// outputs, with no per-gate matrices, in the order of the autograd
+    /// [`LstmCell::step`]: `(x·Wx + h·Wh) + b`, then `c' = f·c + i·g` and
+    /// `h' = o·tanh(c')`, so both are bit-identical.
     pub fn step(&self, x: &Matrix, h: &Matrix, c: &Matrix) -> (Matrix, Matrix) {
         let hs = self.hidden;
-        let gates = x
-            .matmul(&self.wx)
-            .add(&h.matmul(&self.wh))
-            .add_row_broadcast(&self.b);
+        let mut gates = x.matmul(&self.wx);
+        gates.add_assign(&h.matmul(&self.wh));
         let sig = |v: f32| 1.0 / (1.0 + (-v).exp());
-        let i = gates.slice_cols(0, hs).map(sig);
-        let f = gates.slice_cols(hs, 2 * hs).map(sig);
-        let g = gates.slice_cols(2 * hs, 3 * hs).map(f32::tanh);
-        let o = gates.slice_cols(3 * hs, 4 * hs).map(sig);
-        let c_new = f.hadamard(c).add(&i.hadamard(&g));
-        let h_new = o.hadamard(&c_new.map(f32::tanh));
+        let [bi, bf, bg, bo] = gate_slices(self.b.row(0), hs);
+        let mut h_new = Matrix::zeros(c.rows(), hs);
+        let mut c_new = Matrix::zeros(c.rows(), hs);
+        for row in 0..c.rows() {
+            let [gi, gf, gg, go] = gate_slices(gates.row(row), hs);
+            let c_row = &c.row(row)[..hs];
+            let h_out = &mut h_new.row_mut(row)[..hs];
+            let c_out = &mut c_new.row_mut(row)[..hs];
+            // One short loop per gate: with a single libm call per
+            // iteration this measured about a fifth faster than one loop
+            // making all five calls. `h_out` holds `i`, then `o`.
+            for k in 0..hs {
+                c_out[k] = sig(gf[k] + bf[k]) * c_row[k];
+            }
+            for k in 0..hs {
+                h_out[k] = sig(gi[k] + bi[k]);
+            }
+            for k in 0..hs {
+                c_out[k] += h_out[k] * (gg[k] + bg[k]).tanh();
+            }
+            for k in 0..hs {
+                h_out[k] = sig(go[k] + bo[k]);
+            }
+            for k in 0..hs {
+                h_out[k] *= c_out[k].tanh();
+            }
+        }
         (h_new, c_new)
     }
 }
@@ -584,7 +630,7 @@ mod tests {
         let finals = snap.forward_batch(&per_sample_sequences(&xs));
         for (sample, snap_final) in finals.iter().enumerate() {
             for (a, b) in graph_final.row(sample).iter().zip(snap_final.as_slice()) {
-                assert!((a - b).abs() < 1e-5, "{a} vs {b}");
+                assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
             }
         }
     }
@@ -600,7 +646,7 @@ mod tests {
         let finals = snap.forward_batch(&per_sample_sequences(&xs));
         for (sample, snap_final) in finals.iter().enumerate() {
             for (a, b) in graph_final.row(sample).iter().zip(snap_final.as_slice()) {
-                assert!((a - b).abs() < 1e-5);
+                assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
             }
         }
     }

@@ -21,10 +21,21 @@
 //!   moves each interior node's gradient into its closure and frees it
 //!   there. Leaves keep theirs for the optimiser; [`Tensor::grad`] on a
 //!   leaf that received nothing returns zeros of its shape.
+//! - **Recurrent cells are fused.** A GRU cell step records three nodes
+//!   (`x·Wx`, `h·Wh` and one gate blend, `Tensor::gru_cell`) instead of
+//!   the 22 a composition of slice, add, sigmoid, tanh and Hadamard nodes
+//!   would; the blend keeps only `r`, `z`, `n` and `h·Wh`'s `n` slice
+//!   (plus bias) for its hand-written backward.
+//! - **A value no backward reads is released.** `matmul`'s backward reads
+//!   its operands and the incoming gradient, never its own output, so
+//!   once the GRU blend has read its two products it empties their
+//!   values.
 //!
 //! None of this changes an arithmetic operation or its order, so the
 //! gradients are bit-identical to a tape that zero-fills every buffer up
-//! front and copies every operand.
+//! front, copies every operand and composes every cell from primitive
+//! nodes (`crates/nn/tests/gru_grad_parity.rs` keeps that composition as
+//! its reference).
 //!
 //! Graphs are thread-local (`Rc`-based). Multi-threaded rollout workers use
 //! plain-`Matrix` snapshots of layer parameters instead (see
@@ -654,6 +665,99 @@ impl Tensor {
         let out = self.value_ref().reshape(rows, cols);
         let (r, c) = self.shape();
         self.unary(out, move |g, _, _| Matrix::from_vec(r, c, g.into_vec()))
+    }
+
+    // ----- fused recurrent cells ---------------------------------------------
+
+    /// One GRU cell step ([`crate::rnn::GruCell`]) recorded as three
+    /// nodes: the products `xw = x·Wx` and `hw = h·Wh`, and one blend node
+    /// that runs `crate::rnn::gru_blend` and keeps only `r`, `z`, `n`
+    /// and `hw_n + bh_n` for its backward.
+    ///
+    /// The backward repeats the per-element arithmetic of the composed
+    /// graph (slice, add, sigmoid, tanh, Hadamard and `1 − z` nodes)
+    /// operation for operation: sigmoid as `(g·y)·(1 − y)`, tanh as
+    /// `g·(1 − y²)`, `z`'s gradient as the sum of its two paths, and
+    /// `+0.0 + v` wherever a composed node's buffer would first have
+    /// received `v`. `hw` stays its own node so that `h` receives its two
+    /// contributions (through `z` here, through `Wh` at `hw`) at the
+    /// composed graph's places in the walk; the gradients are
+    /// bit-identical.
+    pub(crate) fn gru_cell(
+        x: &Tensor,
+        h: &Tensor,
+        wx: &Tensor,
+        wh: &Tensor,
+        bx: &Tensor,
+        bh: &Tensor,
+    ) -> Tensor {
+        let xw = x.matmul(wx);
+        let hw = h.matmul(wh);
+        let (rows, hs) = h.shape();
+        let mut kept = [(); 4].map(|_| Vec::with_capacity(rows * hs));
+        let out = crate::rnn::gru_blend(
+            &xw.value_ref(),
+            &hw.value_ref(),
+            &bx.value_ref(),
+            &bh.value_ref(),
+            &h.value_ref(),
+            |vals| {
+                for (k, v) in kept.iter_mut().zip(vals) {
+                    k.push(v);
+                }
+            },
+        );
+        // `matmul`'s backward reads its operands, never its output.
+        for product in [&xw, &hw] {
+            product.inner.borrow_mut().value = Matrix::zeros(0, 0);
+        }
+        let [r, z, n, ghn] = kept;
+        let (pxw, phw, pbx, pbh, ph) = (xw.clone(), hw.clone(), bx.clone(), bh.clone(), h.clone());
+        Tensor::from_op(
+            out,
+            vec![xw, hw, bx.clone(), bh.clone(), h.clone()],
+            Box::new(move |g, _| {
+                let p = |v: f32| 0.0 + v;
+                let mut gxw = Matrix::zeros(rows, 3 * hs);
+                let mut ghw = Matrix::zeros(rows, 3 * hs);
+                let mut dh = Vec::with_capacity(rows * hs);
+                {
+                    let hv = ph.value_ref();
+                    for row in 0..rows {
+                        let (gxw_row, ghw_row) = (gxw.row_mut(row), ghw.row_mut(row));
+                        for c in 0..hs {
+                            let i = row * hs + c;
+                            let (r, z, n, ghn) = (r[i], z[i], n[i], ghn[i]);
+                            // out = (1 − z)·n + z·h
+                            let g = p(g.as_slice()[i]);
+                            let g_omz = p(g * n);
+                            let g_n = p(g * (1.0 - z));
+                            let c_zh = g * hv.as_slice()[i];
+                            dh.push(g * z);
+                            // 1 − z = −z + 1: its path, then z·h's path
+                            let g_z = p(-g_omz) + c_zh;
+                            let g_zpre = p(g_z * z * (1.0 - z));
+                            // n = tanh((xw_n + bx_n) + r·ghn)
+                            let g_npre = p(g_n * (1.0 - n * n));
+                            let g_r = p(g_npre * ghn);
+                            let g_ghn = p(g_npre * r);
+                            let g_rpre = p(g_r * r * (1.0 - r));
+                            gxw_row[c] = g_rpre;
+                            gxw_row[hs + c] = g_zpre;
+                            gxw_row[2 * hs + c] = g_npre;
+                            ghw_row[c] = g_rpre;
+                            ghw_row[hs + c] = g_zpre;
+                            ghw_row[2 * hs + c] = g_ghn;
+                        }
+                    }
+                }
+                ph.accumulate_grad(Matrix::from_vec(rows, hs, dh));
+                pbx.accumulate_grad(gxw.sum_rows());
+                pxw.accumulate_grad(gxw);
+                pbh.accumulate_grad(ghw.sum_rows());
+                phw.accumulate_grad(ghw);
+            }),
+        )
     }
 
     // ----- structured ops for convolution ----------------------------------

@@ -27,6 +27,19 @@ fn assert_close(graph: &Matrix, snap: &Matrix, what: &str) {
     }
 }
 
+/// The recurrent snapshots run the same per-element arithmetic, in the
+/// same order, as the autograd cells, so they agree bit for bit.
+fn assert_bits(graph: &Matrix, snap: &Matrix, what: &str) {
+    assert_eq!(graph.shape(), snap.shape(), "{what}: shape mismatch");
+    for (a, b) in graph.as_slice().iter().zip(snap.as_slice()) {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "{what}: graph {a} vs snapshot {b}"
+        );
+    }
+}
+
 #[test]
 fn linear_snapshot_matches_graph_on_random_inputs() {
     let mut rng = StdRng::seed_from_u64(10);
@@ -119,7 +132,7 @@ fn gru_snapshot_matches_graph_on_random_sequences() {
             .collect();
         let (outs, _) = gru.forward_sequence(&graph_xs);
         let graph = outs.last().expect("nonempty").value();
-        assert_close(&graph, &snap.forward(&seq), &format!("gru len {len}"));
+        assert_bits(&graph, &snap.forward(&seq), &format!("gru len {len}"));
     }
     // Gradcheck one short sequence through the graph path.
     let seq = Matrix::randn(3, 3, 0.5, &mut rng);
@@ -149,7 +162,7 @@ fn lstm_snapshot_matches_graph_on_random_sequences() {
             .map(|t| Tensor::constant(Matrix::from_vec(1, 2, seq.row(t).to_vec())))
             .collect();
         let graph = lstm.forward_sequence(&graph_xs).value();
-        assert_close(&graph, &snap.forward(&seq), &format!("lstm len {len}"));
+        assert_bits(&graph, &snap.forward(&seq), &format!("lstm len {len}"));
     }
     let seq = Matrix::randn(3, 2, 0.5, &mut rng);
     let target = Matrix::randn(1, 5, 0.5, &mut rng);
