@@ -11,8 +11,8 @@ use amoeba_classifiers::{
     Censor, CensorKind, CensorProgramFactory, HardLabelFactory, StatefulProgramFactory,
 };
 use amoeba_serve::{
-    CensorId, CensorRegistry, FrozenPolicy, PolicyId, PolicyRegistry, ServeConfig,
-    ServeConfigBuilder, ServeEngine, ServeReport, VerdictPolicy,
+    CensorId, FrozenPolicy, PolicyId, ServeConfig, ServeConfigBuilder, ServeEngine, ServeReport,
+    VerdictPolicy,
 };
 use amoeba_traffic::{DatasetKind, Flow};
 
@@ -525,27 +525,30 @@ fn run_matrix(
     scenario: Scenario,
 ) -> (ServeReport, Vec<PolicyId>, Vec<CensorId>) {
     assert!(!policy_kinds.is_empty() && !censor_kinds.is_empty());
-    // Assemble the tenant tables up front, then hand them to the engine —
-    // the `ServeEngine::with_registries` sweep-harness path.
-    let mut policies = PolicyRegistry::new();
-    let pids: Vec<PolicyId> = policy_kinds
+    // Train (or fetch) every tenant first, in the order the handles are
+    // then registered with the engine.
+    let policies: Vec<FrozenPolicy> = policy_kinds
         .iter()
-        .map(|&k| policies.register(FrozenPolicy::from_agent(&ctx.agent(DatasetKind::Tor, k).0)))
+        .map(|&k| FrozenPolicy::from_agent(&ctx.agent(DatasetKind::Tor, k).0))
         .collect();
-    let mut censors = CensorRegistry::new();
-    let cids: Vec<CensorId> = censor_kinds
+    let censors: Vec<Arc<dyn Censor>> = censor_kinds
         .iter()
-        .map(|&k| {
-            let censor = ctx.censor(DatasetKind::Tor, k);
-            match scenario.factory(Arc::clone(&censor)) {
-                Some(f) => censors.register_program(f),
-                None => censors.register(censor),
-            }
-        })
+        .map(|&k| ctx.censor(DatasetKind::Tor, k))
         .collect();
     let flows = offered(ctx, n_flows);
     let cfg = serve_config(ctx, batch, shards, true).build();
-    let mut engine = ServeEngine::with_registries(policies, censors, cfg);
+    let mut engine = ServeEngine::new(cfg);
+    let pids: Vec<PolicyId> = policies
+        .into_iter()
+        .map(|p| engine.register_policy(p))
+        .collect();
+    let cids: Vec<CensorId> = censors
+        .into_iter()
+        .map(|censor| match scenario.factory(Arc::clone(&censor)) {
+            Some(f) => engine.register_censor_program(f),
+            None => engine.register_censor(censor),
+        })
+        .collect();
     let cells = pids.len() * cids.len();
     for (i, f) in flows.iter().enumerate() {
         let cell = i % cells;

@@ -46,7 +46,7 @@
 //! `tests/tenancy_invariance.rs` property-tests random tenant mixes ×
 //! shard counts × batch sizes end-to-end.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use amoeba_classifiers::{Censor, CensorProgramFactory};
@@ -72,29 +72,6 @@ pub struct ServeEngine {
     sessions: Vec<Session>,
     /// Next auto-assigned session id (`max(assigned) + 1`).
     next_id: usize,
-    /// Where [`ServeEngine::run`] publishes the aggregated telemetry
-    /// snapshot; [`TelemetryHandle`]s obtained before the (consuming)
-    /// run read it afterwards.
-    telemetry_hub: Arc<Mutex<Option<TelemetrySnapshot>>>,
-}
-
-/// A handle onto an engine's telemetry snapshot, valid across
-/// [`ServeEngine::run`] (which consumes the engine). Obtain via
-/// [`ServeEngine::telemetry`] before the run; [`TelemetryHandle::get`]
-/// returns `Some` once the run completed with
-/// [`crate::ServeConfig::telemetry`] enabled. The hub mutex is touched
-/// only at publication time, after every shard has finished — never on
-/// the serving data path.
-#[derive(Clone)]
-pub struct TelemetryHandle {
-    hub: Arc<Mutex<Option<TelemetrySnapshot>>>,
-}
-
-impl TelemetryHandle {
-    /// The aggregated snapshot of the engine's completed run, if any.
-    pub fn get(&self) -> Option<TelemetrySnapshot> {
-        self.hub.lock().expect("telemetry hub poisoned").clone()
-    }
 }
 
 impl ServeEngine {
@@ -107,55 +84,12 @@ impl ServeEngine {
     pub fn new(cfg: ServeConfig) -> Self {
         cfg.validate();
         Self {
-            policies: PolicyRegistry::new(),
-            censors: CensorRegistry::new(),
+            policies: PolicyRegistry::default(),
+            censors: CensorRegistry::default(),
             backend: cfg.backend.instantiate(),
             cfg,
             sessions: Vec::new(),
             next_id: 0,
-            telemetry_hub: Arc::new(Mutex::new(None)),
-        }
-    }
-
-    /// An engine over pre-built registries (sweep harnesses that assemble
-    /// their tenant tables up front).
-    ///
-    /// # Panics
-    /// Panics on an invalid config, like [`ServeEngine::new`].
-    pub fn with_registries(
-        policies: PolicyRegistry,
-        censors: CensorRegistry,
-        cfg: ServeConfig,
-    ) -> Self {
-        cfg.validate();
-        Self {
-            policies,
-            censors,
-            backend: cfg.backend.instantiate(),
-            cfg,
-            sessions: Vec::new(),
-            next_id: 0,
-            telemetry_hub: Arc::new(Mutex::new(None)),
-        }
-    }
-
-    /// A handle onto this engine's telemetry snapshot, usable after the
-    /// consuming [`ServeEngine::run`] call:
-    ///
-    /// ```text
-    /// let handle = engine.telemetry();
-    /// let report = engine.run();
-    /// let snapshot = handle.get().expect("telemetry enabled");
-    /// println!("{}", snapshot.to_prometheus_text());
-    /// ```
-    ///
-    /// Returns `None` from [`TelemetryHandle::get`] until the run
-    /// finishes, or always when [`crate::ServeConfig::telemetry`] is off.
-    /// The same snapshot also rides on
-    /// [`ServeReport::telemetry`](crate::metrics::ServeReport::telemetry).
-    pub fn telemetry(&self) -> TelemetryHandle {
-        TelemetryHandle {
-            hub: Arc::clone(&self.telemetry_hub),
         }
     }
 
@@ -196,16 +130,6 @@ impl ServeEngine {
     /// onto the existing handle.
     pub fn register_censor_program(&mut self, factory: Arc<dyn CensorProgramFactory>) -> CensorId {
         self.censors.register_program(factory)
-    }
-
-    /// The policy table.
-    pub fn policies(&self) -> &PolicyRegistry {
-        &self.policies
-    }
-
-    /// The censor table.
-    pub fn censors(&self) -> &CensorRegistry {
-        &self.censors
     }
 
     /// Number of admitted sessions.
@@ -275,7 +199,7 @@ impl ServeEngine {
     /// # Panics
     /// Panics if two sessions share an id.
     pub fn run(mut self) -> ServeReport {
-        // audit:allow(AMB002, reason = "wall-clock run duration for ServeReport/throughput; read once, never steers scheduling or the wire")
+        // audit:allow(AMB002, reason = "run start: the wall-clock duration for ServeReport/throughput and the epoch of every work-item stamp; never steers scheduling or the wire")
         let start = Instant::now();
         self.sessions.sort_by_key(Session::id);
         assert!(
@@ -294,22 +218,23 @@ impl ServeEngine {
         }
         let shards: Vec<Shard> = parts
             .into_iter()
-            .map(|sessions| {
+            .enumerate()
+            .map(|(index, sessions)| {
                 Shard::new(
                     Arc::clone(&policies),
                     Arc::clone(&censors),
                     Arc::clone(&self.backend),
                     self.cfg.clone(),
                     sessions,
+                    start,
+                    index,
                 )
             })
             .collect();
 
         let reports: Vec<ShardReport> = crate::scheduler::run_shards(shards);
 
-        let report = Self::merge(reports, start.elapsed().as_secs_f64(), self.cfg.telemetry);
-        *self.telemetry_hub.lock().expect("telemetry hub poisoned") = report.telemetry.clone();
-        report
+        Self::merge(reports, start.elapsed().as_secs_f64(), self.cfg.telemetry)
     }
 
     /// Deterministic merge: outcomes k-way-merged by session id (each
@@ -455,15 +380,11 @@ mod tests {
     use amoeba_traffic::{Layer, NetEm};
 
     fn builder(batch: usize, shards: usize, mode: ActionMode) -> ServeConfigBuilder {
-        // Exact per-frame vectors stay on in this suite: the accounting
-        // tests assert on them, and running the invariance pins with
-        // them enabled doubles as proof they cannot perturb the wire.
         ServeConfig::builder(Layer::Tcp)
             .seed(11)
             .batch(batch)
             .shards(shards)
             .mode(mode)
-            .exact_frame_stats(true)
     }
 
     fn cfg(batch: usize, shards: usize, mode: ActionMode) -> ServeConfig {
@@ -670,9 +591,8 @@ mod tests {
         }
     }
 
-    /// The telemetry snapshot agrees with the report's own accounting and
-    /// reaches the caller both on the report and through a pre-run
-    /// [`ServeEngine::telemetry`] handle.
+    /// The telemetry snapshot on the report agrees with the report's own
+    /// accounting.
     #[test]
     fn telemetry_snapshot_matches_report_accounting() {
         let flows = offered_flows(60, 13);
@@ -700,8 +620,6 @@ mod tests {
                 .censor(cids[t % 3])
                 .submit();
         }
-        let handle = engine.telemetry();
-        assert!(handle.get().is_none(), "no snapshot before the run");
         let report = engine.run();
 
         let snap = report.telemetry.as_ref().expect("telemetry defaults on");
@@ -753,10 +671,6 @@ mod tests {
             snap.events.windows(2).all(|w| w[0].t0_ns <= w[1].t0_ns),
             "aggregated events are time-sorted"
         );
-
-        // The pre-run handle sees the same snapshot after the run.
-        let via_handle = handle.get().expect("snapshot published");
-        assert_eq!(via_handle.to_prometheus_text(), snap.to_prometheus_text());
     }
 
     /// With telemetry off the engine reports no snapshot — and the wire
@@ -832,6 +746,78 @@ mod tests {
         assert!(snap.events.is_empty());
         assert_eq!(snap.dropped_events, 0);
         assert_eq!(off.wire_bits(), ringed.wire_bits());
+    }
+
+    /// An item's infer, frame and emit spans tile its compute time: each
+    /// starts exactly where the previous one ended, because all three
+    /// derive from the item's own stamps. A steal marker sits at the
+    /// infer start.
+    #[test]
+    fn trace_spans_of_each_item_are_contiguous() {
+        use amoeba_telemetry::StageKind;
+        use std::collections::BTreeMap;
+        let flows = offered_flows(48, 11);
+        let mut engine = ServeEngine::new(
+            builder(4, 2, ActionMode::Deterministic)
+                .trace_ring(4096)
+                .build(),
+        );
+        let p = engine.register_policy(tiny_policy(7));
+        let c = engine.register_censor(scoring_censor(0.4));
+        engine.admit_all(flows.iter(), p, c);
+        let report = engine.run();
+        let snap = report.telemetry.as_ref().expect("telemetry defaults on");
+        assert_eq!(snap.dropped_events, 0, "the ring holds the whole run");
+        let mut spans = BTreeMap::new();
+        for e in &snap.events {
+            let prev = spans.insert((e.shard, e.seq, e.stage.name()), (e.t0_ns, e.dur_ns));
+            assert!(prev.is_none(), "one {} span per item", e.stage.name());
+        }
+        let infers: Vec<_> = snap
+            .events
+            .iter()
+            .filter(|e| e.stage == StageKind::Infer)
+            .collect();
+        assert_eq!(infers.len(), report.inference_batches);
+        for e in infers {
+            let span = |stage: StageKind| spans.get(&(e.shard, e.seq, stage.name())).copied();
+            let item = (e.shard, e.seq);
+            let frame = span(StageKind::Frame).expect("frame span");
+            let emit = span(StageKind::Emit).expect("emit span");
+            assert_eq!(e.t0_ns + e.dur_ns, frame.0, "item {item:?}: infer → frame");
+            assert_eq!(frame.0 + frame.1, emit.0, "item {item:?}: frame → emit");
+            if let Some(steal) = span(StageKind::Steal) {
+                assert_eq!(steal, (e.t0_ns, 0), "item {item:?}: steal marker");
+            }
+        }
+    }
+
+    /// Every tenant cell of a default-config run quotes its own latency
+    /// percentiles: frame runs are always kept, so no cell reads NaN.
+    #[test]
+    fn default_config_sub_reports_have_finite_latency_percentiles() {
+        let flows = offered_flows(60, 13);
+        let mut engine = ServeEngine::new(ServeConfig::builder(Layer::Tcp).build());
+        let pids = [tiny_policy(7), tiny_policy(19)].map(|p| engine.register_policy(p));
+        let cids = [0.1, 0.9].map(|s| engine.register_censor(scoring_censor(s)));
+        for (i, f) in flows.iter().enumerate() {
+            engine
+                .admit(f)
+                .policy(pids[i % 2])
+                .censor(cids[i / 2 % 2])
+                .submit();
+        }
+        let report = engine.run();
+        let subs = report.sub_reports();
+        assert_eq!(subs.len(), 4);
+        for (t, sub) in &subs {
+            assert!(sub.frames > 0, "tenant {t:?} served frames");
+            let ps = sub.latency_percentiles_us(&[0.5, 0.99]);
+            assert!(
+                ps.iter().all(|p| p.is_finite()) && ps[0] <= ps[1],
+                "tenant {t:?}: p50/p99 {ps:?}"
+            );
+        }
     }
 
     /// A single shard has nobody to steal from: the counter must stay
@@ -978,30 +964,6 @@ mod tests {
             .all(|o| o.tenant == Tenant::default()));
     }
 
-    /// Pre-assembled registries compose with admission and running, and
-    /// their handles are interchangeable with engine-registered ones.
-    #[test]
-    fn with_registries_matches_direct_registration() {
-        let flows = offered_flows(12, 3);
-        let mut policies = crate::PolicyRegistry::new();
-        let p = policies.register(tiny_policy(7));
-        let mut censors = crate::CensorRegistry::new();
-        let c = censors.register(scoring_censor(0.1));
-        let mut pre =
-            ServeEngine::with_registries(policies, censors, cfg(8, 2, ActionMode::Sample));
-        pre.admit_all(flows.iter(), p, c);
-        let pre = pre.run();
-
-        let mut direct = ServeEngine::new(cfg(8, 2, ActionMode::Sample));
-        let dp = direct.register_policy(tiny_policy(7));
-        let dc = direct.register_censor(scoring_censor(0.1));
-        direct.admit_all(flows.iter(), dp, dc);
-        let direct = direct.run();
-
-        assert_eq!(pre.wire_bits(), direct.wire_bits());
-        assert_eq!(pre.outcomes.len(), 12);
-    }
-
     /// Explicit payloads ride through the builder.
     #[test]
     fn admission_payload_is_carried_end_to_end() {
@@ -1069,15 +1031,6 @@ mod tests {
         let mut cfg = ServeConfig::builder(Layer::Tcp).build();
         cfg.max_delay_ms = f32::NAN;
         let _ = ServeEngine::new(cfg);
-    }
-
-    /// A direct field write is caught by `with_registries` too.
-    #[test]
-    #[should_panic(expected = "max_batch must be at least 1")]
-    fn engine_rejects_zero_batch_field() {
-        let mut cfg = ServeConfig::builder(Layer::Tcp).build();
-        cfg.max_batch = 0;
-        let _ = ServeEngine::with_registries(PolicyRegistry::new(), CensorRegistry::new(), cfg);
     }
 
     /// How [`bulk_admission_is_wire_identical_to_loop_admission`]

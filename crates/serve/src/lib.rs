@@ -10,8 +10,8 @@
 //!
 //! ## Architecture
 //!
-//! * [`engine::ServeEngine`] — the serving API. A [`registry::PolicyRegistry`]
-//!   and [`registry::CensorRegistry`] hand out cheap `Copy` handles
+//! * [`engine::ServeEngine`] — the serving API. Registering a policy or
+//!   a censor hands out a cheap `Copy` handle
 //!   ([`registry::PolicyId`] / [`registry::CensorId`]); sessions are
 //!   admitted through a builder and tagged with their
 //!   [`registry::Tenant`] — a `(policy, censor)` pair:
@@ -70,15 +70,20 @@
 //!   latency histograms and the stage-trace flight recorder
 //!   ([`ServeConfig::trace_ring`]) must never move a wire bit or take
 //!   a lock a data-path thread can contend on. Telemetry is on by
-//!   default ([`ServeConfig::telemetry`]), publishes as
-//!   [`metrics::ServeReport::telemetry`] and through
-//!   [`engine::ServeEngine::telemetry`]. CI's `telemetry-overhead` gate
+//!   default ([`ServeConfig::telemetry`]) and publishes as
+//!   [`metrics::ServeReport::telemetry`]. CI's `telemetry-overhead` gate
 //!   fails a change that costs more than 2% throughput, but enforces it
 //!   only on runners with at least 4 cores. The invariance is
 //!   pinned by `tests/telemetry_invariance.rs` and the workspace's
-//!   fingerprint sweep (`tests/serve_pin.rs`); exact per-frame latency samples (one
-//!   [`metrics::FrameRun`] per batch and tenant) are opt-in via
-//!   [`ServeConfig::exact_frame_stats`].
+//!   fingerprint sweep (`tests/serve_pin.rs`).
+//! * Timing — each work item carries one timing record: five clock
+//!   stamps (formed, then the start and end of its three contiguous
+//!   stages). Its queue wait, compute, per-stage totals, trace spans, the
+//!   telemetry histograms and its [`metrics::FrameRun`]s (one per batch
+//!   and tenant, always kept) all derive from those stamps, so the
+//!   report's exact percentiles, the per-tenant sub-reports and the
+//!   Prometheus summaries share one latency definition: queue wait plus
+//!   compute.
 //!
 //! ## Determinism: the grouping- and tenancy-invariance contract
 //!
@@ -132,9 +137,9 @@ use amoeba_core::{ActionSpace, AmoebaAgent, AmoebaConfig, ShapingKernel};
 use amoeba_traffic::{Layer, NetEm};
 
 pub use backend::{BackendKind, CpuBackend, InferenceBackend};
-pub use engine::{Admission, ServeEngine, TelemetryHandle};
+pub use engine::{Admission, ServeEngine};
 pub use metrics::{FrameRun, ServeReport, SessionOutcome, SessionStatus};
-pub use registry::{CensorId, CensorRegistry, PolicyId, PolicyRegistry, Tenant};
+pub use registry::{CensorId, PolicyId, Tenant};
 
 /// The slice of a trained agent the dataplane needs: the frozen
 /// StateEncoder and actor. (Serving never needs the critic.)
@@ -264,13 +269,6 @@ pub struct ServeConfig {
     /// [`amoeba_telemetry::TelemetrySnapshot::trace_json`]. A pure
     /// observability knob — wire output is ring-size-invariant.
     pub trace_ring: usize,
-    /// Keep the exact per-frame latency samples
-    /// ([`metrics::ServeReport::frame_runs`]) for exact-interpolation
-    /// percentiles (default `false`: percentiles come from the
-    /// bounded-memory telemetry histograms, within 1/16 relative error).
-    /// Memory grows with the batches run (one [`metrics::FrameRun`] per
-    /// batch and tenant) — intended for tests and calibration runs.
-    pub exact_frame_stats: bool,
 }
 
 impl ServeConfig {
@@ -295,7 +293,6 @@ impl ServeConfig {
                 steal: true,
                 telemetry: true,
                 trace_ring: 0,
-                exact_frame_stats: false,
             },
         }
     }
@@ -314,10 +311,9 @@ impl ServeConfig {
         b
     }
 
-    /// Checks the fields the scheduler relies on. [`ServeEngine::new`],
-    /// [`ServeEngine::with_registries`] and [`ServeConfigBuilder::build`]
-    /// call it, so a config is checked wherever it enters, direct field
-    /// writes included.
+    /// Checks the fields the scheduler relies on. [`ServeEngine::new`]
+    /// and [`ServeConfigBuilder::build`] call it, so a config is checked
+    /// wherever it enters, direct field writes included.
     ///
     /// # Panics
     /// Panics if `max_batch == 0`, or if `max_delay_ms` is negative or
@@ -423,9 +419,12 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Keep exact per-frame latency vectors (unbounded memory).
-    pub fn exact_frame_stats(mut self, exact: bool) -> Self {
-        self.cfg.exact_frame_stats = exact;
+    /// Does nothing: every run keeps its exact per-frame latency runs
+    /// ([`metrics::ServeReport::frame_runs`]). Kept only because the
+    /// `ledger/` benchmark package names it; remove it together with
+    /// that call.
+    #[doc(hidden)]
+    pub fn exact_frame_stats(self, _exact: bool) -> Self {
         self
     }
 
@@ -466,7 +465,6 @@ mod tests {
         assert!(cfg.steal, "work stealing defaults on");
         assert!(cfg.telemetry, "telemetry defaults on (zero-perturbation)");
         assert_eq!(cfg.trace_ring, 0, "stage tracing defaults off");
-        assert!(!cfg.exact_frame_stats, "exact frame vectors default off");
         assert_eq!(cfg.backend, BackendKind::Cpu);
     }
 

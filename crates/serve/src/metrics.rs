@@ -78,20 +78,23 @@ impl SessionOutcome {
 ///
 /// Every frame of a batch carries the batch's queue wait and compute
 /// total, so the report stores those once per run together with the
-/// run's frame count instead of once per frame. A run stands for
-/// `frames` identical per-frame samples: the percentile accessors on
-/// [`ServeReport`] rank the runs by weight and return exactly the
-/// type-7 value of the expanded per-frame vector.
+/// run's frame count instead of once per frame (32 bytes per run, one
+/// or more runs per batch). A run stands for `frames` identical
+/// per-frame samples: the percentile accessors on [`ServeReport`] rank
+/// the runs by weight and return exactly the type-7 value of the
+/// expanded per-frame vector. Both fields derive from the work item's
+/// clock stamps, as do the telemetry histograms and trace spans.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameRun {
     /// Queue wait (µs): how long the work item sat between being formed
     /// (its sessions became due) and the start of its inference —
     /// scheduler pressure.
     pub queue_us: f32,
-    /// Compute time (µs): the wall-clock the work item spent in the
-    /// inference (fused GRU/MLP) and framing/impairment/verdict stages
-    /// combined — the batch is the unit a flow actually waits on for its
-    /// next frame decision.
+    /// Compute time (µs): the wall-clock the work item spent in its three
+    /// contiguous stages, from the start of inference (fused GRU/MLP)
+    /// through framing/impairment/verdicts to the end of the emit push —
+    /// the batch is the unit a flow actually waits on for its next frame
+    /// decision.
     pub compute_us: f32,
     /// The tenant that owned the run's frames — what lets
     /// [`ServeReport::sub_report`] attribute latencies per
@@ -104,7 +107,9 @@ pub struct FrameRun {
 impl FrameRun {
     /// End-to-end latency (µs) of each frame of the run: queue wait plus
     /// compute, what a frame waited from its session becoming due to its
-    /// batch fully processed.
+    /// batch fully processed. The one latency definition: the report's
+    /// percentiles, the sub-reports and the telemetry `latency_hist` all
+    /// rank this value.
     pub fn latency_us(&self) -> f32 {
         self.queue_us + self.compute_us
     }
@@ -123,9 +128,8 @@ pub struct ServeReport {
     pub inference_batches: usize,
     /// Exact per-frame queue wait and compute samples, one [`FrameRun`]
     /// per (work item, consecutive-tenant run), in absorb order per shard
-    /// and shard order across shards. Kept only with
-    /// [`crate::ServeConfig::exact_frame_stats`]; the run frames sum to
-    /// [`ServeReport::frames`].
+    /// and shard order across shards; the run frames sum to
+    /// [`ServeReport::frames`]. Every run keeps them.
     pub frame_runs: Vec<FrameRun>,
     /// Inference batches executed by a shard *other* than the sessions'
     /// home shard (the work-stealing scheduler's activity counter; always
@@ -144,10 +148,10 @@ pub struct ServeReport {
     /// The aggregated telemetry snapshot of this run (counters,
     /// bounded-memory latency histograms, per-tenant feedback, trace
     /// events), present when [`crate::ServeConfig::telemetry`] was on.
-    /// When the exact frame runs above are disabled (the default —
-    /// [`crate::ServeConfig::exact_frame_stats`]), the `*_percentiles_us`
-    /// accessors fall back to the snapshot's histograms, accurate to one
-    /// log-linear bucket (≤ 1/16 relative error).
+    /// Its histograms summarise the same samples as
+    /// [`ServeReport::frame_runs`] to within one log-linear bucket (≤ 1/16
+    /// relative error); the `*_percentiles_us` accessors rank the exact
+    /// runs.
     pub telemetry: Option<TelemetrySnapshot>,
 }
 
@@ -222,7 +226,8 @@ impl ServeReport {
 
     /// The slice of this report belonging to one `(policy, censor)` pair:
     /// that tenant's outcomes (still in session-id order), its frames, and
-    /// the latencies of exactly the batches that carried its frames.
+    /// the frame runs of exactly the batches that carried its frames, so
+    /// its latency percentiles are that tenant's own.
     ///
     /// `wall_seconds` is copied from the parent (tenants share the
     /// process), and the batch-level counters (`inference_batches`,
@@ -253,10 +258,9 @@ impl ServeReport {
             infer_stage_us: 0.0,
             framing_stage_us: 0.0,
             max_queue_depth: 0,
-            // The snapshot's histograms fuse all tenants; a per-tenant
-            // latency split needs the exact frame runs
-            // (`exact_frame_stats`). Per-tenant *counters* live in the
-            // parent snapshot's tenant map.
+            // The snapshot's histograms fuse all tenants; the per-tenant
+            // latency split is the frame runs above. Per-tenant
+            // *counters* live in the parent snapshot's tenant map.
             telemetry: None,
         }
     }
@@ -313,9 +317,9 @@ impl ServeReport {
         h
     }
 
-    /// Percentiles over per-frame samples given as weighted runs
-    /// `(value, frames)` in µs (one sort for all requested `qs`, each in
-    /// `[0, 1]`).
+    /// Percentiles of `value` over [`ServeReport::frame_runs`], each run
+    /// weighted by its frames, in µs (one sort for all requested `qs`,
+    /// each in `[0, 1]`).
     ///
     /// ## Percentile semantics
     ///
@@ -335,7 +339,12 @@ impl ServeReport {
     /// percentiles do **not** sum to the end-to-end latency percentile at
     /// the same `q` (percentiles are not additive); rank
     /// [`FrameRun::latency_us`] for end-to-end figures.
-    fn percentiles_of(mut runs: Vec<(f32, u32)>, qs: &[f64]) -> Vec<f32> {
+    fn percentiles_of(&self, value: impl Fn(&FrameRun) -> f32, qs: &[f64]) -> Vec<f32> {
+        let mut runs: Vec<(f32, u32)> = self
+            .frame_runs
+            .iter()
+            .map(|r| (value(r), r.frames))
+            .collect();
         runs.sort_by(|a, b| a.0.total_cmp(&b.0));
         // `ends[i]` is one past the last expanded position of run `i`.
         let ends: Vec<usize> = runs
@@ -364,48 +373,21 @@ impl ServeReport {
             .collect()
     }
 
-    /// Exact sample percentiles when the frame runs were kept
-    /// ([`crate::ServeConfig::exact_frame_stats`]); otherwise the
-    /// telemetry histogram's quantile — the **same type-7 estimator**
-    /// over bucket-midpoint rank values (≤ 1/16 relative error), so
-    /// flipping `exact_frame_stats` can shift a reported percentile by at
-    /// most the bucket resolution, never by an estimator change — pinned
-    /// by `histogram_percentiles_track_exact_ones` in
-    /// `tests/telemetry_invariance.rs`; NaN when neither source has a
-    /// sample.
-    fn percentiles_or_hist(
-        &self,
-        value: impl Fn(&FrameRun) -> f32,
-        hist: impl Fn(&TelemetrySnapshot) -> &amoeba_telemetry::Histogram,
-        qs: &[f64],
-    ) -> Vec<f32> {
-        if self.frame_runs.is_empty() {
-            if let Some(h) = self.telemetry.as_ref().map(hist).filter(|h| !h.is_empty()) {
-                return qs.iter().map(|&q| h.quantile_us(q) as f32).collect();
-            }
-        }
-        let runs = self
-            .frame_runs
-            .iter()
-            .map(|r| (value(r), r.frames))
-            .collect();
-        Self::percentiles_of(runs, qs)
-    }
-
     /// End-to-end (queue + compute) per-frame latency percentiles in µs;
     /// see the percentile-semantics note on the internal estimator above.
     pub fn latency_percentiles_us(&self, qs: &[f64]) -> Vec<f32> {
-        self.percentiles_or_hist(FrameRun::latency_us, |t| &t.latency_hist, qs)
+        self.percentiles_of(FrameRun::latency_us, qs)
     }
 
     /// Queue-wait percentiles in µs (scheduler pressure alone).
     pub fn queue_percentiles_us(&self, qs: &[f64]) -> Vec<f32> {
-        self.percentiles_or_hist(|r| r.queue_us, |t| &t.queue_hist, qs)
+        self.percentiles_of(|r| r.queue_us, qs)
     }
 
-    /// Compute-time percentiles in µs (inference + framing alone).
+    /// Compute-time percentiles in µs (the three stages alone: inference,
+    /// framing, emit).
     pub fn compute_percentiles_us(&self, qs: &[f64]) -> Vec<f32> {
-        self.percentiles_or_hist(|r| r.compute_us, |t| &t.compute_hist, qs)
+        self.percentiles_of(|r| r.compute_us, qs)
     }
 
     /// Per-frame latency percentile in µs (`q` in `[0, 1]`).
@@ -586,8 +568,8 @@ mod tests {
             assert!(r.compute_percentiles_us(&[q])[0].is_nan(), "compute q={q}");
         }
         assert!(r.p50_latency_us().is_nan());
-        // An empty telemetry snapshot doesn't change that: its histograms
-        // hold no samples either.
+        // A telemetry snapshot doesn't change that: percentiles rank the
+        // frame runs only.
         let with_tel = ServeReport {
             telemetry: Some(TelemetrySnapshot::default()),
             ..ServeReport::default()
@@ -595,33 +577,6 @@ mod tests {
         assert!(with_tel.p99_latency_us().is_nan());
         // The summary still renders (NaN prints, it doesn't panic).
         assert!(r.summary().contains("flows"));
-    }
-
-    /// With exact vectors absent but telemetry present, percentiles come
-    /// from the histograms — within one log-linear bucket of the true
-    /// sample, and preferring the exact vectors whenever they exist.
-    #[test]
-    fn percentiles_fall_back_to_telemetry_histograms() {
-        let mut snap = TelemetrySnapshot::default();
-        for us in [100.0f32, 200.0, 300.0, 400.0] {
-            snap.queue_hist.record_us(us);
-        }
-        let hist_only = ServeReport {
-            telemetry: Some(snap.clone()),
-            ..ServeReport::default()
-        };
-        let p50 = hist_only.queue_percentiles_us(&[0.5])[0];
-        // Type-7 on 4 samples at q=0.5 interpolates rank 1.5 between the
-        // 2nd and 3rd samples (250µs); bucket resolution bounds the
-        // error at 1/16 of the larger endpoint (plus 1µs near zero).
-        assert!((p50 - 250.0).abs() <= 300.0 / 16.0 + 1.0, "p50 {p50}");
-        // Exact vectors win over the histogram when present.
-        let exact = ServeReport {
-            frame_runs: single_frames(&[5.0, 6.0, 7.0], &[0.0; 3]),
-            telemetry: Some(snap),
-            ..ServeReport::default()
-        };
-        assert_eq!(exact.queue_percentiles_us(&[1.0])[0], 7.0);
     }
 
     /// `sub_reports()` orders cells ascending by `(policy, censor)` no

@@ -4,7 +4,7 @@
 //! A multi-tenant [`crate::ServeEngine`] hosts many `(policy, censor)`
 //! pairs in one process. Sessions do not carry their networks around —
 //! they carry a [`PolicyId`] and a [`CensorId`], tiny `Copy` indices into
-//! the engine's [`PolicyRegistry`] / [`CensorRegistry`]. The scheduler
+//! the engine's policy and censor tables. The scheduler
 //! keys its fused inference batches by [`PolicyId`] (same weights ⇒ same
 //! GRU/MLP pass), so registering one policy against many censors costs
 //! one dataplane run, not one per pair.
@@ -21,9 +21,9 @@ use amoeba_classifiers::{Censor, CensorProgramFactory, ClassifierProgramFactory}
 
 use crate::FrozenPolicy;
 
-/// Handle to a policy in a [`PolicyRegistry`]: a cheap `Copy` index,
-/// stable for the lifetime of the registry. The default value refers to
-/// the first registered policy.
+/// Handle to a policy registered with a [`crate::ServeEngine`]: a cheap
+/// `Copy` index, stable for the engine's lifetime. The default value
+/// refers to the first registered policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PolicyId(pub(crate) usize);
 
@@ -34,9 +34,9 @@ impl PolicyId {
     }
 }
 
-/// Handle to a censor in a [`CensorRegistry`]: a cheap `Copy` index,
-/// stable for the lifetime of the registry. The default value refers to
-/// the first registered censor.
+/// Handle to a censor registered with a [`crate::ServeEngine`]: a cheap
+/// `Copy` index, stable for the engine's lifetime. The default value
+/// refers to the first registered censor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CensorId(pub(crate) usize);
 
@@ -68,21 +68,16 @@ impl Tenant {
 }
 
 /// The engine's table of frozen policies.
-#[derive(Clone, Default)]
-pub struct PolicyRegistry {
+#[derive(Default)]
+pub(crate) struct PolicyRegistry {
     policies: Vec<FrozenPolicy>,
 }
 
 impl PolicyRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Registers a frozen policy and returns its handle. Policies whose
     /// encoder and actor `Arc`s are both identical to an already
     /// registered policy are deduplicated onto the existing handle.
-    pub fn register(&mut self, policy: FrozenPolicy) -> PolicyId {
+    pub(crate) fn register(&mut self, policy: FrozenPolicy) -> PolicyId {
         if let Some(i) = self.policies.iter().position(|p| {
             Arc::ptr_eq(&p.encoder, &policy.encoder) && Arc::ptr_eq(&p.actor, &policy.actor)
         }) {
@@ -92,29 +87,9 @@ impl PolicyRegistry {
         PolicyId(self.policies.len() - 1)
     }
 
-    /// The policy behind a handle.
-    ///
-    /// # Panics
-    /// Panics if the handle did not come from this registry.
-    pub fn get(&self, id: PolicyId) -> &FrozenPolicy {
-        self.policies
-            .get(id.0)
-            .unwrap_or_else(|| panic!("unknown PolicyId({})", id.0))
-    }
-
     /// Number of registered policies.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.policies.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.policies.is_empty()
-    }
-
-    /// Handles of every registered policy, in registration order.
-    pub fn ids(&self) -> impl Iterator<Item = PolicyId> + '_ {
-        (0..self.policies.len()).map(PolicyId)
     }
 
     /// Freezes the table into the shared slice the shard workers read.
@@ -132,23 +107,18 @@ impl PolicyRegistry {
 /// [`CensorRegistry::register`], which wraps them in the degenerate
 /// [`ClassifierProgramFactory`] adapter — bit-for-bit the pre-program
 /// one-shot scoring path.
-#[derive(Clone, Default)]
-pub struct CensorRegistry {
+#[derive(Default)]
+pub(crate) struct CensorRegistry {
     censors: Vec<Arc<dyn CensorProgramFactory>>,
 }
 
 impl CensorRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Registers a one-shot censor and returns its handle, wrapping it in
     /// the [`ClassifierProgramFactory`] adapter. `Arc`-identical censors
     /// are deduplicated onto the existing handle (through
     /// [`CensorProgramFactory::as_censor`], so re-registering the same
     /// `Arc<dyn Censor>` never duplicates a tenant).
-    pub fn register(&mut self, censor: Arc<dyn Censor>) -> CensorId {
+    pub(crate) fn register(&mut self, censor: Arc<dyn Censor>) -> CensorId {
         if let Some(i) = self
             .censors
             .iter()
@@ -164,7 +134,7 @@ impl CensorRegistry {
     /// Registers a streaming censor-program factory and returns its
     /// handle. `Arc`-identical factories are deduplicated onto the
     /// existing handle.
-    pub fn register_program(&mut self, factory: Arc<dyn CensorProgramFactory>) -> CensorId {
+    pub(crate) fn register_program(&mut self, factory: Arc<dyn CensorProgramFactory>) -> CensorId {
         if let Some(i) = self.censors.iter().position(|f| Arc::ptr_eq(f, &factory)) {
             return CensorId(i);
         }
@@ -172,29 +142,9 @@ impl CensorRegistry {
         CensorId(self.censors.len() - 1)
     }
 
-    /// The censor-program factory behind a handle.
-    ///
-    /// # Panics
-    /// Panics if the handle did not come from this registry.
-    pub fn get(&self, id: CensorId) -> &Arc<dyn CensorProgramFactory> {
-        self.censors
-            .get(id.0)
-            .unwrap_or_else(|| panic!("unknown CensorId({})", id.0))
-    }
-
     /// Number of registered censors.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.censors.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.censors.is_empty()
-    }
-
-    /// Handles of every registered censor, in registration order.
-    pub fn ids(&self) -> impl Iterator<Item = CensorId> + '_ {
-        (0..self.censors.len()).map(CensorId)
     }
 
     /// Freezes the table into the shared slice the shard workers read.
@@ -210,7 +160,7 @@ mod tests {
 
     #[test]
     fn policies_register_in_order_and_dedupe_by_arc_identity() {
-        let mut reg = PolicyRegistry::new();
+        let mut reg = PolicyRegistry::default();
         let a = tiny_policy(1);
         let b = tiny_policy(2);
         let pa = reg.register(a.clone());
@@ -219,13 +169,15 @@ mod tests {
         // A clone shares both Arcs, so it maps back to the same handle.
         assert_eq!(reg.register(a.clone()), pa);
         assert_eq!(reg.len(), 2);
-        assert!(Arc::ptr_eq(&reg.get(pa).encoder, &a.encoder));
-        assert_eq!(reg.ids().collect::<Vec<_>>(), vec![pa, pb]);
+        assert!(Arc::ptr_eq(
+            &reg.into_shared()[pa.index()].encoder,
+            &a.encoder
+        ));
     }
 
     #[test]
     fn censors_register_in_order_and_dedupe_by_arc_identity() {
-        let mut reg = CensorRegistry::new();
+        let mut reg = CensorRegistry::default();
         let c = scoring_censor(0.1);
         let d = scoring_censor(0.1);
         let ca = reg.register(Arc::clone(&c));
@@ -240,7 +192,7 @@ mod tests {
     #[test]
     fn program_factories_register_and_dedupe_like_censors() {
         use amoeba_classifiers::HardLabelFactory;
-        let mut reg = CensorRegistry::new();
+        let mut reg = CensorRegistry::default();
         let c = scoring_censor(0.2);
         let ca = reg.register(Arc::clone(&c));
         let hard: Arc<dyn CensorProgramFactory> =
@@ -254,19 +206,5 @@ mod tests {
         // program factories.
         assert_eq!(reg.register(c), ca);
         assert_eq!(reg.len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown PolicyId")]
-    fn foreign_policy_handle_panics() {
-        let reg = PolicyRegistry::new();
-        let _ = reg.get(PolicyId(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown CensorId")]
-    fn foreign_censor_handle_panics() {
-        let reg = CensorRegistry::new();
-        let _ = reg.get(CensorId(3));
     }
 }

@@ -14,6 +14,10 @@
 //! ──▶ the item's *home* shard's return channel
 //! ```
 //!
+//! An item reads the clock five times: when it is formed and at each
+//! stage boundary. Every timing figure the report, the telemetry and the
+//! trace give for it derives from those stamps ([`ChunkAcct`]).
+//!
 //! A new tick starts only after every item of the previous tick returned
 //! — the barrier that keeps tick grouping independent of execution
 //! timing. The drivers are the only threads the crate spawns
@@ -23,10 +27,11 @@
 //!
 //! Every shard pushes its tick's items onto its own deque; the owner pops
 //! from the front, and any shard that runs out of local work (or has
-//! finished all its sessions) steals from the *back* of the busiest
-//! peer's deque. Items physically own their sessions and encoder states,
-//! so stealing is a move, not a borrow; the thief runs the same pure
-//! stage functions and the finished item returns to its home shard's
+//! finished all its sessions) steals from the *back* of the first
+//! non-empty peer deque, scanning round-robin from `thief + 1` so
+//! pressure spreads. Items physically own their sessions and encoder
+//! states, so stealing is a move, not a borrow; the thief runs the same
+//! pure stage functions and the finished item returns to its home shard's
 //! channel, where it is absorbed in sequence order. One heavy tenant can
 //! therefore no longer idle the other shards under skewed mixes. See the
 //! determinism argument in the [`crate::shard`] module docs — shard
@@ -36,7 +41,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use amoeba_classifiers::CensorProgram;
 use amoeba_telemetry::{FlightRecorder, ShardTelemetry, StageKind, TenantKey, TraceEvent};
@@ -54,16 +59,23 @@ const RETURN_WAIT: Duration = Duration::from_micros(200);
 /// Idle backoff in the steal-only epilogue.
 const STEAL_IDLE: Duration = Duration::from_micros(50);
 
-/// Wall-clock accounting carried by one in-flight [`WorkItem`].
+/// Wall-clock accounting carried by one in-flight [`WorkItem`]: the one
+/// timing record of the item. Five stamps, nanoseconds since the fleet
+/// epoch, each read once through [`ChunkProcessor::now_ns`]; the queue
+/// wait, the stage totals, the item's [`FrameRun`]s, the latency
+/// histograms and the infer/frame/emit trace spans are all derived from
+/// them, so every figure agrees with every other.
 pub(crate) struct ChunkAcct {
-    /// When the item was formed (queue wait = `enqueued → stage 1 start`).
-    enqueued: Instant,
-    /// Queue wait in µs, stamped when stage 1 begins.
-    queue_us: f32,
-    /// Stage 1 + stage 3 (fused inference) wall-clock, µs.
-    infer_us: f32,
-    /// Stage 2 (framing/impairment/verdicts) wall-clock, µs.
-    framing_us: f32,
+    /// When the item was formed (its sessions became due).
+    enqueued: u64,
+    /// Stage 1 (infer) start; queue wait = `enqueued → started`.
+    started: u64,
+    /// Stage 1 end = stage 2 (frame) start.
+    inferred: u64,
+    /// Stage 2 end = stage 3 (emit) start.
+    framed: u64,
+    /// Stage 3 end.
+    emitted: u64,
     /// Executed by a peer shard rather than its home.
     stolen: bool,
     /// Shard index of the thread that executed the stages (set by
@@ -79,16 +91,32 @@ pub(crate) struct ChunkAcct {
     /// warming-up program is queried without rendering a verdict, so
     /// `queries ≥ verdicts`.
     pub(crate) queries: Vec<u8>,
-    /// Stage-trace stamps, nanoseconds since the run epoch. Written only
-    /// when stage tracing is on; materialized into [`TraceEvent`]s at
-    /// absorb time on the home driver, whose [`DriveAcct`] owns the
-    /// flight recorder.
-    pub(crate) infer_t0_ns: u64,
-    pub(crate) infer_dur_ns: u64,
-    pub(crate) frame_t0_ns: u64,
-    pub(crate) frame_dur_ns: u64,
-    pub(crate) emit_t0_ns: u64,
-    pub(crate) emit_dur_ns: u64,
+}
+
+impl ChunkAcct {
+    /// Queue wait (µs): formed → stage 1 start.
+    fn queue_us(&self) -> f32 {
+        us(self.started.saturating_sub(self.enqueued))
+    }
+
+    /// Compute (µs): stage 1 start → stage 3 end, all three stages.
+    fn compute_us(&self) -> f32 {
+        us(self.emitted.saturating_sub(self.started))
+    }
+
+    /// Fused inference stages 1 and 3 (ns).
+    fn infer_ns(&self) -> u64 {
+        self.inferred.saturating_sub(self.started) + self.emitted.saturating_sub(self.framed)
+    }
+
+    /// Framing/impairment/verdict stage 2 (ns).
+    fn framing_ns(&self) -> u64 {
+        self.framed.saturating_sub(self.inferred)
+    }
+}
+
+fn us(ns: u64) -> f32 {
+    (ns as f64 / 1e3) as f32
 }
 
 /// A self-contained unit of schedulable work: one `(policy, chunk)` of
@@ -124,6 +152,7 @@ impl WorkItem {
     pub(crate) fn new(
         home: usize,
         seq: u64,
+        enqueued: u64,
         policy: PolicyId,
         local: Vec<usize>,
         sessions: Vec<Session>,
@@ -141,21 +170,15 @@ impl WorkItem {
             a,
             progs,
             acct: ChunkAcct {
-                // audit:allow(AMB002, reason = "queue-wait telemetry epoch; feeds latency histograms only, never control flow")
-                enqueued: Instant::now(),
-                queue_us: 0.0,
-                infer_us: 0.0,
-                framing_us: 0.0,
+                enqueued,
+                started: 0,
+                inferred: 0,
+                framed: 0,
+                emitted: 0,
                 stolen: false,
                 executor: home as u32,
                 verdicts: Vec::new(),
                 queries: Vec::new(),
-                infer_t0_ns: 0,
-                infer_dur_ns: 0,
-                frame_t0_ns: 0,
-                frame_dur_ns: 0,
-                emit_t0_ns: 0,
-                emit_dur_ns: 0,
             },
         }
     }
@@ -170,6 +193,8 @@ impl WorkItem {
 pub(crate) struct DriveAcct {
     pub(crate) frames: usize,
     pub(crate) batches: usize,
+    /// One [`FrameRun`] per (work item, consecutive-tenant run), in
+    /// absorb order.
     pub(crate) frame_runs: Vec<FrameRun>,
     pub(crate) stolen_batches: usize,
     pub(crate) infer_us: f64,
@@ -242,41 +267,17 @@ impl Shared {
     }
 }
 
-fn elapsed_us(t: Instant) -> f32 {
-    (t.elapsed().as_nanos() as f64 / 1e3) as f32
-}
-
 /// Runs all three stages of one item on the calling thread — infer,
-/// frame, emit — then sends it to its home shard's return channel.
+/// frame, emit — stamping each boundary, then sends it to its home
+/// shard's return channel.
 fn execute(mut item: WorkItem, proc: &ChunkProcessor, homes: &[Sender<WorkItem>]) {
-    let trace = proc.trace_on();
-    item.acct.queue_us = elapsed_us(item.acct.enqueued);
-    if trace {
-        item.acct.infer_t0_ns = proc.now_ns();
-    }
-    // audit:allow(AMB002, reason = "infer-stage latency telemetry (ChunkAcct::infer_us); never read by control flow")
-    let t0 = Instant::now();
+    item.acct.started = proc.now_ns();
     let (means, logstds) = proc.infer(&mut item);
-    item.acct.infer_us += elapsed_us(t0);
-    if trace {
-        item.acct.infer_dur_ns = proc.now_ns().saturating_sub(item.acct.infer_t0_ns);
-        item.acct.frame_t0_ns = proc.now_ns();
-    }
-    // audit:allow(AMB002, reason = "framing-stage latency telemetry (ChunkAcct::framing_us); never read by control flow")
-    let t1 = Instant::now();
+    item.acct.inferred = proc.now_ns();
     let emitted = proc.frame(&mut item, &means, &logstds);
-    item.acct.framing_us = elapsed_us(t1);
-    if trace {
-        item.acct.frame_dur_ns = proc.now_ns().saturating_sub(item.acct.frame_t0_ns);
-        item.acct.emit_t0_ns = proc.now_ns();
-    }
-    // audit:allow(AMB002, reason = "emit-stage latency telemetry (ChunkAcct::infer_us); never read by control flow")
-    let t2 = Instant::now();
+    item.acct.framed = proc.now_ns();
     proc.push_emitted(&mut item, &emitted);
-    item.acct.infer_us += elapsed_us(t2);
-    if trace {
-        item.acct.emit_dur_ns = proc.now_ns().saturating_sub(item.acct.emit_t0_ns);
-    }
+    item.acct.emitted = proc.now_ns();
     // The home driver holds its receiver for its whole run; a failed
     // send means it already has every item it was owed, which this item
     // contradicts — panic loudly.
@@ -288,18 +289,11 @@ fn execute(mut item: WorkItem, proc: &ChunkProcessor, homes: &[Sender<WorkItem>]
 /// Runs a fleet of shards to completion — one driver thread per shard
 /// (inline on the caller for a single shard), stealing work from peers
 /// when [`crate::ServeConfig::steal`] is on — and returns their reports
-/// in shard order.
+/// in shard order. `shards[i]` must have been built with index `i`.
 pub(crate) fn run_shards(mut shards: Vec<Shard>) -> Vec<ShardReport> {
     assert!(!shards.is_empty(), "run_shards needs at least one shard");
     let n = shards.len();
-    // One epoch for the whole fleet, so trace timestamps from different
-    // shards land on a common axis.
-    // audit:allow(AMB002, reason = "fleet-wide flight-recorder trace epoch; timestamps land in Chrome traces, not the wire")
-    let epoch = Instant::now();
-    for (i, s) in shards.iter_mut().enumerate() {
-        s.set_index(i);
-        s.proc.epoch = epoch;
-    }
+    debug_assert!(shards.iter().enumerate().all(|(i, s)| s.index() == i));
     let steal = shards[0].proc.cfg.steal && n > 1;
     let shared = Arc::new(Shared::new(n));
     let mut homes = Vec::with_capacity(n);
@@ -343,7 +337,6 @@ fn absorb(
     item: WorkItem,
 ) {
     let telemetry = shard.proc.cfg.telemetry;
-    let exact = shard.proc.cfg.exact_frame_stats;
     let trace = shard.proc.trace_on();
     if telemetry && item.seq != *next_absorb {
         acct.tel.counters.absorbs_out_of_order += 1;
@@ -356,17 +349,32 @@ fn absorb(
         if item.acct.stolen {
             acct.stolen_batches += 1;
         }
-        acct.infer_us += item.acct.infer_us as f64;
-        acct.framing_us += item.acct.framing_us as f64;
-        let compute = item.acct.infer_us + item.acct.framing_us;
+        acct.infer_us += item.acct.infer_ns() as f64 / 1e3;
+        acct.framing_us += item.acct.framing_ns() as f64 / 1e3;
+        let queue_us = item.acct.queue_us();
+        let compute_us = item.acct.compute_us();
+        // One run per stretch of consecutive same-tenant sessions: every
+        // frame of the item shares its queue wait and compute.
+        let first_run = acct.frame_runs.len();
+        for session in &item.sessions {
+            let tenant = session.tenant();
+            match acct.frame_runs[first_run..].last_mut() {
+                Some(run) if run.tenant == tenant => run.frames += 1,
+                _ => acct.frame_runs.push(FrameRun {
+                    queue_us,
+                    compute_us,
+                    tenant,
+                    frames: 1,
+                }),
+            }
+        }
         if telemetry {
             let tel = &mut acct.tel;
             tel.counters.absorbs += 1;
-            // End-to-end frame latency: item formed → absorbed home.
-            let latency_us = elapsed_us(item.acct.enqueued);
+            let latency_us = acct.frame_runs[first_run].latency_us();
             for (r, session) in item.sessions.iter().enumerate() {
-                tel.queue_hist.record_us(item.acct.queue_us);
-                tel.compute_hist.record_us(compute);
+                tel.queue_hist.record_us(queue_us);
+                tel.compute_hist.record_us(compute_us);
                 tel.latency_hist.record_us(latency_us);
                 let t = session.tenant();
                 let cell = tel.tenant_mut(TenantKey {
@@ -385,52 +393,24 @@ fn absorb(
                 }
             }
             if trace {
-                let span = |stage, t0_ns, dur_ns| TraceEvent {
+                let a = &item.acct;
+                let span = |stage, t0_ns: u64, end_ns: u64| TraceEvent {
                     stage,
                     shard: item.home as u32,
-                    executor: item.acct.executor,
+                    executor: a.executor,
                     seq: item.seq,
                     t0_ns,
-                    dur_ns,
+                    dur_ns: end_ns.saturating_sub(t0_ns),
                     batch: item.len() as u32,
                 };
                 let rec = &mut acct.rec;
-                if item.acct.stolen {
+                if a.stolen {
                     // Instantaneous marker at the thief's stage-1 start.
-                    rec.push(span(StageKind::Steal, item.acct.infer_t0_ns, 0));
+                    rec.push(span(StageKind::Steal, a.started, a.started));
                 }
-                rec.push(span(
-                    StageKind::Infer,
-                    item.acct.infer_t0_ns,
-                    item.acct.infer_dur_ns,
-                ));
-                rec.push(span(
-                    StageKind::Frame,
-                    item.acct.frame_t0_ns,
-                    item.acct.frame_dur_ns,
-                ));
-                rec.push(span(
-                    StageKind::Emit,
-                    item.acct.emit_t0_ns,
-                    item.acct.emit_dur_ns,
-                ));
-            }
-        }
-        if exact {
-            // One run per stretch of consecutive same-tenant sessions:
-            // every frame of the item shares its queue wait and compute.
-            let first_run = acct.frame_runs.len();
-            for session in &item.sessions {
-                let tenant = session.tenant();
-                match acct.frame_runs[first_run..].last_mut() {
-                    Some(run) if run.tenant == tenant => run.frames += 1,
-                    _ => acct.frame_runs.push(FrameRun {
-                        queue_us: item.acct.queue_us,
-                        compute_us: compute,
-                        tenant,
-                        frames: 1,
-                    }),
-                }
+                rec.push(span(StageKind::Infer, a.started, a.inferred));
+                rec.push(span(StageKind::Frame, a.inferred, a.framed));
+                rec.push(span(StageKind::Emit, a.framed, a.emitted));
             }
         }
         shard.reclaim(item);

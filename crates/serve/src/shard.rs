@@ -66,6 +66,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
+use std::time::Instant;
 
 use amoeba_classifiers::{CensorDecision, CensorProgram, CensorProgramFactory};
 use amoeba_core::encoder::EncoderState;
@@ -89,9 +90,8 @@ pub(crate) struct ShardReport {
     /// Inference batches executed on behalf of this shard's sessions
     /// (wherever they physically ran).
     pub batches: usize,
-    /// Exact frame samples, one run per (work item, consecutive-tenant
-    /// run), in absorb order; empty unless
-    /// [`crate::ServeConfig::exact_frame_stats`] is on.
+    /// Per-frame queue wait and compute, one run per (work item,
+    /// consecutive-tenant run), in absorb order.
     pub frame_runs: Vec<FrameRun>,
     /// Batches of this shard's sessions that an idle peer shard stole and
     /// executed.
@@ -197,10 +197,10 @@ pub(crate) struct ChunkProcessor {
     pub(crate) backend: Arc<dyn InferenceBackend>,
     pub(crate) cfg: ServeConfig,
     pub(crate) kernel: ShapingKernel,
-    /// Trace epoch — every stage timestamp is nanoseconds since this
-    /// instant. Set uniformly across the fleet by
-    /// [`crate::scheduler::run_shards`] so all shards share one axis.
-    pub(crate) epoch: std::time::Instant,
+    /// The engine's run start: every work-item stamp is nanoseconds
+    /// since this instant, the same for every shard, so all shards share
+    /// one time axis.
+    pub(crate) epoch: Instant,
 }
 
 impl ChunkProcessor {
@@ -211,10 +211,14 @@ impl ChunkProcessor {
         self.cfg.telemetry && self.cfg.trace_ring > 0
     }
 
-    /// Nanoseconds since the run epoch.
+    /// Nanoseconds since the run epoch: the one clock read of the
+    /// serving data path. Each work item takes five (formed, then the
+    /// start and end of its three contiguous stages).
     #[inline]
     pub(crate) fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
+        // audit:allow(AMB002, reason = "work-item timing stamps for latency accounting and trace spans; never read by scheduling or the wire")
+        let now = Instant::now();
+        now.saturating_duration_since(self.epoch).as_nanos() as u64
     }
 
     /// Stage 1: one fused observation push + actor-head pass over the
@@ -383,9 +387,10 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// Builds a shard around its session subset and the shared tenant
-    /// tables. Encoder states start at the zero state (`E` of an empty
-    /// sequence) of each session's own policy, identical for every
+    /// Builds shard `index` around its session subset and the shared
+    /// tenant tables; `epoch` is the engine's run start, shared by the
+    /// whole fleet. Encoder states start at the zero state (`E` of an
+    /// empty sequence) of each session's own policy, identical for every
     /// session of that policy, so where a session is admitted cannot
     /// matter. Constructed by [`crate::ServeEngine::run`]'s round-robin
     /// partition.
@@ -399,6 +404,8 @@ impl Shard {
         backend: Arc<dyn InferenceBackend>,
         cfg: ServeConfig,
         sessions: Vec<Session>,
+        epoch: Instant,
+        index: usize,
     ) -> Self {
         let kernel = cfg.kernel();
         let mut heap = BinaryHeap::with_capacity(sessions.len());
@@ -446,23 +453,18 @@ impl Shard {
                 backend,
                 cfg,
                 kernel,
-                // audit:allow(AMB002, reason = "flight-recorder epoch placeholder; run_shards overwrites it with the fleet-wide epoch before any stamp is taken")
-                epoch: std::time::Instant::now(),
+                epoch,
             },
             slots,
             heap,
             buckets,
-            index: 0,
+            index,
         }
     }
 
     /// This shard's position in the engine's shard table.
     pub(crate) fn index(&self) -> usize {
         self.index
-    }
-
-    pub(crate) fn set_index(&mut self, index: usize) {
-        self.index = index;
     }
 
     /// True while any resident session still has frames to emit.
@@ -502,6 +504,7 @@ impl Shard {
                 items.push(WorkItem::new(
                     self.index,
                     *next_seq,
+                    self.proc.now_ns(),
                     PolicyId(p),
                     local,
                     sessions,

@@ -1,10 +1,10 @@
 //! The telemetry contract, end to end: observability is a pure
-//! *read-side* feature. Toggling counters, histograms, the trace ring,
-//! or exact per-frame stats must never change the wire output or the
-//! deterministic report fields — only whether a [`TelemetrySnapshot`]
-//! rides along. The second half checks the accuracy side of the
-//! bargain: log-linear histogram percentiles track the exact
-//! per-frame vectors within one bucket (relative error ≤ 1/16).
+//! *read-side* feature. Toggling counters, histograms or the trace ring
+//! must never change the wire output or the deterministic report fields
+//! — only whether a [`TelemetrySnapshot`] rides along. The second half
+//! checks the accuracy side of the bargain: log-linear histogram
+//! percentiles track the report's exact frame runs within one bucket
+//! (relative error ≤ 1/16).
 //!
 //! [`TelemetrySnapshot`]: amoeba_telemetry::TelemetrySnapshot
 
@@ -23,7 +23,6 @@ fn run(
     steal: bool,
     telemetry: bool,
     trace_ring: usize,
-    exact: bool,
 ) -> ServeReport {
     let cfg = ServeConfig::builder(Layer::Tcp)
         .seed(seed)
@@ -32,7 +31,6 @@ fn run(
         .steal(steal)
         .telemetry(telemetry)
         .trace_ring(trace_ring)
-        .exact_frame_stats(exact)
         .mode(ActionMode::Sample)
         .build();
     let mut engine = ServeEngine::new(cfg);
@@ -70,8 +68,8 @@ proptest! {
 
     /// For random flows and random scheduler knobs, the wire bits and
     /// deterministic report fields are identical with telemetry off,
-    /// on, on with a tiny trace ring, and on with exact frame stats —
-    /// and the snapshot is attached exactly when telemetry is on.
+    /// on, on with a tiny trace ring, and on with a large one — and the
+    /// snapshot is attached exactly when telemetry is on.
     #[test]
     fn telemetry_knobs_never_change_wire_or_report(
         flows in prop::collection::vec(arb_flow(), 4..16),
@@ -79,18 +77,18 @@ proptest! {
         steal in any::<bool>(),
     ) {
         for shards in [1usize, 4] {
-            let off = run(&flows, seed, shards, steal, false, 0, false);
+            let off = run(&flows, seed, shards, steal, false, 0);
             prop_assert!(off.telemetry.is_none(), "telemetry off must omit the snapshot");
             let ref_bits = off.wire_bits();
             let ref_view = deterministic_view(&off);
-            // (telemetry, trace_ring, exact_frame_stats) variants.
-            for (tel, ring, exact) in [(true, 0, false), (true, 8, false), (true, 4096, true)] {
-                let on = run(&flows, seed, shards, steal, tel, ring, exact);
+            // (telemetry, trace_ring) variants.
+            for (tel, ring) in [(true, 0), (true, 8), (true, 4096)] {
+                let on = run(&flows, seed, shards, steal, tel, ring);
                 prop_assert_eq!(
                     on.wire_bits(),
                     ref_bits.clone(),
-                    "telemetry={} ring={} exact={} x {} shards perturbed the wire",
-                    tel, ring, exact, shards
+                    "telemetry={} ring={} x {} shards perturbed the wire",
+                    tel, ring, shards
                 );
                 prop_assert_eq!(deterministic_view(&on), ref_view.clone());
                 let snap = on.telemetry.as_ref().expect("telemetry on must attach a snapshot");
@@ -101,14 +99,14 @@ proptest! {
     }
 }
 
-/// Histogram percentiles vs the exact per-frame vectors they summarise:
-/// both paths now use the type-7 (linear interpolation) estimator — the
-/// histogram over bucket-midpoint rank values, the report over the exact
-/// samples — so the histogram quantile must land within one log-linear
+/// Histogram percentiles vs the exact frame runs they summarise: both
+/// use the type-7 (linear interpolation) estimator — the histogram over
+/// bucket-midpoint rank values, the report over the exact samples — and
+/// both record the same per-frame queue wait, compute and end-to-end
+/// latency, so each histogram quantile must land within one log-linear
 /// bucket (relative error ≤ 1/16) of the exact type-7 value. This is
-/// what keeps `ServeReport`'s exact→histogram fallback from shifting a
-/// reported p50 when `exact_frame_stats` flips. Referenced by name from
-/// the fallback documentation in `metrics.rs`.
+/// what lets the Prometheus summaries stand for the report's
+/// percentiles.
 #[test]
 fn histogram_percentiles_track_exact_ones() {
     // Deterministic flows with a spread of sizes and delays so the
@@ -126,7 +124,7 @@ fn histogram_percentiles_track_exact_ones() {
             Flow::from_pairs(&pairs)
         })
         .collect();
-    let report = run(&flows, 42, 2, true, true, 0, true);
+    let report = run(&flows, 42, 2, true, true, 0);
     let snap = report.telemetry.as_ref().expect("telemetry snapshot");
 
     // The exact per-frame samples, expanded from the report's runs.
@@ -140,6 +138,7 @@ fn histogram_percentiles_track_exact_ones() {
     for (name, exact, hist) in [
         ("queue", expand(|r| r.queue_us), &snap.queue_hist),
         ("compute", expand(|r| r.compute_us), &snap.compute_hist),
+        ("latency", expand(FrameRun::latency_us), &snap.latency_hist),
     ] {
         assert_eq!(hist.count(), exact.len() as u64, "{name} sample count");
         let mut sorted = exact;

@@ -107,9 +107,10 @@ pub struct ShardTelemetry {
     pub counters: Counters,
     /// Queue-wait latency (enqueue → batch start), nanoseconds.
     pub queue_hist: Histogram,
-    /// Compute latency (inference + framing stages), nanoseconds.
+    /// Compute latency (batch start → end of its last stage), nanoseconds.
     pub compute_hist: Histogram,
-    /// End-to-end frame latency (enqueue → absorbed), nanoseconds.
+    /// End-to-end frame latency, queue wait plus compute (the serving
+    /// report's `FrameRun::latency_us`), nanoseconds.
     pub latency_hist: Histogram,
     /// Per-tenant feedback counters, keyed and iterated in fixed order.
     pub tenants: BTreeMap<TenantKey, TenantCounters>,

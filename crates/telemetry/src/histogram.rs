@@ -172,13 +172,13 @@ impl Histogram {
     }
 
     /// Type-7 (linear-interpolation) quantile estimate, the same
-    /// estimator as `ServeReport`'s exact-sample percentile path: the
+    /// estimator as `ServeReport`'s exact-sample percentiles: the
     /// fractional rank `h = q · (n - 1)` (`q` clamped to `[0, 1]`) is
     /// split into its integer neighbours and the bucket-estimated values
     /// at ranks `⌊h⌋` and `⌈h⌉` are blended by the fractional part.
-    /// Sharing the estimator means the serving report's exact→histogram
-    /// fallback cannot shift a reported percentile by more than the
-    /// bucket resolution when `exact_frame_stats` flips. NaN when empty.
+    /// Sharing the estimator keeps a histogram summary (the Prometheus
+    /// quantiles) within the bucket resolution of the report's exact
+    /// percentile over the same samples. NaN when empty.
     ///
     /// Each rank's value is the midpoint of the bucket holding that
     /// sample, clamped into the exact observed `[min, max]`, so the

@@ -30,9 +30,10 @@ pub struct TelemetrySnapshot {
     pub tenants: BTreeMap<TenantKey, TenantCounters>,
     /// Queue-wait latency (enqueue → batch start), nanoseconds.
     pub queue_hist: Histogram,
-    /// Compute latency (inference + framing), nanoseconds.
+    /// Compute latency (batch start → end of its last stage), nanoseconds.
     pub compute_hist: Histogram,
-    /// End-to-end frame latency (enqueue → absorbed), nanoseconds.
+    /// End-to-end frame latency, queue wait plus compute (the serving
+    /// report's `FrameRun::latency_us`), nanoseconds.
     pub latency_hist: Histogram,
     /// Flight-recorder events from all shards, sorted by
     /// `(t0_ns, shard, seq)`.

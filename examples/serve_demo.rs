@@ -129,11 +129,8 @@ fn main() {
         .shards(env_or("AMOEBA_SERVE_SHARDS", 0))
         .verdicts(VerdictPolicy::Every(8))
         .seed(7)
-        // Keep the last 256 stage spans per shard for the trace dump,
-        // and the exact per-frame vectors so the per-censor sub-reports
-        // below can quote latency percentiles (histograms are engine-wide).
+        // Keep the last 256 stage spans per shard for the trace dump.
         .trace_ring(256)
-        .exact_frame_stats(true)
         .build();
     let mut engine = ServeEngine::new(serve_cfg);
     let p = engine.register_policy(policy);
@@ -147,9 +144,6 @@ fn main() {
         engine.admit(flow).policy(p_hard).censor(c_hard).submit();
     }
     let backend = engine.backend_name();
-    // Grab the telemetry handle up front: `run()` consumes the engine,
-    // and the handle is populated when the run completes.
-    let telemetry = engine.telemetry();
     let r = engine.run();
 
     println!("serve ({backend} backend): {}", r.summary());
@@ -190,7 +184,7 @@ fn main() {
     );
 
     // --- observe: the telemetry snapshot that rode along -------------------
-    let snap = telemetry.get().expect("telemetry is on by default");
+    let snap = r.telemetry.as_ref().expect("telemetry is on by default");
     println!(
         "telemetry: {} ticks, {} batches ({} stolen), {} absorbs ({} out of order), \
          latency p50 {:.0}µs p99 {:.0}µs from log-linear histograms, {} trace events \

@@ -33,7 +33,6 @@ fn wire_output_is_pinned_to_scan_scheduler_fingerprint() {
                     .batch(batch)
                     .shards(shards)
                     .mode(ActionMode::Sample)
-                    .exact_frame_stats(true)
                     .verdicts(VerdictPolicy::Every(4))
                     .steal(steal)
                     .netem(Some(netem))
