@@ -433,11 +433,11 @@ pub fn serve_scaling_gate(
 }
 
 /// The CI telemetry-overhead gate: serves the full workload at 4 shards
-/// with telemetry off and on (default config: counters + histograms, no
-/// trace ring), best of 3 alternating runs each, cross-checks the wire
-/// bit-for-bit, and — on machines with at least 4 cores — **fails** if
-/// the telemetry-on run loses more than `max_overhead_pct` percent
-/// throughput (`serve_bench` reads it from
+/// with telemetry off and on (default config: the snapshot derived
+/// after the run, no trace ring), best of 3 alternating runs each,
+/// cross-checks the wire bit-for-bit, and — on machines with at least 4
+/// cores — **fails** if the telemetry-on run loses more than
+/// `max_overhead_pct` percent throughput (`serve_bench` reads it from
 /// `AMOEBA_TELEMETRY_MAX_OVERHEAD_PCT`, default 2%). On smaller machines
 /// the measurement still runs and prints, but the gate is reported as
 /// skipped rather than enforced.
@@ -722,16 +722,7 @@ pub fn serve_scenario_smoke(
         four.wire_bits(),
         "scenario {name}: 4-shard wire output diverged from 1-shard"
     );
-    let snap = four
-        .telemetry
-        .as_ref()
-        .expect("matrix runs carry telemetry");
-    let (mut queries, mut verdicts, mut teardowns) = (0u64, 0u64, 0u64);
-    for t in snap.tenants.values() {
-        queries += t.verdict_queries;
-        verdicts += t.verdicts;
-        teardowns += t.teardowns;
-    }
+    let (queries, verdicts, teardowns) = verdict_totals(&four);
     assert!(
         queries >= verdicts,
         "scenario {name}: programs answered more verdicts than they were asked"
@@ -836,21 +827,26 @@ pub fn serve_matrix_scenarios(
             scenario.name()
         );
         md += &serve_matrix_table_only(&report, &pids, &cids, &policy_kinds, &censor_kinds);
-        if let Some(snap) = &report.telemetry {
-            let (mut queries, mut verdicts, mut teardowns) = (0u64, 0u64, 0u64);
-            for t in snap.tenants.values() {
-                queries += t.verdict_queries;
-                verdicts += t.verdicts;
-                teardowns += t.teardowns;
-            }
-            md += &format!(
-                "\nverdict queries {queries}, verdicts {verdicts}, teardowns {teardowns} \
-                 (torn sessions: {})\n",
-                report.torn_sessions()
-            );
-        }
+        let (queries, verdicts, teardowns) = verdict_totals(&report);
+        md += &format!(
+            "\nverdict queries {queries}, verdicts {verdicts}, teardowns {teardowns} \
+             (torn sessions: {})\n",
+            report.torn_sessions()
+        );
     }
     md
+}
+
+/// Censor-program queries, verdicts and teardowns of a matrix run,
+/// summed over its telemetry tenant cells.
+fn verdict_totals(report: &ServeReport) -> (u64, u64, u64) {
+    let snap = report
+        .telemetry
+        .as_ref()
+        .expect("matrix runs carry telemetry");
+    snap.tenants.values().fold((0, 0, 0), |(q, v, t), c| {
+        (q + c.verdict_queries, v + c.verdicts, t + c.teardowns)
+    })
 }
 
 /// Renders just the evasion matrix for an existing report (shared by the

@@ -50,12 +50,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use amoeba_classifiers::{Censor, CensorProgramFactory};
-use amoeba_telemetry::{ShardTelemetry, TelemetrySnapshot};
+use amoeba_telemetry::{Counters, TelemetrySnapshot, TenantKey};
 use amoeba_traffic::Flow;
 
 use crate::backend::InferenceBackend;
-use crate::metrics::{FrameRun, ServeReport, SessionOutcome};
+use crate::metrics::{ServeReport, SessionOutcome, SessionStatus};
 use crate::registry::{CensorId, CensorRegistry, PolicyId, PolicyRegistry, Tenant};
+use crate::scheduler::DriveAcct;
 use crate::session::Session;
 use crate::shard::{Shard, ShardReport};
 use crate::{FrozenPolicy, ServeConfig};
@@ -238,36 +239,30 @@ impl ServeEngine {
     }
 
     /// Deterministic merge: outcomes k-way-merged by session id (each
-    /// shard's list is already id-ascending), counters summed, frame runs
-    /// concatenated in shard order, and shard telemetry aggregated in
-    /// shard-index order.
+    /// shard's list is already id-ascending), counters summed and frame
+    /// runs concatenated in shard order. With `telemetry_on`, the
+    /// snapshot is then derived from the merged report.
     fn merge(reports: Vec<ShardReport>, wall_seconds: f64, telemetry_on: bool) -> ServeReport {
-        let mut frames = 0usize;
-        let mut batches = 0usize;
-        let mut stolen_batches = 0usize;
-        let mut infer_stage_us = 0f64;
-        let mut framing_stage_us = 0f64;
-        let mut max_queue_depth = 0usize;
-        let total: usize = reports.iter().map(|r| r.outcomes.len()).sum();
-        let mut outcomes: Vec<SessionOutcome> = Vec::with_capacity(total);
-        let mut frame_runs: Vec<FrameRun> = Vec::new();
-        let mut shard_tel: Vec<ShardTelemetry> = Vec::new();
-        let mut queues: Vec<std::vec::IntoIter<SessionOutcome>> = Vec::new();
-        for r in reports {
-            frames += r.frames;
-            batches += r.batches;
-            stolen_batches += r.stolen_batches;
-            infer_stage_us += r.infer_us;
-            framing_stage_us += r.framing_us;
-            max_queue_depth = max_queue_depth.max(r.max_queue_depth);
-            frame_runs.extend(r.frame_runs);
-            if telemetry_on {
-                shard_tel.push(r.telemetry);
-            }
-            queues.push(r.outcomes.into_iter());
+        let mut report = ServeReport {
+            wall_seconds,
+            ..ServeReport::default()
+        };
+        let mut accts = Vec::with_capacity(reports.len());
+        let mut queues = Vec::with_capacity(reports.len());
+        for ShardReport { outcomes, mut acct } in reports {
+            report.frames += acct.frames;
+            report.inference_batches += acct.batches;
+            report.stolen_batches += acct.stolen_batches;
+            report.infer_stage_us += acct.infer_us;
+            report.framing_stage_us += acct.framing_us;
+            report.max_queue_depth = report.max_queue_depth.max(acct.max_queue_depth);
+            report.frame_runs.append(&mut acct.frame_runs);
+            queues.push(outcomes.into_iter());
+            accts.push(acct);
         }
-        let telemetry =
-            telemetry_on.then(|| TelemetrySnapshot::aggregate(&shard_tel, wall_seconds));
+        report
+            .outcomes
+            .reserve(queues.iter().map(ExactSizeIterator::len).sum());
         let mut heads: Vec<Option<SessionOutcome>> =
             queues.iter_mut().map(Iterator::next).collect();
         while let Some(best) = heads
@@ -277,22 +272,66 @@ impl ServeEngine {
             .min()
             .map(|(_, q)| q)
         {
-            outcomes.push(heads[best].take().expect("nonempty head"));
+            report
+                .outcomes
+                .push(heads[best].take().expect("nonempty head"));
             heads[best] = queues[best].next();
         }
-        ServeReport {
-            outcomes,
-            wall_seconds,
-            frames,
-            inference_batches: batches,
-            frame_runs,
-            stolen_batches,
-            infer_stage_us,
-            framing_stage_us,
-            max_queue_depth,
-            telemetry,
+        if telemetry_on {
+            report.telemetry = Some(telemetry_snapshot(&report, &accts));
         }
+        report
     }
+}
+
+/// The run's telemetry snapshot, derived after the run from the merged
+/// report and each shard driver's scheduler counts and trace ring. The
+/// histograms record each [`crate::FrameRun`] once per frame; per-tenant
+/// frames come from the frame runs, the other tenant cells from the
+/// outcomes.
+fn telemetry_snapshot(report: &ServeReport, accts: &[DriveAcct]) -> TelemetrySnapshot {
+    let batches = report.inference_batches as u64;
+    let mut snap = TelemetrySnapshot {
+        counters: Counters {
+            ticks: accts.iter().map(|a| a.ticks as u64).sum(),
+            batches,
+            stolen_batches: report.stolen_batches as u64,
+            // Every executed batch is absorbed once, at its home shard.
+            absorbs: batches,
+            absorbs_out_of_order: accts.iter().map(|a| a.absorbs_out_of_order as u64).sum(),
+            frames: report.frames as u64,
+            sessions: report.outcomes.len() as u64,
+            max_queue_depth: report.max_queue_depth as u64,
+        },
+        events: accts.iter().flat_map(|a| a.rec.events()).collect(),
+        dropped_events: accts.iter().map(|a| a.rec.dropped()).sum(),
+        wall_seconds: report.wall_seconds,
+        shards: accts.len() as u64,
+        ..TelemetrySnapshot::default()
+    };
+    snap.events
+        .sort_by_key(|e| (e.t0_ns, e.shard, e.seq, e.executor));
+    let key = |t: Tenant| TenantKey {
+        policy: t.policy.index(),
+        censor: t.censor.index(),
+    };
+    for run in &report.frame_runs {
+        for _ in 0..run.frames {
+            snap.queue_hist.record_us(run.queue_us);
+            snap.compute_hist.record_us(run.compute_us);
+            snap.latency_hist.record_us(run.latency_us());
+        }
+        snap.tenants.entry(key(run.tenant)).or_default().frames += u64::from(run.frames);
+    }
+    for o in &report.outcomes {
+        let cell = snap.tenants.entry(key(o.tenant)).or_default();
+        cell.sessions += 1;
+        cell.evasions += u64::from(o.evaded);
+        cell.teardowns += u64::from(o.status == SessionStatus::Torn);
+        cell.verdicts += u64::from(o.verdicts);
+        cell.verdict_queries += u64::from(o.verdict_queries);
+    }
+    snap
 }
 
 /// In-flight admission of one session: choose the tenant, optionally the
@@ -375,8 +414,10 @@ impl Admission<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::FrameRun;
     use crate::testutil::{offered_flows, scoring_censor, tiny_policy};
     use crate::{ActionMode, ServeConfigBuilder, VerdictPolicy};
+    use amoeba_classifiers::StatefulProgramFactory;
     use amoeba_traffic::{Layer, NetEm};
 
     fn builder(batch: usize, shards: usize, mode: ActionMode) -> ServeConfigBuilder {
@@ -671,6 +712,106 @@ mod tests {
             snap.events.windows(2).all(|w| w[0].t0_ns <= w[1].t0_ns),
             "aggregated events are time-sorted"
         );
+    }
+
+    /// Every tenant cell of the snapshot matches that tenant's
+    /// sub-report, empty sessions included: an empty offered flow is a
+    /// session (evaded, never scored) although it never reaches a work
+    /// item, and a torn-down session counts once as a teardown.
+    #[test]
+    fn telemetry_tenant_cells_match_sub_reports() {
+        let mut flows = offered_flows(6, 5);
+        flows.push(Flow::new());
+        let mut engine = ServeEngine::new(
+            builder(8, 1, ActionMode::Deterministic)
+                .verdicts(VerdictPolicy::EveryFrame)
+                .build(),
+        );
+        let p = engine.register_policy(tiny_policy(7));
+        let allow = engine.register_censor(scoring_censor(0.1));
+        let tear = engine.register_censor_program(Arc::new(
+            StatefulProgramFactory::new(scoring_censor(0.9), 0, 1, 0.5).with_teardown(true),
+        ));
+        engine.admit_all(flows.iter(), p, allow);
+        engine.admit_all(flows.iter(), p, tear);
+        let report = engine.run();
+        assert!(report.torn_sessions() > 0, "the teardown tenant tore down");
+
+        let snap = report.telemetry.as_ref().expect("telemetry defaults on");
+        let subs = report.sub_reports();
+        assert_eq!(snap.tenants.len(), subs.len());
+        for (t, sub) in &subs {
+            let key = TenantKey {
+                policy: t.policy.index(),
+                censor: t.censor.index(),
+            };
+            let cell = &snap.tenants[&key];
+            let evaded = sub.outcomes.iter().filter(|o| o.evaded).count();
+            assert_eq!(cell.sessions as usize, sub.outcomes.len(), "{key:?}");
+            assert_eq!(cell.evasions as usize, evaded, "{key:?}");
+            assert_eq!(cell.teardowns as usize, sub.torn_sessions(), "{key:?}");
+            assert_eq!(cell.frames as usize, sub.frames, "{key:?}");
+        }
+        let sessions: u64 = snap.tenants.values().map(|c| c.sessions).sum();
+        assert_eq!(sessions, snap.counters.sessions);
+    }
+
+    /// Each session counts its own censor queries and verdicts. Under
+    /// `Every(n)` a never-blocking program is queried on every n-th
+    /// frame plus once at the end; a scoring program answers each query
+    /// with a verdict, its hard-label wrapper with `Allow`. The tenant
+    /// cells are the sums of their sessions' counts.
+    #[test]
+    fn sessions_count_their_censor_queries_and_verdicts() {
+        use amoeba_classifiers::HardLabelFactory;
+        let mut flows = offered_flows(12, 3);
+        flows.insert(4, Flow::new());
+        for n in [1, 3] {
+            let mut engine = ServeEngine::new(
+                builder(8, 2, ActionMode::Deterministic)
+                    .verdicts(VerdictPolicy::Every(n))
+                    .build(),
+            );
+            let p = engine.register_policy(tiny_policy(7));
+            let scored = engine.register_censor(scoring_censor(0.1));
+            let hard = engine.register_censor_program(Arc::new(HardLabelFactory::over_censor(
+                scoring_censor(0.1),
+            )));
+            engine.admit_all(flows.iter(), p, scored);
+            engine.admit_all(flows.iter(), p, hard);
+            let report = engine.run();
+            let snap = report.telemetry.as_ref().expect("telemetry defaults on");
+            for o in &report.outcomes {
+                let queries = if o.frames == 0 {
+                    0
+                } else {
+                    (o.frames - 1) / n + 1
+                };
+                let verdicts = if o.tenant.censor == scored {
+                    queries
+                } else {
+                    0
+                };
+                assert_eq!(
+                    o.verdict_queries as usize, queries,
+                    "n {n} session {}",
+                    o.id
+                );
+                assert_eq!(o.verdicts as usize, verdicts, "n {n} session {}", o.id);
+            }
+            assert!(report.outcomes.iter().any(|o| o.frames == 0));
+            for (t, sub) in report.sub_reports() {
+                let cell = &snap.tenants[&TenantKey {
+                    policy: t.policy.index(),
+                    censor: t.censor.index(),
+                }];
+                let sum = |f: fn(&SessionOutcome) -> u32| -> u64 {
+                    sub.outcomes.iter().map(|o| u64::from(f(o))).sum()
+                };
+                assert_eq!(cell.verdict_queries, sum(|o| o.verdict_queries), "n {n}");
+                assert_eq!(cell.verdicts, sum(|o| o.verdicts), "n {n}");
+            }
+        }
     }
 
     /// With telemetry off the engine reports no snapshot — and the wire

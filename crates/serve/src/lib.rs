@@ -65,12 +65,14 @@
 //!   per-frame latency percentiles (linearly interpolated between ranks),
 //!   evasion rate, overhead accounting — plus per-`(policy, censor)`
 //!   [`metrics::ServeReport::sub_reports`] with a deterministic merge.
-//! * Observability — the engine is instrumented by `amoeba_telemetry`
-//!   under the **zero-perturbation obligation**: counters, log-linear
-//!   latency histograms and the stage-trace flight recorder
-//!   ([`ServeConfig::trace_ring`]) must never move a wire bit or take
-//!   a lock a data-path thread can contend on. Telemetry is on by
-//!   default ([`ServeConfig::telemetry`]) and publishes as
+//! * Observability — the engine publishes an `amoeba_telemetry`
+//!   snapshot under the **zero-perturbation obligation**: nothing it
+//!   records may move a wire bit or take a lock a data-path thread can
+//!   contend on. Counters, per-tenant cells and log-linear latency
+//!   histograms are derived after the run from the merged report, so
+//!   only the stage-trace flight recorder ([`ServeConfig::trace_ring`])
+//!   records while sessions are served. The snapshot is attached by
+//!   default ([`ServeConfig::telemetry`]) as
 //!   [`metrics::ServeReport::telemetry`]. CI's `telemetry-overhead` gate
 //!   fails a change that costs more than 2% throughput, but enforces it
 //!   only on runners with at least 4 cores. The invariance is
@@ -249,15 +251,17 @@ pub struct ServeConfig {
     /// their global session ids, and results are absorbed in sequence
     /// order, so wire output is steal-invariant.
     pub steal: bool,
-    /// Telemetry recording: shard-local counters, per-tenant feedback and
-    /// log-linear latency histograms, aggregated into the report's
-    /// [`metrics::ServeReport::telemetry`] snapshot (default `true`).
-    /// Zero-perturbation by contract: wire output is bit-identical with
-    /// telemetry on or off (pinned in `tests/telemetry_invariance.rs`).
-    /// CI's `telemetry-overhead` gate fails a change that costs more
-    /// than 2% throughput, but enforces it only on runners with at least
-    /// 4 cores; on a 2-vCPU host `serve_bench --overhead` measured
-    /// 5.3–8.5%.
+    /// Whether the report carries a [`metrics::ServeReport::telemetry`]
+    /// snapshot (default `true`): counters, per-tenant feedback and
+    /// log-linear latency histograms, derived from the report after the
+    /// run, and the stage-trace rings when [`ServeConfig::trace_ring`] is
+    /// non-zero. Zero-perturbation by contract: wire output is
+    /// bit-identical with telemetry on or off (pinned in
+    /// `tests/telemetry_invariance.rs`). CI's `telemetry-overhead` gate
+    /// fails a change that costs more than 2% throughput, but enforces
+    /// it only on runners with at least 4 cores. On a 2-vCPU host ten
+    /// runs of `serve_bench --overhead` read a median of 5.3% (range
+    /// −16.3% to 8.6%), a spread too wide to check 2% against.
     pub telemetry: bool,
     /// Flight-recorder capacity per shard driver, in stage-trace events
     /// (0 = stage tracing off, the default). When non-zero and

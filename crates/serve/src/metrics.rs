@@ -41,6 +41,14 @@ pub struct SessionOutcome {
     pub blocked_midstream: bool,
     /// Censor score on the complete wire flow.
     pub final_score: f32,
+    /// Censor verdicts issued against this session: its program's
+    /// decisions other than `Allow` (scores, blocks, resets).
+    pub verdicts: u32,
+    /// Censor-program observations of this session, `Allow` included —
+    /// the session's hard-label query budget. The mid-stream cadence
+    /// ([`crate::VerdictPolicy`]) plus the one final observation; 0 for
+    /// an empty session. Always `verdict_queries >= verdicts`.
+    pub verdict_queries: u32,
     /// Frames emitted (pre-impairment).
     pub frames: usize,
     /// Application payload bytes carried (both directions).
@@ -145,13 +153,16 @@ pub struct ServeReport {
     /// Largest number of work items any one shard formed in a single tick
     /// (the high-water mark of its work deque).
     pub max_queue_depth: usize,
-    /// The aggregated telemetry snapshot of this run (counters,
-    /// bounded-memory latency histograms, per-tenant feedback, trace
-    /// events), present when [`crate::ServeConfig::telemetry`] was on.
-    /// Its histograms summarise the same samples as
-    /// [`ServeReport::frame_runs`] to within one log-linear bucket (≤ 1/16
-    /// relative error); the `*_percentiles_us` accessors rank the exact
-    /// runs.
+    /// The telemetry snapshot of this run (counters, bounded-memory
+    /// latency histograms, per-tenant feedback, trace events), present
+    /// when [`crate::ServeConfig::telemetry`] was on. It is derived after
+    /// the run from this report — counters from its fields, histograms
+    /// from [`ServeReport::frame_runs`], tenant cells from the frame runs
+    /// and [`ServeReport::outcomes`] — plus the shard drivers' tick and
+    /// out-of-order-absorb counts and trace rings, so it agrees with the
+    /// report by construction. Its histograms summarise the frame runs to
+    /// within one log-linear bucket (≤ 1/16 relative error); the
+    /// `*_percentiles_us` accessors rank the exact runs.
     pub telemetry: Option<TelemetrySnapshot>,
 }
 
@@ -460,6 +471,8 @@ mod tests {
             evaded,
             blocked_midstream: !evaded,
             final_score: if evaded { 0.1 } else { 0.9 },
+            verdicts: 1,
+            verdict_queries: 1,
             frames: 10,
             payload_bytes: 1_000_000,
             wire_bytes: 1_250_000,

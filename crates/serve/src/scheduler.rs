@@ -15,8 +15,18 @@
 //! ```
 //!
 //! An item reads the clock five times: when it is formed and at each
-//! stage boundary. Every timing figure the report, the telemetry and the
-//! trace give for it derives from those stamps ([`ChunkAcct`]).
+//! stage boundary. Every timing figure the report and the trace give for
+//! it derives from those stamps ([`ChunkAcct`]).
+//!
+//! ## Accounting
+//!
+//! A driver absorbs its returned items into one plain [`DriveAcct`]:
+//! batch, frame and steal counts, stage totals, the [`FrameRun`]s, its
+//! tick and out-of-order-absorb counts and, when tracing is on, its
+//! flight-recorder ring. That is all the serving data path records. The
+//! engine merges the drivers' accounts into the `ServeReport` and, when
+//! `ServeConfig::telemetry` is on, derives the telemetry snapshot from
+//! that report after the run.
 //!
 //! A new tick starts only after every item of the previous tick returned
 //! — the barrier that keeps tick grouping independent of execution
@@ -44,7 +54,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use amoeba_classifiers::CensorProgram;
-use amoeba_telemetry::{FlightRecorder, ShardTelemetry, StageKind, TenantKey, TraceEvent};
+use amoeba_telemetry::{FlightRecorder, StageKind, TraceEvent};
 
 use crate::metrics::FrameRun;
 use crate::registry::PolicyId;
@@ -62,9 +72,9 @@ const STEAL_IDLE: Duration = Duration::from_micros(50);
 /// Wall-clock accounting carried by one in-flight [`WorkItem`]: the one
 /// timing record of the item. Five stamps, nanoseconds since the fleet
 /// epoch, each read once through [`ChunkProcessor::now_ns`]; the queue
-/// wait, the stage totals, the item's [`FrameRun`]s, the latency
-/// histograms and the infer/frame/emit trace spans are all derived from
-/// them, so every figure agrees with every other.
+/// wait, the stage totals, the item's [`FrameRun`]s (and through them the
+/// telemetry histograms) and the infer/frame/emit trace spans are all
+/// derived from them, so every figure agrees with every other.
 pub(crate) struct ChunkAcct {
     /// When the item was formed (its sessions became due).
     enqueued: u64,
@@ -81,16 +91,6 @@ pub(crate) struct ChunkAcct {
     /// Shard index of the thread that executed the stages (set by
     /// [`Shared::steal`]; equals `home` otherwise).
     pub(crate) executor: u32,
-    /// Censor *verdicts* (non-`Allow` program decisions) issued per
-    /// session this pass, parallel to `sessions` (filled by stage 2 when
-    /// telemetry is on; at most one per pass — inline and final
-    /// observations are mutually exclusive).
-    pub(crate) verdicts: Vec<u8>,
-    /// Censor-program *queries* (every `observe` call, `Allow` included)
-    /// per session this pass, parallel to `sessions`. A cadence-gated or
-    /// warming-up program is queried without rendering a verdict, so
-    /// `queries ≥ verdicts`.
-    pub(crate) queries: Vec<u8>,
 }
 
 impl ChunkAcct {
@@ -177,8 +177,6 @@ impl WorkItem {
                 emitted: 0,
                 stolen: false,
                 executor: home as u32,
-                verdicts: Vec::new(),
-                queries: Vec::new(),
             },
         }
     }
@@ -188,9 +186,13 @@ impl WorkItem {
     }
 }
 
-/// Per-driver accounting, folded into the [`ShardReport`] at the end.
+/// Per-driver accounting, handed back in the [`ShardReport`] and merged
+/// by the engine, which also derives the run's telemetry snapshot from
+/// it after the run.
 #[derive(Default)]
 pub(crate) struct DriveAcct {
+    /// Drive-loop iterations (ticks formed).
+    pub(crate) ticks: usize,
     pub(crate) frames: usize,
     pub(crate) batches: usize,
     /// One [`FrameRun`] per (work item, consecutive-tenant run), in
@@ -200,11 +202,8 @@ pub(crate) struct DriveAcct {
     pub(crate) infer_us: f64,
     pub(crate) framing_us: f64,
     pub(crate) max_queue_depth: usize,
-    /// Shard-local telemetry (counters, histograms, per-tenant feedback,
-    /// flight-recorder contents). Recorded only when
-    /// [`crate::ServeConfig::telemetry`] is on; folded deterministically
-    /// at the engine's k-way merge.
-    pub(crate) tel: ShardTelemetry,
+    /// Returned items that arrived ahead of sequence and were parked.
+    pub(crate) absorbs_out_of_order: usize,
     /// This driver's stage-trace ring: spans of its own work items,
     /// pushed at absorb wherever the item executed. Capacity 0 (tracing
     /// off) makes every push a no-op.
@@ -336,10 +335,8 @@ fn absorb(
     next_absorb: &mut u64,
     item: WorkItem,
 ) {
-    let telemetry = shard.proc.cfg.telemetry;
-    let trace = shard.proc.trace_on();
-    if telemetry && item.seq != *next_absorb {
-        acct.tel.counters.absorbs_out_of_order += 1;
+    if item.seq != *next_absorb {
+        acct.absorbs_out_of_order += 1;
     }
     parked.insert(item.seq, item);
     while let Some(item) = parked.remove(next_absorb) {
@@ -368,50 +365,25 @@ fn absorb(
                 }),
             }
         }
-        if telemetry {
-            let tel = &mut acct.tel;
-            tel.counters.absorbs += 1;
-            let latency_us = acct.frame_runs[first_run].latency_us();
-            for (r, session) in item.sessions.iter().enumerate() {
-                tel.queue_hist.record_us(queue_us);
-                tel.compute_hist.record_us(compute_us);
-                tel.latency_hist.record_us(latency_us);
-                let t = session.tenant();
-                let cell = tel.tenant_mut(TenantKey {
-                    policy: t.policy.index(),
-                    censor: t.censor.index(),
-                });
-                cell.frames += 1;
-                cell.verdicts += u64::from(item.acct.verdicts.get(r).copied().unwrap_or(0));
-                cell.verdict_queries += u64::from(item.acct.queries.get(r).copied().unwrap_or(0));
-                if session.is_done() {
-                    // Done sessions never re-enter the heap, so this pass
-                    // is the unique one that observes the finish.
-                    cell.sessions += 1;
-                    cell.evasions += u64::from(session.evaded());
-                    cell.teardowns += u64::from(session.torn());
-                }
+        if !acct.rec.is_disabled() {
+            let a = &item.acct;
+            let span = |stage, t0_ns: u64, end_ns: u64| TraceEvent {
+                stage,
+                shard: item.home as u32,
+                executor: a.executor,
+                seq: item.seq,
+                t0_ns,
+                dur_ns: end_ns.saturating_sub(t0_ns),
+                batch: item.len() as u32,
+            };
+            let rec = &mut acct.rec;
+            if a.stolen {
+                // Instantaneous marker at the thief's stage-1 start.
+                rec.push(span(StageKind::Steal, a.started, a.started));
             }
-            if trace {
-                let a = &item.acct;
-                let span = |stage, t0_ns: u64, end_ns: u64| TraceEvent {
-                    stage,
-                    shard: item.home as u32,
-                    executor: a.executor,
-                    seq: item.seq,
-                    t0_ns,
-                    dur_ns: end_ns.saturating_sub(t0_ns),
-                    batch: item.len() as u32,
-                };
-                let rec = &mut acct.rec;
-                if a.stolen {
-                    // Instantaneous marker at the thief's stage-1 start.
-                    rec.push(span(StageKind::Steal, a.started, a.started));
-                }
-                rec.push(span(StageKind::Infer, a.started, a.inferred));
-                rec.push(span(StageKind::Frame, a.inferred, a.framed));
-                rec.push(span(StageKind::Emit, a.framed, a.emitted));
-            }
+            rec.push(span(StageKind::Infer, a.started, a.inferred));
+            rec.push(span(StageKind::Frame, a.inferred, a.framed));
+            rec.push(span(StageKind::Emit, a.framed, a.emitted));
         }
         shard.reclaim(item);
     }
@@ -430,19 +402,21 @@ fn drive(
     let me = shard.index();
     // Absorbs only ever run on the home driver, so one ring per driver
     // covers all of this shard's items.
+    let ring = if shard.proc.trace_on() {
+        shard.proc.cfg.trace_ring
+    } else {
+        0
+    };
     let mut acct = DriveAcct {
-        rec: FlightRecorder::new(shard.proc.cfg.trace_ring),
+        rec: FlightRecorder::new(ring),
         ..DriveAcct::default()
     };
     let mut next_seq = 0u64;
     let mut next_absorb = 0u64;
     let mut parked: BTreeMap<u64, WorkItem> = BTreeMap::new();
-    let telemetry = shard.proc.cfg.telemetry;
 
     while shard.has_pending() {
-        if telemetry {
-            acct.tel.counters.ticks += 1;
-        }
+        acct.ticks += 1;
         let items = shard.next_tick(&mut next_seq);
         let mut outstanding = items.len();
         acct.max_queue_depth = acct.max_queue_depth.max(outstanding);

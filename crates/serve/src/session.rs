@@ -6,6 +6,7 @@
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
+use amoeba_classifiers::{CensorDecision, CensorProgram};
 use amoeba_core::shaper::{ShapedReceiver, ShapedSender, HEADER_LEN};
 use amoeba_core::{Action, Observation, ShapingKernel, TransportEmulator};
 use amoeba_traffic::{Direction, Flow, NetEm, Packet};
@@ -90,6 +91,10 @@ pub(crate) struct Session {
     /// The censor program issued a `Reset`: the connection was torn down
     /// mid-stream and the session terminated early.
     torn: bool,
+    /// Censor-program observations of this session (`Allow` included).
+    verdict_queries: u32,
+    /// Observations that answered other than `Allow`.
+    verdicts: u32,
     final_score: f32,
     stream_ok: bool,
     done: bool,
@@ -155,6 +160,8 @@ impl Session {
             rng: stream_rng(cfg.seed, id, STREAM_ACTION),
             blocked_midstream: false,
             torn: false,
+            verdict_queries: 0,
+            verdicts: 0,
             final_score: 0.0,
             stream_ok: done,
             done,
@@ -196,11 +203,6 @@ impl Session {
         self.frames
     }
 
-    /// The adversarial flow as the on-path censor observes it.
-    pub(crate) fn wire(&self) -> &Flow {
-        &self.wire
-    }
-
     /// The censor's verdict on a mid-stream prefix, once one blocked.
     pub(crate) fn blocked_midstream(&self) -> bool {
         self.blocked_midstream
@@ -211,12 +213,6 @@ impl Session {
         self.blocked_midstream = true;
     }
 
-    /// The censor program tore the connection down mid-stream
-    /// ([`amoeba_classifiers::CensorDecision::Reset`]).
-    pub(crate) fn torn(&self) -> bool {
-        self.torn
-    }
-
     /// Terminates the session early on a censor `Reset`: the session is
     /// done (it never re-enters the scheduler heap), its remaining frames
     /// are never emitted, and its outcome reports
@@ -225,6 +221,15 @@ impl Session {
     pub(crate) fn tear_down(&mut self) {
         self.torn = true;
         self.done = true;
+    }
+
+    /// Shows the session's wire so far to its censor program and counts
+    /// the query, and the verdict when the decision is not `Allow`.
+    pub(crate) fn query(&mut self, prog: &mut dyn CensorProgram, last: bool) -> CensorDecision {
+        let decision = prog.observe(&self.wire, last);
+        self.verdict_queries += 1;
+        self.verdicts += u32::from(decision != CensorDecision::Allow);
+        decision
     }
 
     pub(crate) fn set_final_score(&mut self, score: f32) {
@@ -311,20 +316,12 @@ impl Session {
         self.stream_ok
     }
 
-    /// Whether the session finished evading: never blocked midstream,
-    /// never torn down, and final score below the 0.5 detection
-    /// threshold. Meaningful once the session is done; also what
-    /// telemetry counts per tenant.
-    pub(crate) fn evaded(&self) -> bool {
-        !self.blocked_midstream && !self.torn && self.final_score < 0.5
-    }
-
     /// Consumes the session into its report row.
     pub(crate) fn into_outcome(self) -> crate::SessionOutcome {
         crate::SessionOutcome {
             id: self.id,
             tenant: self.tenant,
-            evaded: self.evaded(),
+            evaded: !self.blocked_midstream && !self.torn && self.final_score < 0.5,
             status: if self.torn {
                 crate::SessionStatus::Torn
             } else {
@@ -332,6 +329,8 @@ impl Session {
             },
             blocked_midstream: self.blocked_midstream,
             final_score: self.final_score,
+            verdicts: self.verdicts,
+            verdict_queries: self.verdict_queries,
             frames: self.frames,
             payload_bytes: self.payload_bytes,
             wire_bytes: self.wire.total_bytes(),
@@ -389,8 +388,8 @@ mod tests {
         }
         assert!(s.finish_streams());
         // Wire sizes are header-inclusive.
-        assert!(s.wire().total_bytes() >= 2800 + (s.frames() * HEADER_LEN) as u64);
-        assert!((s.ready_at() - s.wire().delays().iter().sum::<f32>() as f64).abs() < 1e-3);
+        assert!(s.wire.total_bytes() >= 2800 + (s.frames() * HEADER_LEN) as u64);
+        assert!((s.ready_at() - s.wire.delays().iter().sum::<f32>() as f64).abs() < 1e-3);
     }
 
     #[test]
@@ -427,7 +426,7 @@ mod tests {
         }
         assert!(s.finish_streams());
         // With 30% duplication the on-path view should hold extra packets.
-        assert!(s.wire().len() >= s.frames());
+        assert!(s.wire.len() >= s.frames());
     }
 
     #[test]

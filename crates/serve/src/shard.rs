@@ -75,7 +75,7 @@ use amoeba_core::{Action, ShapingKernel};
 use amoeba_nn::matrix::Matrix;
 
 use crate::backend::InferenceBackend;
-use crate::metrics::{FrameRun, SessionOutcome};
+use crate::metrics::SessionOutcome;
 use crate::registry::PolicyId;
 use crate::scheduler::{DriveAcct, WorkItem};
 use crate::session::Session;
@@ -85,27 +85,8 @@ use crate::{ActionMode, FrozenPolicy, ServeConfig, VerdictPolicy};
 pub(crate) struct ShardReport {
     /// Outcomes of this shard's sessions, in session-id order.
     pub outcomes: Vec<SessionOutcome>,
-    /// Frames this shard's sessions emitted.
-    pub frames: usize,
-    /// Inference batches executed on behalf of this shard's sessions
-    /// (wherever they physically ran).
-    pub batches: usize,
-    /// Per-frame queue wait and compute, one run per (work item,
-    /// consecutive-tenant run), in absorb order.
-    pub frame_runs: Vec<FrameRun>,
-    /// Batches of this shard's sessions that an idle peer shard stole and
-    /// executed.
-    pub stolen_batches: usize,
-    /// Total wall-clock spent in the inference stages (µs).
-    pub infer_us: f64,
-    /// Total wall-clock spent in the framing/impairment/verdict stage (µs).
-    pub framing_us: f64,
-    /// Largest number of work items one tick formed on this shard.
-    pub max_queue_depth: usize,
-    /// Shard-local telemetry: counters, latency histograms, per-tenant
-    /// feedback and flight-recorder contents. Default-empty when
-    /// [`crate::ServeConfig::telemetry`] is off.
-    pub telemetry: amoeba_telemetry::ShardTelemetry,
+    /// What the shard's driver counted while it served them.
+    pub acct: DriveAcct,
 }
 
 /// One resident session with its incremental encoder states: the unit
@@ -269,13 +250,6 @@ impl ChunkProcessor {
     pub(crate) fn frame(&self, item: &mut WorkItem, means: &Matrix, logstds: &Matrix) -> Matrix {
         let b = item.sessions.len();
         let kernel = self.kernel;
-        let telemetry = self.cfg.telemetry;
-        if telemetry {
-            item.acct.verdicts.clear();
-            item.acct.verdicts.resize(b, 0);
-            item.acct.queries.clear();
-            item.acct.queries.resize(b, 0);
-        }
         let mut emitted = Matrix::zeros(b, 2);
         for (r, session) in item.sessions.iter_mut().enumerate() {
             let action = match self.cfg.mode {
@@ -304,14 +278,7 @@ impl ChunkProcessor {
             if event.done {
                 // The unique final observation: its decision is the
                 // session's final score.
-                if telemetry {
-                    item.acct.queries[r] += 1;
-                }
-                let decision = prog.observe(session.wire(), true);
-                if telemetry && decision != CensorDecision::Allow {
-                    item.acct.verdicts[r] += 1;
-                }
-                let score = match decision {
+                let score = match session.query(prog.as_mut(), true) {
                     CensorDecision::Allow => 0.0,
                     CensorDecision::Score(s) => s,
                     CensorDecision::Block => 1.0,
@@ -323,29 +290,15 @@ impl ChunkProcessor {
                 session.set_final_score(score);
                 session.finish_streams();
             } else if due && !session.blocked_midstream() {
-                if telemetry {
-                    item.acct.queries[r] += 1;
-                }
-                match prog.observe(session.wire(), false) {
+                match session.query(prog.as_mut(), false) {
                     CensorDecision::Allow => {}
                     CensorDecision::Score(s) => {
-                        if telemetry {
-                            item.acct.verdicts[r] += 1;
-                        }
                         if s >= 0.5 {
                             session.set_blocked_midstream();
                         }
                     }
-                    CensorDecision::Block => {
-                        if telemetry {
-                            item.acct.verdicts[r] += 1;
-                        }
-                        session.set_blocked_midstream();
-                    }
+                    CensorDecision::Block => session.set_blocked_midstream(),
                     CensorDecision::Reset => {
-                        if telemetry {
-                            item.acct.verdicts[r] += 1;
-                        }
                         session.tear_down();
                         session.set_final_score(1.0);
                         session.finish_streams();
@@ -551,9 +504,8 @@ impl Shard {
     }
 
     /// Consumes the shard into its report once every session finished.
-    pub(crate) fn into_report(self, mut acct: DriveAcct) -> ShardReport {
-        let telemetry = self.proc.cfg.telemetry;
-        let outcomes: Vec<SessionOutcome> = self
+    pub(crate) fn into_report(self, acct: DriveAcct) -> ShardReport {
+        let outcomes = self
             .slots
             .into_iter()
             .map(|slot| {
@@ -562,29 +514,7 @@ impl Shard {
                     .into_outcome()
             })
             .collect();
-        if telemetry {
-            // Scheduler quantities the drive loop already counted for the
-            // report proper; mirror them into the telemetry snapshot so
-            // it is self-contained.
-            acct.tel.counters.batches = acct.batches as u64;
-            acct.tel.counters.frames = acct.frames as u64;
-            acct.tel.counters.stolen_batches = acct.stolen_batches as u64;
-            acct.tel.counters.max_queue_depth = acct.max_queue_depth as u64;
-            acct.tel.counters.sessions = outcomes.len() as u64;
-            acct.tel.dropped_events = acct.rec.dropped();
-            acct.tel.events = acct.rec.events();
-        }
-        ShardReport {
-            outcomes,
-            frames: acct.frames,
-            batches: acct.batches,
-            frame_runs: acct.frame_runs,
-            stolen_batches: acct.stolen_batches,
-            infer_us: acct.infer_us,
-            framing_us: acct.framing_us,
-            max_queue_depth: acct.max_queue_depth,
-            telemetry: acct.tel,
-        }
+        ShardReport { outcomes, acct }
     }
 }
 

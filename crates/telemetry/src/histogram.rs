@@ -11,11 +11,10 @@
 //! recorded — the replacement for the dataplane's historically unbounded
 //! per-frame latency `Vec`s.
 //!
-//! Recording is a handful of integer ops on plain (non-atomic) cells:
-//! each shard thread owns its histogram and the engine merges them
-//! deterministically afterwards, so the hot path takes no locks and
-//! perturbs nothing (see the crate docs for the zero-perturbation
-//! obligation).
+//! Recording is a handful of integer ops on plain (non-atomic) cells.
+//! The serving engine records its histograms from the report's frame
+//! runs after a run, off the data path (see the crate docs for the
+//! zero-perturbation obligation).
 
 /// Linear sub-buckets per power-of-two range (and the count of dedicated
 /// single-value buckets at the bottom).
@@ -63,10 +62,8 @@ fn bucket_high(i: usize) -> u64 {
 
 /// A bounded log-linear histogram over `u64` values.
 ///
-/// `Default` is the empty histogram. Merging ([`Histogram::merge`]) is
-/// element-wise addition, so any partition of a sample stream across
-/// shards merges to the same histogram — recording is order- and
-/// grouping-independent by construction.
+/// `Default` is the empty histogram. Recording only adds to counts, so
+/// the result is independent of the order the samples arrive in.
 #[derive(Clone)]
 pub struct Histogram {
     counts: Box<[u64; BUCKETS]>,
@@ -221,17 +218,6 @@ impl Histogram {
     pub fn quantile_us(&self, q: f64) -> f64 {
         self.quantile(q) / 1e3
     }
-
-    /// Element-wise merge (the deterministic k-way aggregation step).
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -317,29 +303,6 @@ mod tests {
         assert_eq!(h.count(), samples.len() as u64);
         assert_eq!(h.min(), samples[0]);
         assert_eq!(h.max(), *samples.last().unwrap());
-    }
-
-    #[test]
-    fn merge_equals_recording_the_union() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let (mut a, mut b, mut whole) = (Histogram::new(), Histogram::new(), Histogram::new());
-        for i in 0..2_000u64 {
-            let v = rng.gen_range(0..1_000_000u64);
-            whole.record(v);
-            if i % 3 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert_eq!(a.sum(), whole.sum());
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-        for q in [0.01, 0.25, 0.5, 0.75, 0.99] {
-            assert_eq!(a.quantile(q), whole.quantile(q));
-        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Counters, latency histograms, stage tracing, and a flight recorder
 //! for the Amoeba serving stack. The crate is deliberately dependency-
-//! free and engine-agnostic: the serve crate records into these types;
-//! this crate only aggregates and renders.
+//! free and engine-agnostic: the serve crate fills these types; this
+//! crate only holds and renders them.
 //!
 //! ## Obligations for future instrumentation
 //!
@@ -13,29 +13,31 @@
 //! 1. **Zero perturbation.** Telemetry must never change what the
 //!    engine emits on the wire. Wire output is bit-identical with
 //!    telemetry on, off, or ring sizes varied (proptest
-//!    `telemetry_invariance`). Concretely: never touch a session RNG,
-//!    never reorder or gate scheduling on a telemetry value, never
-//!    take a lock a data-path thread can contend on. Counters are
-//!    plain `u64` cells owned by one shard thread ([`Counters`],
-//!    [`ShardTelemetry`]); histograms are thread-owned arrays
-//!    ([`Histogram`]); trace events go to a ring each shard driver
-//!    owns ([`FlightRecorder`]). Nothing in this crate synchronizes.
+//!    `telemetry_invariance`). The serve crate keeps this by
+//!    construction: it derives the [`TelemetrySnapshot`] after the run
+//!    from its report — counters ([`Counters`], [`TenantCounters`]) from
+//!    the report's fields and session outcomes, [`Histogram`]s from its
+//!    frame runs — so no telemetry code runs while sessions are served.
+//!    The one recording on the data path is the stage trace: each shard
+//!    driver pushes spans into a ring it owns ([`FlightRecorder`]),
+//!    never touching a session RNG, gating scheduling on a telemetry
+//!    value or taking a lock. Nothing in this crate synchronizes.
 //!
-//! 2. **Deterministic aggregation.** The k-way merge folds shard
-//!    telemetry in shard-index order, per-tenant maps are `BTreeMap`s,
-//!    and trace events sort by `(t0_ns, shard, seq)` — a given set of
-//!    shard results always renders to the same bytes. Per-session
-//!    quantities (frames, verdicts, evasions, sessions) are
+//! 2. **Deterministic rendering.** Per-tenant maps are `BTreeMap`s and
+//!    trace events sort by `(t0_ns, shard, seq, executor)` — a given
+//!    snapshot always renders to the same bytes. Per-session quantities
+//!    (frames, verdicts, verdict queries, evasions, sessions) are
 //!    grouping-invariant sums; scheduler quantities (ticks, batches,
 //!    steals, queue depths) legitimately vary with shard count and are
 //!    documented as such on [`Counters`].
 //!
 //! Overhead is budgeted too: CI's `telemetry-overhead` gate fails the
 //! build if full telemetry costs more than 2% throughput, but enforces
-//! it only on runners with at least 4 cores. On a 2-vCPU host
-//! `serve_bench --overhead` measured 5.3–8.5%, so the 2% bound is
-//! unverified there.
-//!
+//! it only on runners with at least 4 cores. On a 2-vCPU host ten runs
+//! of `AMOEBA_STEPS=8192 serve_bench --overhead` read a median of 5.3%
+//! (range −16.3% to 8.6%): the run-to-run spread there is far wider
+//! than 2%, so the bound is unverified on such hosts.
+
 //! ## Exposition
 //!
 //! [`TelemetrySnapshot`] renders as Prometheus text
@@ -51,7 +53,7 @@ pub mod histogram;
 pub mod snapshot;
 pub mod trace;
 
-pub use counters::{Counters, ShardTelemetry, TenantCounters, TenantKey};
+pub use counters::{Counters, TenantCounters, TenantKey};
 pub use histogram::Histogram;
 pub use snapshot::{TelemetrySnapshot, QUANTILES};
 pub use trace::{trace_json, FlightRecorder, StageKind, TraceEvent};

@@ -1,7 +1,7 @@
-//! Run-level aggregation and exposition.
+//! Run-level exposition.
 //!
-//! [`TelemetrySnapshot`] is the deterministic fold of every shard's
-//! [`ShardTelemetry`], exposed three ways:
+//! [`TelemetrySnapshot`] is one run's counters, histograms, per-tenant
+//! cells and trace events, exposed three ways:
 //!
 //! - [`TelemetrySnapshot::to_prometheus_text`] — Prometheus text
 //!   exposition (format pinned by a snapshot test; renames must update
@@ -11,11 +11,11 @@
 //! - [`TelemetrySnapshot::trace_json`] — Chrome-trace JSON of the
 //!   flight-recorder contents.
 //!
-//! Aggregation folds shards in index order and sorts trace events by
-//! `(t0_ns, shard, seq)`, so a given set of shard telemetries always
-//! renders to the same bytes.
+//! Per-tenant maps are `BTreeMap`s and trace events are sorted by
+//! `(t0_ns, shard, seq, executor)`, so a given snapshot always renders to
+//! the same bytes.
 
-use crate::counters::{Counters, ShardTelemetry, TenantCounters, TenantKey};
+use crate::counters::{Counters, TenantCounters, TenantKey};
 use crate::histogram::Histogram;
 use crate::trace::{self, TraceEvent};
 use std::collections::BTreeMap;
@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 /// Quantiles exposed on every latency summary.
 pub const QUANTILES: [f64; 4] = [0.5, 0.9, 0.99, 1.0];
 
-/// The engine-wide telemetry fold for one completed run.
+/// The engine-wide telemetry of one completed run.
 #[derive(Clone, Debug, Default)]
 pub struct TelemetrySnapshot {
     pub counters: Counters,
@@ -36,7 +36,7 @@ pub struct TelemetrySnapshot {
     /// report's `FrameRun::latency_us`), nanoseconds.
     pub latency_hist: Histogram,
     /// Flight-recorder events from all shards, sorted by
-    /// `(t0_ns, shard, seq)`.
+    /// `(t0_ns, shard, seq, executor)`.
     pub events: Vec<TraceEvent>,
     /// Ring overwrites across all shards.
     pub dropped_events: u64,
@@ -47,28 +47,6 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
-    /// Folds per-shard telemetry (in index order) into a snapshot.
-    pub fn aggregate(shards: &[ShardTelemetry], wall_seconds: f64) -> Self {
-        let mut folded = ShardTelemetry::default();
-        for s in shards {
-            folded.merge(s);
-        }
-        folded
-            .events
-            .sort_by_key(|e| (e.t0_ns, e.shard, e.seq, e.executor));
-        TelemetrySnapshot {
-            counters: folded.counters,
-            tenants: folded.tenants,
-            queue_hist: folded.queue_hist,
-            compute_hist: folded.compute_hist,
-            latency_hist: folded.latency_hist,
-            events: folded.events,
-            dropped_events: folded.dropped_events,
-            wall_seconds,
-            shards: shards.len() as u64,
-        }
-    }
-
     /// Chrome-trace JSON of the flight-recorder events.
     pub fn trace_json(&self) -> String {
         trace::trace_json(&self.events)
@@ -327,7 +305,7 @@ mod tests {
     use crate::trace::StageKind;
 
     fn sample_snapshot() -> TelemetrySnapshot {
-        let mut a = ShardTelemetry {
+        let mut snap = TelemetrySnapshot {
             counters: Counters {
                 ticks: 4,
                 batches: 6,
@@ -338,58 +316,69 @@ mod tests {
                 sessions: 3,
                 max_queue_depth: 5,
             },
-            ..ShardTelemetry::default()
+            tenants: BTreeMap::from([
+                (
+                    TenantKey {
+                        policy: 0,
+                        censor: 0,
+                    },
+                    TenantCounters {
+                        frames: 16,
+                        verdicts: 16,
+                        evasions: 2,
+                        sessions: 2,
+                        teardowns: 0,
+                        verdict_queries: 16,
+                    },
+                ),
+                (
+                    TenantKey {
+                        policy: 1,
+                        censor: 2,
+                    },
+                    TenantCounters {
+                        frames: 8,
+                        verdicts: 8,
+                        evasions: 0,
+                        sessions: 1,
+                        teardowns: 1,
+                        verdict_queries: 8,
+                    },
+                ),
+            ]),
+            events: vec![
+                TraceEvent {
+                    stage: StageKind::Frame,
+                    shard: 1,
+                    executor: 1,
+                    seq: 0,
+                    t0_ns: 1_000,
+                    dur_ns: 500,
+                    batch: 3,
+                },
+                TraceEvent {
+                    stage: StageKind::Infer,
+                    shard: 0,
+                    executor: 0,
+                    seq: 0,
+                    t0_ns: 2_000,
+                    dur_ns: 1_000,
+                    batch: 3,
+                },
+            ],
+            wall_seconds: 1.5,
+            shards: 2,
+            ..TelemetrySnapshot::default()
         };
         // Values below 16 ns land in exact unit buckets, so the type-7
         // interpolated quantiles are exact and the golden text is stable
         // by construction.
         for v in [10, 10, 12, 14] {
-            a.queue_hist.record(v);
-            a.compute_hist.record(v);
-            a.latency_hist.record(2 * v);
+            snap.queue_hist.record(v);
+            snap.compute_hist.record(v);
+            snap.latency_hist.record(2 * v);
         }
-        *a.tenant_mut(TenantKey {
-            policy: 0,
-            censor: 0,
-        }) = TenantCounters {
-            frames: 16,
-            verdicts: 16,
-            evasions: 2,
-            sessions: 2,
-            teardowns: 0,
-            verdict_queries: 16,
-        };
-        *a.tenant_mut(TenantKey {
-            policy: 1,
-            censor: 2,
-        }) = TenantCounters {
-            frames: 8,
-            verdicts: 8,
-            evasions: 0,
-            sessions: 1,
-            teardowns: 1,
-            verdict_queries: 8,
-        };
-        a.events.push(TraceEvent {
-            stage: StageKind::Infer,
-            shard: 0,
-            executor: 0,
-            seq: 0,
-            t0_ns: 2_000,
-            dur_ns: 1_000,
-            batch: 3,
-        });
-        let mut b = ShardTelemetry::default();
-        b.events.push(TraceEvent {
-            stage: StageKind::Frame,
-            shard: 1,
-            executor: 1,
-            seq: 0,
-            t0_ns: 1_000,
-            dur_ns: 500,
-            batch: 3,
-        });
-        TelemetrySnapshot::aggregate(&[a, b], 1.5)
+        snap
     }
 
     /// Snapshot test: the Prometheus exposition is pinned byte-for-byte.
@@ -485,12 +474,8 @@ amoeba_serve_frame_latency_us_count 4
     }
 
     #[test]
-    fn aggregation_sorts_events_and_sums_shards() {
+    fn trace_json_renders_every_event() {
         let snap = sample_snapshot();
-        assert_eq!(snap.shards, 2);
-        assert_eq!(snap.events.len(), 2);
-        assert!(snap.events[0].t0_ns <= snap.events[1].t0_ns);
-        assert_eq!(snap.events[0].shard, 1, "earlier event sorts first");
         let json = snap.trace_json();
         assert!(json.contains("\"name\":\"frame\""));
         assert!(json.contains("\"name\":\"infer\""));

@@ -5,8 +5,8 @@
 //! ring overwrites oldest-first, so memory is fixed at
 //! `capacity × size_of::<TraceEvent>()` regardless of run length, and
 //! the recorder always holds the *most recent* window of activity,
-//! counting what it overwrote. When the driver finishes, its window and
-//! drop count move into its [`crate::ShardTelemetry`].
+//! counting what it overwrote. After the run, every driver's window and
+//! drop count go into the [`crate::TelemetrySnapshot`].
 //!
 //! Recording is a push into driver-owned memory: nothing here blocks,
 //! allocates after construction, or is observable by the data path —
