@@ -347,21 +347,26 @@ pub fn serve_skew_smoke(ctx: &mut Context, n_flows: usize, batch: usize) -> Stri
     md
 }
 
-/// Runs two configurations alternately `reps` times (`run(ctx, false)`
-/// then `run(ctx, true)`), so cache warmth and frequency scaling bias
-/// neither side. Each pair's wire output must be bit-identical (the
-/// panic names `diverged`) and pass `check`. Returns each side's fastest
-/// run.
-fn best_of_alternating(
-    ctx: &mut Context,
+/// Runs two configurations alternately `reps` times, swapping which
+/// goes first every repetition (`run(ctx, false)` first in even ones,
+/// `run(ctx, true)` first in odd ones), so neither side always runs on
+/// the cache, heap and clock state the other leaves behind. Each pair's
+/// wire output must be bit-identical (the panic names `diverged`) and
+/// pass `check(off, on)`. Returns each side's fastest run, `false`'s
+/// first.
+fn best_of_alternating<C>(
+    ctx: &mut C,
     reps: usize,
-    mut run: impl FnMut(&mut Context, bool) -> ServeReport,
+    mut run: impl FnMut(&mut C, bool) -> ServeReport,
     diverged: &str,
     check: impl Fn(&ServeReport, &ServeReport),
 ) -> (ServeReport, ServeReport) {
     let mut best: [Option<ServeReport>; 2] = [None, None];
-    for _ in 0..reps {
-        let pair = [run(ctx, false), run(ctx, true)];
+    for rep in 0..reps {
+        let first = rep % 2 == 1;
+        let a = run(ctx, first);
+        let b = run(ctx, !first);
+        let pair = if first { [b, a] } else { [a, b] };
         assert_eq!(pair[0].wire_bits(), pair[1].wire_bits(), "{diverged}");
         check(&pair[0], &pair[1]);
         for (slot, r) in best.iter_mut().zip(pair) {
@@ -882,4 +887,39 @@ fn serve_matrix_table_only(
         );
     }
     md
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The two settings swap places every repetition, and `check` and
+    /// the result still get the `false` run first.
+    #[test]
+    fn best_of_alternating_swaps_the_order_every_repetition() {
+        let mut calls = Vec::new();
+        // `frames` tags each run: ten times its call number, plus one
+        // for the `true` setting.
+        let (off, on) = best_of_alternating(
+            &mut calls,
+            4,
+            |calls: &mut Vec<bool>, on| {
+                calls.push(on);
+                ServeReport {
+                    frames: 10 * calls.len() + usize::from(on),
+                    ..Default::default()
+                }
+            },
+            "diverged",
+            |off, on| {
+                assert_eq!(
+                    (off.frames % 10, on.frames % 10),
+                    (0, 1),
+                    "check saw the pair swapped"
+                )
+            },
+        );
+        assert_eq!(calls, [false, true, true, false, false, true, true, false]);
+        assert_eq!((off.frames, on.frames), (10, 21));
+    }
 }

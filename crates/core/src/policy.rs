@@ -197,6 +197,19 @@ impl Critic {
             mlp: self.mlp.snapshot(),
         }
     }
+
+    /// Trainable critic holding a snapshot's weights (on the calling
+    /// thread's tape).
+    pub(crate) fn from_snapshot(s: CriticSnapshot) -> Self {
+        Self {
+            mlp: Mlp::from_snapshot(s.mlp),
+        }
+    }
+
+    /// Overwrites the weights with a snapshot's.
+    pub(crate) fn load_snapshot(&self, s: &CriticSnapshot) {
+        self.mlp.load_snapshot(&s.mlp);
+    }
 }
 
 /// Frozen critic for rollout workers; `Send + Sync`.

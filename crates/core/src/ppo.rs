@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 
 use amoeba_classifiers::{Censor, CensorProgramFactory, ClassifierProgramFactory};
 use amoeba_nn::matrix::Matrix;
-use amoeba_nn::optim::{clip_grad_norm, Adam, Optimizer};
+use amoeba_nn::optim::{clip_grad_norm, Adam, AdamState, Optimizer};
 use amoeba_nn::tensor::Tensor;
 use amoeba_traffic::{Flow, Layer};
 
@@ -316,70 +316,138 @@ impl PpoLearner {
     }
 
     /// One full PPO update (Algorithm 1 lines 12-19) over a batch.
+    ///
+    /// Every epoch's minibatch order is drawn from `rng` up front: the
+    /// same draws, in the same order, as shuffling before each epoch.
+    /// After that the actor and the critic share only the batch and those
+    /// orders, so their epochs run side by side: the critic's on one
+    /// scoped thread, the actor's on the caller. The autograd tape is
+    /// thread-local, so the thread trains a copy of the critic built from
+    /// its weights and Adam's step count and moments (plain matrices,
+    /// `Send`), and both are written back when it ends. Each network sees
+    /// the same minibatches, runs the same operations in the same order
+    /// and carries the same optimiser state across updates as when the
+    /// two alternated on one thread, so every weight bit, every
+    /// [`UpdateStats`] field and the RNG's next draw are unchanged.
     pub fn update(&mut self, batch: &Batch, rng: &mut StdRng) -> UpdateStats {
         let n = batch.len();
-        let mut order: Vec<usize> = (0..n).collect();
         let mb = (n / self.cfg.minibatches.max(1)).max(1);
-        let mut stats = UpdateStats::default();
-
-        for _ in 0..self.cfg.update_epochs {
-            for i in (1..order.len()).rev() {
-                let j = rng.gen_range(0..=i);
-                order.swap(i, j);
-            }
-            for chunk in order.chunks(mb) {
-                let states = Tensor::constant(batch.states.gather_rows(chunk));
-                let actions = batch.actions.gather_rows(chunk);
-                let old_logp = Matrix::from_vec(
-                    chunk.len(),
-                    1,
-                    chunk.iter().map(|&i| batch.logps[i]).collect(),
-                );
-                let adv = Matrix::from_vec(
-                    chunk.len(),
-                    1,
-                    chunk.iter().map(|&i| batch.advantages[i]).collect(),
-                );
-                let ret = Matrix::from_vec(
-                    chunk.len(),
-                    1,
-                    chunk.iter().map(|&i| batch.returns[i]).collect(),
-                );
-
-                // --- actor ---------------------------------------------------
-                self.actor_opt.zero_grad();
-                let (logp, entropy) = self.actor.log_prob_entropy(&states, &actions);
-                let ratio = logp.sub(&Tensor::constant(old_logp)).exp();
-                let adv_t = Tensor::constant(adv);
-                let unclipped = ratio.mul(&adv_t);
-                let clipped = ratio
-                    .clamp(1.0 - self.cfg.clip_eps, 1.0 + self.cfg.clip_eps)
-                    .mul(&adv_t);
-                let policy_loss = unclipped.minimum(&clipped).mean().neg();
-                let entropy_mean = entropy.mean();
-                let actor_loss = policy_loss.sub(&entropy_mean.scale(self.cfg.entropy_coef));
-                stats.policy_loss = policy_loss.item();
-                stats.entropy = entropy_mean.item();
-                actor_loss.backward();
-                if self.cfg.max_grad_norm > 0.0 {
-                    clip_grad_norm(self.actor_opt.params(), self.cfg.max_grad_norm);
+        let mut order: Vec<usize> = (0..n).collect();
+        let orders: Vec<Vec<usize>> = (0..self.cfg.update_epochs)
+            .map(|_| {
+                for i in (1..order.len()).rev() {
+                    let j = rng.gen_range(0..=i);
+                    order.swap(i, j);
                 }
-                self.actor_opt.step();
+                order.clone()
+            })
+            .collect();
 
-                // --- critic --------------------------------------------------
-                self.critic_opt.zero_grad();
-                let values = self.critic.values(&states);
-                let value_loss = values.mse_loss(&ret);
-                stats.value_loss = value_loss.item();
-                value_loss.backward();
-                if self.cfg.max_grad_norm > 0.0 {
-                    clip_grad_norm(self.critic_opt.params(), self.cfg.max_grad_norm);
-                }
-                self.critic_opt.step();
-            }
+        let Self {
+            actor,
+            critic,
+            actor_opt,
+            critic_opt,
+            cfg,
+        } = self;
+        let (weights, lr, state) = (
+            critic.snapshot(),
+            critic_opt.learning_rate(),
+            critic_opt.state(),
+        );
+        let (stats, (weights, state, value_loss)) = std::thread::scope(|s| {
+            let critic = s.spawn(|| critic_epochs(weights, lr, state, batch, &orders, mb, cfg));
+            let stats = actor_epochs(actor, actor_opt, batch, &orders, mb, cfg);
+            let critic = critic
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (stats, critic)
+        });
+        critic.load_snapshot(&weights);
+        critic_opt.set_state(state);
+        UpdateStats {
+            value_loss,
+            ..stats
         }
-        stats
     }
+}
+
+/// `v[i]` for each `i` in `rows`, as a `(rows.len(), 1)` column.
+fn gather_column(v: &[f32], rows: &[usize]) -> Matrix {
+    Matrix::from_vec(rows.len(), 1, rows.iter().map(|&i| v[i]).collect())
+}
+
+/// The actor's clipped-surrogate epochs over `orders` in minibatches of
+/// `mb`; returns the last minibatch's policy loss and entropy.
+fn actor_epochs(
+    actor: &Actor,
+    opt: &mut Adam,
+    batch: &Batch,
+    orders: &[Vec<usize>],
+    mb: usize,
+    cfg: &AmoebaConfig,
+) -> UpdateStats {
+    let mut stats = UpdateStats::default();
+    for chunk in orders.iter().flat_map(|order| order.chunks(mb)) {
+        let states = Tensor::constant(batch.states.gather_rows(chunk));
+        let actions = batch.actions.gather_rows(chunk);
+        let adv = Tensor::constant(gather_column(&batch.advantages, chunk));
+
+        opt.zero_grad();
+        let (logp, entropy) = actor.log_prob_entropy(&states, &actions);
+        let ratio = logp
+            .sub(&Tensor::constant(gather_column(&batch.logps, chunk)))
+            .exp();
+        let unclipped = ratio.mul(&adv);
+        let clipped = ratio
+            .clamp(1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)
+            .mul(&adv);
+        let policy_loss = unclipped.minimum(&clipped).mean().neg();
+        let entropy_mean = entropy.mean();
+        let actor_loss = policy_loss.sub(&entropy_mean.scale(cfg.entropy_coef));
+        stats.policy_loss = policy_loss.item();
+        stats.entropy = entropy_mean.item();
+        actor_loss.backward();
+        if cfg.max_grad_norm > 0.0 {
+            clip_grad_norm(opt.params(), cfg.max_grad_norm);
+        }
+        opt.step();
+    }
+    stats
+}
+
+/// The critic's value-regression epochs over `orders` in minibatches of
+/// `mb`, on a critic built from `weights` and an Adam at `lr` resumed
+/// from `state`, all on the calling thread's tape. Returns the trained
+/// weights, Adam's state and the last minibatch's value loss.
+fn critic_epochs(
+    weights: CriticSnapshot,
+    lr: f32,
+    state: AdamState,
+    batch: &Batch,
+    orders: &[Vec<usize>],
+    mb: usize,
+    cfg: &AmoebaConfig,
+) -> (CriticSnapshot, AdamState, f32) {
+    let critic = Critic::from_snapshot(weights);
+    let mut opt = Adam::new(critic.params(), lr);
+    opt.set_state(state);
+    let mut value_loss = 0.0;
+    for chunk in orders.iter().flat_map(|order| order.chunks(mb)) {
+        let states = Tensor::constant(batch.states.gather_rows(chunk));
+
+        opt.zero_grad();
+        let loss = critic
+            .values(&states)
+            .mse_loss(&gather_column(&batch.returns, chunk));
+        value_loss = loss.item();
+        loss.backward();
+        if cfg.max_grad_norm > 0.0 {
+            clip_grad_norm(opt.params(), cfg.max_grad_norm);
+        }
+        opt.step();
+    }
+    (critic.snapshot(), opt.state(), value_loss)
 }
 
 /// The frozen policy state shared (via `Arc`) by every rollout worker
@@ -662,6 +730,131 @@ mod tests {
         assert!(
             mean.abs() < 1e-4,
             "advantages should be normalised, mean {mean}"
+        );
+    }
+
+    /// The update as it ran before the critic moved to its own thread:
+    /// shuffle before each epoch, then actor and critic alternate on one
+    /// tape, minibatch by minibatch.
+    fn sequential_update(
+        (actor, actor_opt): (&Actor, &mut Adam),
+        (critic, critic_opt): (&Critic, &mut Adam),
+        cfg: &AmoebaConfig,
+        batch: &Batch,
+        rng: &mut StdRng,
+    ) -> UpdateStats {
+        let n = batch.len();
+        let mut order: Vec<usize> = (0..n).collect();
+        let mb = (n / cfg.minibatches.max(1)).max(1);
+        let mut stats = UpdateStats::default();
+        for _ in 0..cfg.update_epochs {
+            for i in (1..order.len()).rev() {
+                let j = rng.gen_range(0..=i);
+                order.swap(i, j);
+            }
+            for chunk in order.chunks(mb) {
+                let states = Tensor::constant(batch.states.gather_rows(chunk));
+                let actions = batch.actions.gather_rows(chunk);
+                let column = |v: &[f32]| {
+                    Matrix::from_vec(chunk.len(), 1, chunk.iter().map(|&i| v[i]).collect())
+                };
+
+                actor_opt.zero_grad();
+                let (logp, entropy) = actor.log_prob_entropy(&states, &actions);
+                let ratio = logp.sub(&Tensor::constant(column(&batch.logps))).exp();
+                let adv_t = Tensor::constant(column(&batch.advantages));
+                let unclipped = ratio.mul(&adv_t);
+                let clipped = ratio
+                    .clamp(1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)
+                    .mul(&adv_t);
+                let policy_loss = unclipped.minimum(&clipped).mean().neg();
+                let entropy_mean = entropy.mean();
+                let actor_loss = policy_loss.sub(&entropy_mean.scale(cfg.entropy_coef));
+                stats.policy_loss = policy_loss.item();
+                stats.entropy = entropy_mean.item();
+                actor_loss.backward();
+                if cfg.max_grad_norm > 0.0 {
+                    clip_grad_norm(actor_opt.params(), cfg.max_grad_norm);
+                }
+                actor_opt.step();
+
+                critic_opt.zero_grad();
+                let value_loss = critic.values(&states).mse_loss(&column(&batch.returns));
+                stats.value_loss = value_loss.item();
+                value_loss.backward();
+                if cfg.max_grad_norm > 0.0 {
+                    clip_grad_norm(critic_opt.params(), cfg.max_grad_norm);
+                }
+                critic_opt.step();
+            }
+        }
+        stats
+    }
+
+    fn param_bits(params: &[Tensor]) -> Vec<u32> {
+        params
+            .iter()
+            .flat_map(|p| {
+                p.value()
+                    .as_slice()
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect::<Vec<_>>()
+            })
+            .collect()
+    }
+
+    /// The critic's epochs on their own thread change no bit: over three
+    /// consecutive updates (so Adam's step count and moments carry from
+    /// one to the next) the actor and critic weights, every
+    /// `UpdateStats` field and the RNG's next draw equal the sequential
+    /// loop's.
+    #[test]
+    fn concurrent_update_matches_the_sequential_loop_bit_for_bit() {
+        let cfg = AmoebaConfig {
+            minibatches: 4,
+            update_epochs: 3,
+            ..tiny_cfg()
+        };
+        let (encoder, mut workers, flows) = setup(&cfg, 0.4);
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut learner = PpoLearner::new(&cfg, &mut rng);
+        let mut ref_rng = StdRng::seed_from_u64(21);
+        let actor = Actor::new(&cfg, &mut ref_rng);
+        let critic = Critic::new(&cfg, &mut ref_rng);
+        let mut actor_opt = Adam::new(actor.params(), cfg.lr);
+        let mut critic_opt = Adam::new(critic.params(), cfg.lr);
+
+        let trajs = collect_rollouts(&mut workers, 24, &snapshots(&encoder, &learner), &flows);
+        let batch = Batch::from_trajectories(&trajs, &cfg);
+        assert_eq!(batch.len(), 48);
+        for update in 0..3 {
+            let got = learner.update(&batch, &mut rng);
+            let want = sequential_update(
+                (&actor, &mut actor_opt),
+                (&critic, &mut critic_opt),
+                &cfg,
+                &batch,
+                &mut ref_rng,
+            );
+            let stat_bits =
+                |s: UpdateStats| [s.policy_loss, s.value_loss, s.entropy].map(f32::to_bits);
+            assert_eq!(stat_bits(got), stat_bits(want), "update {update}: stats");
+            assert_eq!(
+                param_bits(&learner.actor.params()),
+                param_bits(&actor.params()),
+                "update {update}: actor weights"
+            );
+            assert_eq!(
+                param_bits(&learner.critic.params()),
+                param_bits(&critic.params()),
+                "update {update}: critic weights"
+            );
+        }
+        assert_eq!(
+            rng.gen::<u64>(),
+            ref_rng.gen::<u64>(),
+            "the RNG's next draw"
         );
     }
 

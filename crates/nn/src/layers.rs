@@ -201,6 +201,22 @@ impl Mlp {
         }
     }
 
+    /// Trainable MLP holding a snapshot's weights and activations.
+    pub fn from_snapshot(s: MlpSnapshot) -> Self {
+        Self {
+            layers: s
+                .layers
+                .into_iter()
+                .map(|l| Linear {
+                    w: Tensor::parameter(l.w),
+                    b: Tensor::parameter(l.b),
+                })
+                .collect(),
+            hidden_activation: s.hidden_activation,
+            output_activation: s.output_activation,
+        }
+    }
+
     /// Loads weights from a snapshot.
     pub fn load_snapshot(&self, s: &MlpSnapshot) {
         assert_eq!(

@@ -49,6 +49,7 @@ pub mod forward;
 pub mod gradcheck;
 pub mod init;
 pub mod layers;
+pub mod math;
 pub mod matrix;
 pub mod optim;
 pub mod rnn;
@@ -59,7 +60,7 @@ pub use conv::{Conv1d, Conv1dSnapshot, MaxPool1d};
 pub use forward::{Forward, Pipeline};
 pub use layers::{Activation, Linear, LinearSnapshot, Mlp, MlpSnapshot};
 pub use matrix::Matrix;
-pub use optim::{clip_grad_norm, Adam, Optimizer, RmsProp, Sgd};
+pub use optim::{clip_grad_norm, Adam, AdamState, Optimizer, RmsProp, Sgd};
 pub use rnn::{Gru, GruCell, GruSnapshot, Lstm, LstmCell, LstmSnapshot};
 pub use simd::SimdLevel;
 pub use tensor::Tensor;

@@ -118,7 +118,45 @@ pub struct Adam {
     v: Vec<Matrix>,
 }
 
+/// Adam's step count and moment estimates, apart from the parameters
+/// they belong to. They are plain matrices, so the state is `Send`: it
+/// can move to another thread, drive an [`Adam`] over a copy of the
+/// parameters there, and come back.
+#[derive(Debug)]
+pub struct AdamState {
+    /// Steps taken (the bias-correction exponent).
+    pub t: u64,
+    /// First-moment estimates, one per parameter.
+    pub m: Vec<Matrix>,
+    /// Second-moment estimates, one per parameter.
+    pub v: Vec<Matrix>,
+}
+
 impl Adam {
+    /// A copy of the step count and moment estimates.
+    pub fn state(&self) -> AdamState {
+        AdamState {
+            t: self.t,
+            m: self.m.clone(),
+            v: self.v.clone(),
+        }
+    }
+
+    /// Replaces the step count and moment estimates, for example with
+    /// [`Adam::state`] of an optimiser over a copy of these parameters.
+    ///
+    /// # Panics
+    /// Panics if a moment's count or shape differs from the parameters'.
+    pub fn set_state(&mut self, state: AdamState) {
+        let shapes = |ms: &[Matrix]| ms.iter().map(Matrix::shape).collect::<Vec<_>>();
+        let want: Vec<_> = self.params.iter().map(Tensor::shape).collect();
+        assert_eq!(shapes(&state.m), want, "Adam::set_state: first moments");
+        assert_eq!(shapes(&state.v), want, "Adam::set_state: second moments");
+        self.t = state.t;
+        self.m = state.m;
+        self.v = state.v;
+    }
+
     /// Adam with the paper's defaults (`beta1=0.9`, `beta2=0.999`, `eps=1e-8`).
     pub fn new(params: Vec<Tensor>, lr: f32) -> Self {
         Self::with_betas(params, lr, 0.9, 0.999, 1e-8)

@@ -63,11 +63,20 @@
 //! runs correctly on any host. The AVX-512 leg obeys the same obligation
 //! as the narrower ones: 16-lane `mul` then `add` (`_mm512_mul_ps` +
 //! `_mm512_add_ps`, never an FMA), lanes over output columns only.
+//!
+//! ## `tanh`
+//!
+//! [`crate::math::tanh`] dispatches here too (`tanh_into`), so every
+//! `unsafe` block of the crate stays in this file: one loop over
+//! fdlibm's `tanhf` as a branch-free lane function, compiled with
+//! `#[target_feature]` for AVX-512F and AVX2 and as a plain loop for
+//! SSE2 (the x86-64 baseline) and scalar. The compiler vectorises the
+//! loop; each lane runs the same IEEE-754 operations at any width.
 
 use std::fmt;
 
 /// The widest SIMD instruction set the running CPU offers for the f32
-/// matmul kernels.
+/// matmul and `tanh` kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimdLevel {
     /// 512-bit AVX-512F lanes (16 f32 per op).
@@ -632,6 +641,56 @@ tiled_matmul_impl!(
     }
 );
 
+/// `tanh` of every element of `xs` in place at one SIMD level: the
+/// entry point behind [`crate::math::tanh`] (which passes
+/// [`SimdLevel::detect`]). Every level runs the same loop over
+/// `math::tanh_lane`; the `#[target_feature]` legs let the compiler
+/// vectorise it at their width. A lane is the same sequence of IEEE-754
+/// operations (no FMA, no contraction) at any width, so every level
+/// returns the same bits.
+///
+/// # Panics
+/// Panics on an unavailable level.
+pub(crate) fn tanh_into(level: SimdLevel, xs: &mut [f32]) {
+    assert!(level.is_available(), "tanh_into: {level} not available");
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the level's availability on this host is asserted above.
+        SimdLevel::Avx512 => unsafe { tanh_avx512(xs) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the level's availability on this host is asserted above.
+        SimdLevel::Avx2 => unsafe { tanh_avx2(xs) },
+        // SSE2 is the x86-64 baseline, so the plain loop already runs
+        // at its width.
+        _ => tanh_loop(xs),
+    }
+}
+
+/// The loop every `tanh` leg runs. It is inlined into each leg, so it
+/// compiles (and vectorises) at that leg's instruction set.
+#[inline(always)]
+fn tanh_loop(xs: &mut [f32]) {
+    for x in xs.iter_mut() {
+        *x = crate::math::tanh_lane(*x);
+    }
+}
+
+/// # Safety
+/// The host must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn tanh_avx512(xs: &mut [f32]) {
+    tanh_loop(xs);
+}
+
+/// # Safety
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn tanh_avx2(xs: &mut [f32]) {
+    tanh_loop(xs);
+}
+
 /// Portable four-lane "vectors" in plain scalar code. They instantiate
 /// the tiled nest for the unit tests, so that miri — under which feature
 /// detection finds no AVX2/AVX-512 — still runs the nest's unchecked
@@ -683,6 +742,20 @@ tiled_matmul_impl!(
     }
 );
 
+/// Every level the running CPU offers, widest first.
+#[cfg(test)]
+pub(crate) fn levels_on_host() -> Vec<SimdLevel> {
+    [
+        SimdLevel::Avx512,
+        SimdLevel::Avx2,
+        SimdLevel::Sse2,
+        SimdLevel::Scalar,
+    ]
+    .into_iter()
+    .filter(|l| l.is_available())
+    .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -690,16 +763,31 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn levels_on_host() -> Vec<SimdLevel> {
-        [
-            SimdLevel::Avx512,
-            SimdLevel::Avx2,
-            SimdLevel::Sse2,
-            SimdLevel::Scalar,
-        ]
-        .into_iter()
-        .filter(|l| l.is_available())
-        .collect()
+    /// Every `tanh` leg returns the lane function's bits on every slice
+    /// length up to 40 (whole vectors and tails at every width). Miri runs
+    /// this for the plain loop (the scalar and SSE2 leg); `math`'s tests
+    /// pin the lane function itself against fdlibm.
+    #[test]
+    fn tanh_legs_match_the_lane_function_on_every_length() {
+        let mut rng = StdRng::seed_from_u64(73);
+        for len in 0..=40 {
+            let mut xs = Matrix::randn(1, len, 4.0, &mut rng).as_slice().to_vec();
+            for (i, special) in [f32::INFINITY, -0.0, 25.0, -1e-20].into_iter().enumerate() {
+                if let Some(x) = xs.get_mut(i * 7) {
+                    *x = special;
+                }
+            }
+            let want: Vec<u32> = xs
+                .iter()
+                .map(|&x| crate::math::tanh_lane(x).to_bits())
+                .collect();
+            for level in levels_on_host() {
+                let mut got = xs.clone();
+                tanh_into(level, &mut got);
+                let got: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, want, "tanh at {level}, length {len}");
+            }
+        }
     }
 
     /// The detected level is available, and on x86-64 it is never scalar

@@ -521,9 +521,11 @@ impl Tensor {
         self.unary(y, |g, y, _| zip_into(g, y, |gi, yi| gi * yi * (1.0 - yi)))
     }
 
-    /// Hyperbolic tangent.
+    /// Hyperbolic tangent, through [`crate::math::tanh`] (fdlibm's
+    /// `tanhf`, vectorised).
     pub fn tanh(&self) -> Tensor {
-        let y = self.value_ref().map(f32::tanh);
+        let mut y = self.value_ref().clone();
+        crate::math::tanh(y.as_mut_slice());
         self.unary(y, |g, y, _| zip_into(g, y, |gi, yi| gi * (1.0 - yi * yi)))
     }
 
