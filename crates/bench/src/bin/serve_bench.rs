@@ -18,10 +18,6 @@
 //! * `--scaling` runs the 4-core CI gate: 1 shard vs 4 shards, best of
 //!   3 alternating runs, failing unless 4 shards clear
 //!   `AMOEBA_SERVE_MIN_SPEEDUP`× (default 2×) on a ≥4-core machine.
-//! * `--overhead` runs the telemetry overhead gate: telemetry off vs on
-//!   at 4 shards, best of 3 alternating runs, failing if telemetry
-//!   costs more than `AMOEBA_TELEMETRY_MAX_OVERHEAD_PCT` percent
-//!   throughput (default 2%) on a ≥4-core machine.
 //! * `--telemetry <base>` runs one instrumented pass (4 shards, trace
 //!   ring on) and writes `<base>.prom` (Prometheus exposition) plus
 //!   `<base>.trace.json` (Chrome-trace / Perfetto).
@@ -46,7 +42,8 @@
 use std::ffi::OsStr;
 use std::process::exit;
 
-use amoeba_bench::{serve, Context, Scale, ScaleEnvError};
+use amoeba_bench::serve::{self, Scenario};
+use amoeba_bench::{Context, Scale, ScaleEnvError};
 
 /// The parsed command line.
 #[derive(Debug, PartialEq)]
@@ -54,9 +51,8 @@ struct Args {
     matrix: bool,
     skew: bool,
     scaling: bool,
-    overhead: bool,
     telemetry_base: Option<String>,
-    scenario: String,
+    scenarios: Vec<Scenario>,
     steal: bool,
 }
 
@@ -67,9 +63,8 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         matrix: false,
         skew: false,
         scaling: false,
-        overhead: false,
         telemetry_base: None,
-        scenario: "classifier".into(),
+        scenarios: vec![Scenario::Classifier],
         steal: true,
     };
     let mut it = args.iter();
@@ -83,16 +78,18 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             "--matrix" => parsed.matrix = true,
             "--skew" => parsed.skew = true,
             "--scaling" => parsed.scaling = true,
-            "--overhead" => parsed.overhead = true,
             "--telemetry" => parsed.telemetry_base = Some(value()?),
             "--scenario" => {
                 let v = value()?;
-                if v != "all" && serve::Scenario::parse(&v).is_none() {
-                    return Err(format!(
-                        "--scenario needs classifier|warmup|hysteresis|hard-label|all, got {v:?}"
-                    ));
-                }
-                parsed.scenario = v;
+                parsed.scenarios = match v.as_str() {
+                    "all" => Scenario::ALL.to_vec(),
+                    name => vec![Scenario::parse(name).ok_or_else(|| {
+                        format!(
+                            "--scenario needs classifier|warmup|hysteresis|hard-label|all, \
+                             got {v:?}"
+                        )
+                    })?],
+                };
             }
             "--steal" => {
                 parsed.steal = match value()?.as_str() {
@@ -148,9 +145,8 @@ fn main() {
         matrix,
         skew,
         scaling,
-        overhead,
         telemetry_base,
-        scenario,
+        scenarios,
         steal,
     } = parse_args(&argv).unwrap_or_else(|e| {
         eprintln!("error: {e}");
@@ -162,23 +158,17 @@ fn main() {
         if smoke { 96 } else { 1000 },
     )
     .unwrap_or_else(|e| e.exit());
-    let bound = |var: &'static str| {
-        bound_from(var, std::env::var_os(var).as_deref(), 2.0).unwrap_or_else(|e| e.exit())
-    };
-    let min_speedup = bound("AMOEBA_SERVE_MIN_SPEEDUP");
-    let max_overhead_pct = bound("AMOEBA_TELEMETRY_MAX_OVERHEAD_PCT");
+    let min_speedup = bound_from(
+        "AMOEBA_SERVE_MIN_SPEEDUP",
+        std::env::var_os("AMOEBA_SERVE_MIN_SPEEDUP").as_deref(),
+        2.0,
+    )
+    .unwrap_or_else(|e| e.exit());
     let mut ctx = Context::new(Scale::from_env().unwrap_or_else(|e| e.exit()));
     if scaling {
         print!(
             "{}",
             serve::serve_scaling_gate(&mut ctx, n_flows, 64, min_speedup)
-        );
-        return;
-    }
-    if overhead {
-        print!(
-            "{}",
-            serve::serve_overhead_gate(&mut ctx, n_flows, 64, max_overhead_pct)
         );
         return;
     }
@@ -194,12 +184,12 @@ fn main() {
         (_, _, true) => print!("{}", serve::serve_skew_smoke(&mut ctx, n_flows, 64)),
         (true, true, _) => print!(
             "{}",
-            serve::serve_matrix_smoke_scenarios(&mut ctx, n_flows, 64, &scenario)
+            serve::serve_matrix_smoke_scenarios(&mut ctx, n_flows, 64, &scenarios)
         ),
         (true, false, _) => print!("{}", serve::serve_smoke(&mut ctx, n_flows, 64)),
         (false, true, _) => print!(
             "{}",
-            serve::serve_matrix_scenarios(&mut ctx, n_flows, 64, &scenario)
+            serve::serve_matrix_scenarios(&mut ctx, n_flows, 64, &scenarios)
         ),
         (false, false, _) => {
             print!(
@@ -234,13 +224,22 @@ mod tests {
             "/tmp/t",
         ])
         .unwrap();
-        assert!(a.matrix && !a.skew && !a.scaling && !a.overhead);
-        assert_eq!(a.scenario, "all");
+        assert!(a.matrix && !a.skew && !a.scaling);
+        assert_eq!(a.scenarios, Scenario::ALL);
         assert!(!a.steal);
         assert_eq!(a.telemetry_base.as_deref(), Some("/tmp/t"));
         let d = parse(&[]).unwrap();
-        assert_eq!(d.scenario, "classifier");
+        assert_eq!(d.scenarios, [Scenario::Classifier]);
         assert!(d.steal && d.telemetry_base.is_none());
+    }
+
+    /// `--scenario` parses once, into the scenarios to run: a name is
+    /// that one scenario (`all` is checked above).
+    #[test]
+    fn scenario_names_parse_to_one_scenario() {
+        for sc in Scenario::ALL {
+            assert_eq!(parse(&["--scenario", sc.name()]).unwrap().scenarios, [sc]);
+        }
     }
 
     /// Unknown arguments (`--backend`, `--json` and `--pipeline` among
@@ -255,7 +254,9 @@ mod tests {
             (&["--matirx"][..], "\"--matirx\""),
             (&["--steal", "maybe"][..], "--steal needs on|off"),
             (&["--steal"][..], "--steal needs a value"),
-            (&["--scenario", "nope"][..], "--scenario needs"),
+            (&["--scenario", "nope"][..], "got \"nope\""),
+            (&["--scenario", "All"][..], "got \"All\""),
+            (&["--overhead"][..], "\"--overhead\""),
             (&["--telemetry"][..], "--telemetry needs a value"),
         ] {
             let err = parse(args).unwrap_err();

@@ -41,7 +41,7 @@ pub use metrics::{evaluate, Metrics};
 pub use program::{
     CensorDecision, CensorProgram, CensorProgramFactory, ClassifierProgram,
     ClassifierProgramFactory, HardLabelFactory, HardLabelProgram, StatefulProgram,
-    StatefulProgramFactory, ThresholdProgram, ThresholdProgramFactory,
+    StatefulProgramFactory,
 };
 pub use sdae::{SdaeCensor, SdaeConfig, SdaeModel};
 pub use train::{

@@ -197,69 +197,6 @@ impl CensorProgramFactory for ClassifierProgramFactory {
     }
 }
 
-/// A verdict-only thresholding gateway: scores the prefix at its own
-/// cadence but discloses only block/allow — never a score.
-///
-/// Re-scores every `every` observations (and always on the final one);
-/// blocks as soon as a score reaches `threshold`. In between it stays
-/// silent ([`CensorDecision::Allow`]).
-pub struct ThresholdProgram {
-    scorer: PrefixScorer,
-    threshold: f32,
-    every: usize,
-    seen: usize,
-}
-
-impl CensorProgram for ThresholdProgram {
-    fn observe(&mut self, wire: &Flow, last: bool) -> CensorDecision {
-        self.seen += 1;
-        let due = self.every > 0 && self.seen.is_multiple_of(self.every);
-        if !due && !last {
-            return CensorDecision::Allow;
-        }
-        if self.scorer.score(wire, last) >= self.threshold {
-            CensorDecision::Block
-        } else {
-            CensorDecision::Allow
-        }
-    }
-}
-
-/// Factory for [`ThresholdProgram`]s.
-#[derive(Clone)]
-pub struct ThresholdProgramFactory {
-    censor: Arc<dyn Censor>,
-    threshold: f32,
-    every: usize,
-}
-
-impl ThresholdProgramFactory {
-    /// A verdict-only gateway over `censor`, re-scoring every `every`
-    /// observations and blocking at `threshold`.
-    pub fn new(censor: Arc<dyn Censor>, threshold: f32, every: usize) -> Self {
-        Self {
-            censor,
-            threshold,
-            every,
-        }
-    }
-}
-
-impl CensorProgramFactory for ThresholdProgramFactory {
-    fn spawn(&self) -> Box<dyn CensorProgram> {
-        Box::new(ThresholdProgram {
-            scorer: PrefixScorer::new(&self.censor),
-            threshold: self.threshold,
-            every: self.every,
-            seen: 0,
-        })
-    }
-
-    fn kind(&self) -> CensorKind {
-        self.censor.kind()
-    }
-}
-
 /// The hard-label wrapper: elides every score the inner program would
 /// disclose, exposing only block/allow verdicts.
 ///
@@ -473,28 +410,6 @@ mod tests {
         assert!(CensorDecision::Score(0.5).blocks());
         assert!(CensorDecision::Block.blocks());
         assert!(CensorDecision::Reset.blocks());
-    }
-
-    /// A threshold gateway never discloses a score and only evaluates at
-    /// its own cadence (and on the final observation).
-    #[test]
-    fn threshold_program_is_verdict_only_with_cadence() {
-        let hot: Arc<dyn Censor> = Arc::new(ConstantCensor::new(0.9));
-        let factory = ThresholdProgramFactory::new(hot, 0.8, 3);
-        let mut prog = factory.spawn();
-        // Observations 1 and 2 are off-cadence: silent even though the
-        // score clears the threshold.
-        assert_eq!(prog.observe(&wire(1), false), CensorDecision::Allow);
-        assert_eq!(prog.observe(&wire(2), false), CensorDecision::Allow);
-        // Observation 3 is due — hard label, no score.
-        assert_eq!(prog.observe(&wire(3), false), CensorDecision::Block);
-        // A cool censor stays allowed, including on the final frame.
-        let cool: Arc<dyn Censor> = Arc::new(ConstantCensor::new(0.3));
-        let factory = ThresholdProgramFactory::new(cool, 0.8, 3);
-        let mut prog = factory.spawn();
-        for i in 1..=4 {
-            assert_eq!(prog.observe(&wire(i), i == 4), CensorDecision::Allow);
-        }
     }
 
     /// Satellite pin: warmup suppresses early verdicts — a censor that

@@ -50,11 +50,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use amoeba_classifiers::{Censor, CensorProgramFactory};
-use amoeba_telemetry::{Counters, TelemetrySnapshot, TenantKey};
+use amoeba_telemetry::{Counters, LatencySummary, TelemetrySnapshot, TenantKey, QUANTILES};
 use amoeba_traffic::Flow;
 
 use crate::backend::InferenceBackend;
-use crate::metrics::{ServeReport, SessionOutcome, SessionStatus};
+use crate::metrics::{FrameRun, ServeReport, SessionOutcome, SessionStatus};
 use crate::registry::{CensorId, CensorRegistry, PolicyId, PolicyRegistry, Tenant};
 use crate::scheduler::DriveAcct;
 use crate::session::Session;
@@ -235,14 +235,14 @@ impl ServeEngine {
 
         let reports: Vec<ShardReport> = crate::scheduler::run_shards(shards);
 
-        Self::merge(reports, start.elapsed().as_secs_f64(), self.cfg.telemetry)
+        Self::merge(reports, start.elapsed().as_secs_f64())
     }
 
     /// Deterministic merge: outcomes k-way-merged by session id (each
     /// shard's list is already id-ascending), counters summed and frame
-    /// runs concatenated in shard order. With `telemetry_on`, the
-    /// snapshot is then derived from the merged report.
-    fn merge(reports: Vec<ShardReport>, wall_seconds: f64, telemetry_on: bool) -> ServeReport {
+    /// runs concatenated in shard order. The telemetry snapshot is then
+    /// derived from the merged report.
+    fn merge(reports: Vec<ShardReport>, wall_seconds: f64) -> ServeReport {
         let mut report = ServeReport {
             wall_seconds,
             ..ServeReport::default()
@@ -277,19 +277,30 @@ impl ServeEngine {
                 .push(heads[best].take().expect("nonempty head"));
             heads[best] = queues[best].next();
         }
-        if telemetry_on {
-            report.telemetry = Some(telemetry_snapshot(&report, &accts));
-        }
+        report.telemetry = Some(telemetry_snapshot(&report, &accts));
         report
     }
 }
 
 /// The run's telemetry snapshot, derived after the run from the merged
 /// report and each shard driver's scheduler counts and trace ring. The
-/// histograms record each [`crate::FrameRun`] once per frame; per-tenant
-/// frames come from the frame runs, the other tenant cells from the
-/// outcomes.
+/// latency summaries are the report's own percentiles of its frame runs;
+/// per-tenant frames come from the frame runs, the other tenant cells
+/// from the outcomes.
 fn telemetry_snapshot(report: &ServeReport, accts: &[DriveAcct]) -> TelemetrySnapshot {
+    // The minimum, then each exposed quantile.
+    let mut qs = [0.0; QUANTILES.len() + 1];
+    qs[1..].copy_from_slice(&QUANTILES);
+    let summary = |ps: Vec<f32>, value: fn(&FrameRun) -> f32| LatencySummary {
+        count: report.frame_runs.iter().map(|r| u64::from(r.frames)).sum(),
+        sum: report
+            .frame_runs
+            .iter()
+            .map(|r| f64::from(r.frames) * f64::from(value(r)))
+            .sum(),
+        min: ps[0],
+        quantiles: std::array::from_fn(|i| ps[i + 1]),
+    };
     let batches = report.inference_batches as u64;
     let mut snap = TelemetrySnapshot {
         counters: Counters {
@@ -305,6 +316,9 @@ fn telemetry_snapshot(report: &ServeReport, accts: &[DriveAcct]) -> TelemetrySna
         },
         events: accts.iter().flat_map(|a| a.rec.events()).collect(),
         dropped_events: accts.iter().map(|a| a.rec.dropped()).sum(),
+        queue_us: summary(report.queue_percentiles_us(&qs), |r| r.queue_us),
+        compute_us: summary(report.compute_percentiles_us(&qs), |r| r.compute_us),
+        latency_us: summary(report.latency_percentiles_us(&qs), FrameRun::latency_us),
         wall_seconds: report.wall_seconds,
         shards: accts.len() as u64,
         ..TelemetrySnapshot::default()
@@ -316,11 +330,6 @@ fn telemetry_snapshot(report: &ServeReport, accts: &[DriveAcct]) -> TelemetrySna
         censor: t.censor.index(),
     };
     for run in &report.frame_runs {
-        for _ in 0..run.frames {
-            snap.queue_hist.record_us(run.queue_us);
-            snap.compute_hist.record_us(run.compute_us);
-            snap.latency_hist.record_us(run.latency_us());
-        }
         snap.tenants.entry(key(run.tenant)).or_default().frames += u64::from(run.frames);
     }
     for o in &report.outcomes {
@@ -414,7 +423,6 @@ impl Admission<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::FrameRun;
     use crate::testutil::{offered_flows, scoring_censor, tiny_policy};
     use crate::{ActionMode, ServeConfigBuilder, VerdictPolicy};
     use amoeba_classifiers::StatefulProgramFactory;
@@ -663,7 +671,7 @@ mod tests {
         }
         let report = engine.run();
 
-        let snap = report.telemetry.as_ref().expect("telemetry defaults on");
+        let snap = report.telemetry.as_ref().expect("always attached");
         assert_eq!(snap.counters.frames as usize, report.frames);
         assert_eq!(snap.counters.batches as usize, report.inference_batches);
         assert_eq!(snap.counters.absorbs as usize, report.inference_batches);
@@ -676,10 +684,10 @@ mod tests {
         assert!(snap.counters.ticks > 0);
         assert_eq!(snap.shards, 2);
 
-        // Histograms saw exactly one sample per frame.
-        assert_eq!(snap.queue_hist.count() as usize, report.frames);
-        assert_eq!(snap.compute_hist.count() as usize, report.frames);
-        assert_eq!(snap.latency_hist.count() as usize, report.frames);
+        // Each latency summary covers one sample per frame.
+        for s in [&snap.queue_us, &snap.compute_us, &snap.latency_us] {
+            assert_eq!(s.count as usize, report.frames);
+        }
 
         // Per-tenant feedback partitions the totals and matches the
         // sub-report evasion accounting.
@@ -737,7 +745,7 @@ mod tests {
         let report = engine.run();
         assert!(report.torn_sessions() > 0, "the teardown tenant tore down");
 
-        let snap = report.telemetry.as_ref().expect("telemetry defaults on");
+        let snap = report.telemetry.as_ref().expect("always attached");
         let subs = report.sub_reports();
         assert_eq!(snap.tenants.len(), subs.len());
         for (t, sub) in &subs {
@@ -780,7 +788,7 @@ mod tests {
             engine.admit_all(flows.iter(), p, scored);
             engine.admit_all(flows.iter(), p, hard);
             let report = engine.run();
-            let snap = report.telemetry.as_ref().expect("telemetry defaults on");
+            let snap = report.telemetry.as_ref().expect("always attached");
             for o in &report.outcomes {
                 let queries = if o.frames == 0 {
                     0
@@ -814,36 +822,6 @@ mod tests {
         }
     }
 
-    /// With telemetry off the engine reports no snapshot — and the wire
-    /// is bit-identical to the telemetry-on run (the zero-perturbation
-    /// contract, property-tested at scale in
-    /// `tests/telemetry_invariance.rs`).
-    #[test]
-    fn telemetry_off_omits_snapshot_and_keeps_wire_identical() {
-        let flows = offered_flows(24, 9);
-        let run = |telemetry: bool, trace_ring: usize| {
-            let mut engine = ServeEngine::new(
-                builder(8, 2, ActionMode::Sample)
-                    .telemetry(telemetry)
-                    .trace_ring(trace_ring)
-                    .build(),
-            );
-            let p = engine.register_policy(tiny_policy(7));
-            let c = engine.register_censor(scoring_censor(0.4));
-            for (i, f) in flows.iter().enumerate() {
-                engine.admit(f).id(i).policy(p).censor(c).submit();
-            }
-            engine.run()
-        };
-        let on = run(true, 0);
-        let off = run(false, 0);
-        let traced = run(true, 32);
-        assert!(on.telemetry.is_some());
-        assert!(off.telemetry.is_none(), "telemetry off ⇒ no snapshot");
-        assert_eq!(on.wire_bits(), off.wire_bits());
-        assert_eq!(on.wire_bits(), traced.wire_bits());
-    }
-
     /// Each shard driver's flight recorder stays bounded through the
     /// engine: with a 4-event ring on 2 shards a multi-tick run keeps at
     /// most 8 spans, counts every other span as dropped, and keeps the
@@ -864,7 +842,7 @@ mod tests {
             engine.run()
         };
         let ringed = run(4);
-        let snap = ringed.telemetry.as_ref().expect("telemetry defaults on");
+        let snap = ringed.telemetry.as_ref().expect("always attached");
         assert!(snap.counters.ticks > 2, "a multi-tick run");
         assert_eq!(snap.events.len(), 8, "two full 4-event rings");
         // Every absorbed item pushes infer/frame/emit spans, plus a
@@ -883,7 +861,7 @@ mod tests {
         }
 
         let off = run(0);
-        let snap = off.telemetry.as_ref().expect("telemetry defaults on");
+        let snap = off.telemetry.as_ref().expect("always attached");
         assert!(snap.events.is_empty());
         assert_eq!(snap.dropped_events, 0);
         assert_eq!(off.wire_bits(), ringed.wire_bits());
@@ -907,7 +885,7 @@ mod tests {
         let c = engine.register_censor(scoring_censor(0.4));
         engine.admit_all(flows.iter(), p, c);
         let report = engine.run();
-        let snap = report.telemetry.as_ref().expect("telemetry defaults on");
+        let snap = report.telemetry.as_ref().expect("always attached");
         assert_eq!(snap.dropped_events, 0, "the ring holds the whole run");
         let mut spans = BTreeMap::new();
         for e in &snap.events {

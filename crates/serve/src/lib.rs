@@ -65,27 +65,23 @@
 //!   per-frame latency percentiles (linearly interpolated between ranks),
 //!   evasion rate, overhead accounting — plus per-`(policy, censor)`
 //!   [`metrics::ServeReport::sub_reports`] with a deterministic merge.
-//! * Observability — the engine publishes an `amoeba_telemetry`
-//!   snapshot under the **zero-perturbation obligation**: nothing it
-//!   records may move a wire bit or take a lock a data-path thread can
-//!   contend on. Counters, per-tenant cells and log-linear latency
-//!   histograms are derived after the run from the merged report, so
-//!   only the stage-trace flight recorder ([`ServeConfig::trace_ring`])
-//!   records while sessions are served. The snapshot is attached by
-//!   default ([`ServeConfig::telemetry`]) as
-//!   [`metrics::ServeReport::telemetry`]. CI's `telemetry-overhead` gate
-//!   fails a change that costs more than 2% throughput, but enforces it
-//!   only on runners with at least 4 cores. The invariance is
-//!   pinned by `tests/telemetry_invariance.rs` and the workspace's
-//!   fingerprint sweep (`tests/serve_pin.rs`).
+//! * Observability — every run attaches an `amoeba_telemetry`
+//!   snapshot as [`metrics::ServeReport::telemetry`], under the
+//!   **zero-perturbation obligation**: nothing it records may move a
+//!   wire bit or take a lock a data-path thread can contend on.
+//!   Counters, per-tenant cells and latency summaries are derived after
+//!   the run from the merged report, so only the stage-trace flight
+//!   recorder ([`ServeConfig::trace_ring`]) records while sessions are
+//!   served. The invariance is pinned by `tests/telemetry_invariance.rs`
+//!   and the workspace's fingerprint sweep (`tests/serve_pin.rs`).
 //! * Timing — each work item carries one timing record: five clock
 //!   stamps (formed, then the start and end of its three contiguous
-//!   stages). Its queue wait, compute, per-stage totals, trace spans, the
-//!   telemetry histograms and its [`metrics::FrameRun`]s (one per batch
-//!   and tenant, always kept) all derive from those stamps, so the
-//!   report's exact percentiles, the per-tenant sub-reports and the
-//!   Prometheus summaries share one latency definition: queue wait plus
-//!   compute.
+//!   stages). Its queue wait, compute, per-stage totals, trace spans and
+//!   its [`metrics::FrameRun`]s (one per batch and tenant, always kept)
+//!   all derive from those stamps. The report's percentiles rank the
+//!   frame runs, and the per-tenant sub-reports and the Prometheus
+//!   summaries are those same percentiles, so all three share one
+//!   latency definition (queue wait plus compute) and one estimator.
 //!
 //! ## Determinism: the grouping- and tenancy-invariance contract
 //!
@@ -102,9 +98,9 @@
 //! `tests/serve_pin.rs`, property-tested end-to-end in
 //! `tests/grouping_invariance.rs` and
 //! `tests/tenancy_invariance.rs`). This is the property that makes
-//! batching, sharding and multi-tenant packing pure throughput knobs
-//! rather than semantics knobs, and it is what every future scaling axis
-//! (async or GPU [`backend::InferenceBackend`]s, work stealing) plugs into.
+//! batching, sharding, work stealing and multi-tenant packing pure
+//! throughput knobs rather than semantics knobs; any replacement
+//! [`backend::InferenceBackend`] has to keep it too.
 //!
 //! ## Framing note
 //!
@@ -251,24 +247,12 @@ pub struct ServeConfig {
     /// their global session ids, and results are absorbed in sequence
     /// order, so wire output is steal-invariant.
     pub steal: bool,
-    /// Whether the report carries a [`metrics::ServeReport::telemetry`]
-    /// snapshot (default `true`): counters, per-tenant feedback and
-    /// log-linear latency histograms, derived from the report after the
-    /// run, and the stage-trace rings when [`ServeConfig::trace_ring`] is
-    /// non-zero. Zero-perturbation by contract: wire output is
-    /// bit-identical with telemetry on or off (pinned in
-    /// `tests/telemetry_invariance.rs`). CI's `telemetry-overhead` gate
-    /// fails a change that costs more than 2% throughput, but enforces
-    /// it only on runners with at least 4 cores. On a 2-vCPU host ten
-    /// runs of `serve_bench --overhead` read a median of 5.3% (range
-    /// −16.3% to 8.6%), a spread too wide to check 2% against.
-    pub telemetry: bool,
     /// Flight-recorder capacity per shard driver, in stage-trace events
-    /// (0 = stage tracing off, the default). When non-zero and
-    /// [`ServeConfig::telemetry`] is on, each shard driver keeps the most
-    /// recent `trace_ring` stage spans of its own work items in a
-    /// fixed-size ring and counts the overwritten ones; the rings publish
-    /// as [`amoeba_telemetry::TelemetrySnapshot::events`], rendered as
+    /// (0 = stage tracing off, the default). When non-zero, each shard
+    /// driver keeps the most recent `trace_ring` stage spans of its own
+    /// work items in a fixed-size ring and counts the overwritten ones;
+    /// the rings publish as
+    /// [`amoeba_telemetry::TelemetrySnapshot::events`], rendered as
     /// Chrome-trace JSON by
     /// [`amoeba_telemetry::TelemetrySnapshot::trace_json`]. A pure
     /// observability knob — wire output is ring-size-invariant.
@@ -295,7 +279,6 @@ impl ServeConfig {
                 seed: 0,
                 backend: BackendKind::Cpu,
                 steal: true,
-                telemetry: true,
                 trace_ring: 0,
             },
         }
@@ -410,13 +393,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Telemetry recording (a pure observability knob: wire output is
-    /// telemetry-invariant).
-    pub fn telemetry(mut self, telemetry: bool) -> Self {
-        self.cfg.telemetry = telemetry;
-        self
-    }
-
     /// Per-shard flight-recorder capacity in trace events (0 = off).
     pub fn trace_ring(mut self, trace_ring: usize) -> Self {
         self.cfg.trace_ring = trace_ring;
@@ -467,7 +443,6 @@ mod tests {
         assert_eq!(cfg.verdicts, VerdictPolicy::Final);
         assert_eq!(cfg.seed, 0);
         assert!(cfg.steal, "work stealing defaults on");
-        assert!(cfg.telemetry, "telemetry defaults on (zero-perturbation)");
         assert_eq!(cfg.trace_ring, 0, "stage tracing defaults off");
         assert_eq!(cfg.backend, BackendKind::Cpu);
     }

@@ -91,7 +91,7 @@ impl SessionOutcome {
 /// per-frame samples: the percentile accessors on [`ServeReport`] rank
 /// the runs by weight and return exactly the type-7 value of the
 /// expanded per-frame vector. Both fields derive from the work item's
-/// clock stamps, as do the telemetry histograms and trace spans.
+/// clock stamps, as do the trace spans.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameRun {
     /// Queue wait (µs): how long the work item sat between being formed
@@ -116,8 +116,8 @@ impl FrameRun {
     /// End-to-end latency (µs) of each frame of the run: queue wait plus
     /// compute, what a frame waited from its session becoming due to its
     /// batch fully processed. The one latency definition: the report's
-    /// percentiles, the sub-reports and the telemetry `latency_hist` all
-    /// rank this value.
+    /// percentiles and the sub-reports rank this value, and the telemetry
+    /// `latency_us` summary is the report's percentiles of it.
     pub fn latency_us(&self) -> f32 {
         self.queue_us + self.compute_us
     }
@@ -153,16 +153,15 @@ pub struct ServeReport {
     /// Largest number of work items any one shard formed in a single tick
     /// (the high-water mark of its work deque).
     pub max_queue_depth: usize,
-    /// The telemetry snapshot of this run (counters, bounded-memory
-    /// latency histograms, per-tenant feedback, trace events), present
-    /// when [`crate::ServeConfig::telemetry`] was on. It is derived after
-    /// the run from this report — counters from its fields, histograms
-    /// from [`ServeReport::frame_runs`], tenant cells from the frame runs
-    /// and [`ServeReport::outcomes`] — plus the shard drivers' tick and
+    /// The telemetry snapshot of this run (counters, latency summaries,
+    /// per-tenant feedback, trace events). Every engine run attaches
+    /// one; [`ServeReport::sub_report`] and `Default` carry none. It is
+    /// derived after the run from this report — counters from its
+    /// fields, latency summaries from the `*_percentiles_us` accessors
+    /// (bit for bit), tenant cells from [`ServeReport::frame_runs`] and
+    /// [`ServeReport::outcomes`] — plus the shard drivers' tick and
     /// out-of-order-absorb counts and trace rings, so it agrees with the
-    /// report by construction. Its histograms summarise the frame runs to
-    /// within one log-linear bucket (≤ 1/16 relative error); the
-    /// `*_percentiles_us` accessors rank the exact runs.
+    /// report by construction.
     pub telemetry: Option<TelemetrySnapshot>,
 }
 
@@ -269,7 +268,7 @@ impl ServeReport {
             infer_stage_us: 0.0,
             framing_stage_us: 0.0,
             max_queue_depth: 0,
-            // The snapshot's histograms fuse all tenants; the per-tenant
+            // The snapshot's summaries fuse all tenants; the per-tenant
             // latency split is the frame runs above. Per-tenant
             // *counters* live in the parent snapshot's tenant map.
             telemetry: None,

@@ -24,9 +24,8 @@
 //! batch, frame and steal counts, stage totals, the [`FrameRun`]s, its
 //! tick and out-of-order-absorb counts and, when tracing is on, its
 //! flight-recorder ring. That is all the serving data path records. The
-//! engine merges the drivers' accounts into the `ServeReport` and, when
-//! `ServeConfig::telemetry` is on, derives the telemetry snapshot from
-//! that report after the run.
+//! engine merges the drivers' accounts into the `ServeReport` and
+//! derives the telemetry snapshot from that report after the run.
 //!
 //! A new tick starts only after every item of the previous tick returned
 //! — the barrier that keeps tick grouping independent of execution
@@ -72,9 +71,9 @@ const STEAL_IDLE: Duration = Duration::from_micros(50);
 /// Wall-clock accounting carried by one in-flight [`WorkItem`]: the one
 /// timing record of the item. Five stamps, nanoseconds since the fleet
 /// epoch, each read once through [`ChunkProcessor::now_ns`]; the queue
-/// wait, the stage totals, the item's [`FrameRun`]s (and through them the
-/// telemetry histograms) and the infer/frame/emit trace spans are all
-/// derived from them, so every figure agrees with every other.
+/// wait, the stage totals, the item's [`FrameRun`]s (and through them
+/// the telemetry latency summaries) and the infer/frame/emit trace spans
+/// are all derived from them, so every figure agrees with every other.
 pub(crate) struct ChunkAcct {
     /// When the item was formed (its sessions became due).
     enqueued: u64,
@@ -402,13 +401,8 @@ fn drive(
     let me = shard.index();
     // Absorbs only ever run on the home driver, so one ring per driver
     // covers all of this shard's items.
-    let ring = if shard.proc.trace_on() {
-        shard.proc.cfg.trace_ring
-    } else {
-        0
-    };
     let mut acct = DriveAcct {
-        rec: FlightRecorder::new(ring),
+        rec: FlightRecorder::new(shard.proc.cfg.trace_ring),
         ..DriveAcct::default()
     };
     let mut next_seq = 0u64;

@@ -185,13 +185,6 @@ pub(crate) struct ChunkProcessor {
 }
 
 impl ChunkProcessor {
-    /// Whether stage tracing is active (telemetry on and a non-zero
-    /// flight-recorder capacity configured).
-    #[inline]
-    pub(crate) fn trace_on(&self) -> bool {
-        self.cfg.telemetry && self.cfg.trace_ring > 0
-    }
-
     /// Nanoseconds since the run epoch: the one clock read of the
     /// serving data path. Each work item takes five (formed, then the
     /// start and end of its three contiguous stages).

@@ -2,8 +2,8 @@
 //! contract: for random offered flows, a fixed seed must produce
 //! bit-identical per-session wire output no matter how sessions are
 //! grouped — any shard count in `1..=8`, batch size 1 or 64, sampled
-//! actions, NetEm impairment on or off, and telemetry/trace-ring
-//! settings varied (observability must never perturb the wire).
+//! actions, NetEm impairment on or off, and the trace-ring size varied
+//! (observability must never perturb the wire).
 //!
 //! Runs one-tenant [`ServeEngine`]s; the multi-tenant variant of this
 //! property lives in `tenancy_invariance.rs`.
@@ -16,7 +16,6 @@ use proptest::prelude::*;
 use amoeba_serve::{ActionMode, ServeConfig, ServeEngine, ServeReport};
 use amoeba_traffic::{Flow, Layer, NetEm};
 
-#[allow(clippy::too_many_arguments)]
 fn run(
     flows: &[Flow],
     seed: u64,
@@ -24,7 +23,6 @@ fn run(
     shards: usize,
     steal: bool,
     netem: Option<NetEm>,
-    telemetry: bool,
     trace_ring: usize,
 ) -> ServeReport {
     let cfg = ServeConfig::builder(Layer::Tcp)
@@ -32,7 +30,6 @@ fn run(
         .batch(batch)
         .shards(shards)
         .steal(steal)
-        .telemetry(telemetry)
         .trace_ring(trace_ring)
         .mode(ActionMode::Sample)
         .netem(netem)
@@ -63,7 +60,6 @@ proptest! {
         n_shards in 1usize..=8,
         steal in any::<bool>(),
         with_netem in any::<bool>(),
-        telemetry in any::<bool>(),
         ring_pick in 0usize..3,
     ) {
         let netem = with_netem.then_some(NetEm {
@@ -72,15 +68,14 @@ proptest! {
             jitter_std: 0.2,
         });
         let trace_ring = [0usize, 8, 256][ring_pick];
-        // Reference run: telemetry off entirely — the sharded runs vary
-        // the telemetry/trace knobs to prove observability never leaks
-        // into the wire.
-        let reference = run(&flows, seed, 1, 1, false, netem, false, 0);
+        // Reference run: stage tracing off — the sharded runs vary the
+        // trace ring to prove observability never leaks into the wire.
+        let reference = run(&flows, seed, 1, 1, false, netem, 0);
         prop_assert_eq!(reference.outcomes.len(), flows.len());
         let ref_bits = wire_bits(&reference);
         for batch in [1usize, 64] {
             let sharded = run(
-                &flows, seed, batch, n_shards, steal, netem, telemetry, trace_ring,
+                &flows, seed, batch, n_shards, steal, netem, trace_ring,
             );
             prop_assert_eq!(sharded.frames, reference.frames);
             prop_assert_eq!(

@@ -1,6 +1,6 @@
 //! # amoeba-telemetry — zero-perturbation serving observability
 //!
-//! Counters, latency histograms, stage tracing, and a flight recorder
+//! Counters, latency summaries, stage tracing, and a flight recorder
 //! for the Amoeba serving stack. The crate is deliberately dependency-
 //! free and engine-agnostic: the serve crate fills these types; this
 //! crate only holds and renders them.
@@ -11,13 +11,13 @@
 //! contracts, both pinned by tests in `amoeba-serve`:
 //!
 //! 1. **Zero perturbation.** Telemetry must never change what the
-//!    engine emits on the wire. Wire output is bit-identical with
-//!    telemetry on, off, or ring sizes varied (proptest
-//!    `telemetry_invariance`). The serve crate keeps this by
-//!    construction: it derives the [`TelemetrySnapshot`] after the run
-//!    from its report — counters ([`Counters`], [`TenantCounters`]) from
-//!    the report's fields and session outcomes, [`Histogram`]s from its
-//!    frame runs — so no telemetry code runs while sessions are served.
+//!    engine emits on the wire. Wire output is bit-identical whatever
+//!    the trace-ring size (proptest `telemetry_invariance`). The serve
+//!    crate keeps this by construction: it derives the
+//!    [`TelemetrySnapshot`] after the run from its report — counters
+//!    ([`Counters`], [`TenantCounters`]) from the report's fields and
+//!    session outcomes, [`LatencySummary`]s from its exact frame-run
+//!    percentiles — so no telemetry code runs while sessions are served.
 //!    The one recording on the data path is the stage trace: each shard
 //!    driver pushes spans into a ring it owns ([`FlightRecorder`]),
 //!    never touching a session RNG, gating scheduling on a telemetry
@@ -31,13 +31,6 @@
 //!    steals, queue depths) legitimately vary with shard count and are
 //!    documented as such on [`Counters`].
 //!
-//! Overhead is budgeted too: CI's `telemetry-overhead` gate fails the
-//! build if full telemetry costs more than 2% throughput, but enforces
-//! it only on runners with at least 4 cores. On a 2-vCPU host ten runs
-//! of `AMOEBA_STEPS=8192 serve_bench --overhead` read a median of 5.3%
-//! (range −16.3% to 8.6%): the run-to-run spread there is far wider
-//! than 2%, so the bound is unverified on such hosts.
-
 //! ## Exposition
 //!
 //! [`TelemetrySnapshot`] renders as Prometheus text
@@ -49,11 +42,9 @@
 //! catalogue.
 
 pub mod counters;
-pub mod histogram;
 pub mod snapshot;
 pub mod trace;
 
 pub use counters::{Counters, TenantCounters, TenantKey};
-pub use histogram::Histogram;
-pub use snapshot::{TelemetrySnapshot, QUANTILES};
+pub use snapshot::{LatencySummary, TelemetrySnapshot, QUANTILES};
 pub use trace::{trace_json, FlightRecorder, StageKind, TraceEvent};

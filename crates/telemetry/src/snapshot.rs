@@ -1,7 +1,7 @@
 //! Run-level exposition.
 //!
-//! [`TelemetrySnapshot`] is one run's counters, histograms, per-tenant
-//! cells and trace events, exposed three ways:
+//! [`TelemetrySnapshot`] is one run's counters, latency summaries,
+//! per-tenant cells and trace events, exposed three ways:
 //!
 //! - [`TelemetrySnapshot::to_prometheus_text`] — Prometheus text
 //!   exposition (format pinned by a snapshot test; renames must update
@@ -16,25 +16,52 @@
 //! the same bytes.
 
 use crate::counters::{Counters, TenantCounters, TenantKey};
-use crate::histogram::Histogram;
 use crate::trace::{self, TraceEvent};
 use std::collections::BTreeMap;
 
 /// Quantiles exposed on every latency summary.
 pub const QUANTILES: [f64; 4] = [0.5, 0.9, 0.99, 1.0];
 
+/// One per-frame latency series of a run, in microseconds: the sample
+/// count and sum, the smallest sample and the value at each of
+/// [`QUANTILES`]. The serve crate fills it from its report's exact
+/// percentiles, so a summary and the report agree bit for bit.
+/// `Default` is the empty summary, whose order statistics are NaN.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct LatencySummary {
+    /// Samples (frames).
+    pub count: u64,
+    /// Sum of the samples, µs.
+    pub sum: f64,
+    /// Smallest sample, µs.
+    pub min: f32,
+    /// The value at each of [`QUANTILES`], in that order, µs.
+    pub quantiles: [f32; QUANTILES.len()],
+}
+
+impl Default for LatencySummary {
+    fn default() -> Self {
+        Self {
+            count: 0,
+            sum: 0.0,
+            min: f32::NAN,
+            quantiles: [f32::NAN; QUANTILES.len()],
+        }
+    }
+}
+
 /// The engine-wide telemetry of one completed run.
 #[derive(Clone, Debug, Default)]
 pub struct TelemetrySnapshot {
     pub counters: Counters,
     pub tenants: BTreeMap<TenantKey, TenantCounters>,
-    /// Queue-wait latency (enqueue → batch start), nanoseconds.
-    pub queue_hist: Histogram,
-    /// Compute latency (batch start → end of its last stage), nanoseconds.
-    pub compute_hist: Histogram,
+    /// Queue-wait latency (enqueue → batch start).
+    pub queue_us: LatencySummary,
+    /// Compute latency (batch start → end of its last stage).
+    pub compute_us: LatencySummary,
     /// End-to-end frame latency, queue wait plus compute (the serving
-    /// report's `FrameRun::latency_us`), nanoseconds.
-    pub latency_hist: Histogram,
+    /// report's `FrameRun::latency_us`).
+    pub latency_us: LatencySummary,
     /// Flight-recorder events from all shards, sorted by
     /// `(t0_ns, shard, seq, executor)`.
     pub events: Vec<TraceEvent>,
@@ -120,7 +147,7 @@ impl TelemetrySnapshot {
         gauge(
             "amoeba_serve_wall_seconds",
             "Run wall-clock in seconds.",
-            fmt_f64(self.wall_seconds),
+            self.wall_seconds.to_string(),
         );
         for (name, help, field) in [
             (
@@ -170,43 +197,37 @@ impl TelemetrySnapshot {
                 ));
             }
         }
-        for (name, help, hist) in [
+        for (name, help, s) in [
             (
                 "amoeba_serve_frame_queue_us",
                 "Queue-wait latency (enqueue to batch start) in microseconds.",
-                &self.queue_hist,
+                &self.queue_us,
             ),
             (
                 "amoeba_serve_frame_compute_us",
                 "Compute latency (inference + framing) in microseconds.",
-                &self.compute_hist,
+                &self.compute_us,
             ),
             (
                 "amoeba_serve_frame_latency_us",
                 "End-to-end frame latency in microseconds.",
-                &self.latency_hist,
+                &self.latency_us,
             ),
         ] {
             out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} summary\n"));
-            if !hist.is_empty() {
-                for q in QUANTILES {
-                    out.push_str(&format!(
-                        "{name}{{quantile=\"{q}\"}} {}\n",
-                        fmt_f64(hist.quantile_us(q))
-                    ));
+            if s.count > 0 {
+                for (q, v) in QUANTILES.iter().zip(s.quantiles) {
+                    out.push_str(&format!("{name}{{quantile=\"{q}\"}} {v}\n"));
                 }
             }
-            out.push_str(&format!(
-                "{name}_sum {}\n{name}_count {}\n",
-                fmt_f64(hist.sum() as f64 / 1e3),
-                hist.count()
-            ));
+            out.push_str(&format!("{name}_sum {}\n{name}_count {}\n", s.sum, s.count));
         }
         out
     }
 
-    /// Machine-readable JSON (hand-rolled; empty histograms render
-    /// `null` quantiles since NaN is not valid JSON).
+    /// Machine-readable JSON (hand-rolled; empty summaries render
+    /// `null` order statistics since NaN is not valid JSON). `max` is
+    /// the `p100` quantile.
     pub fn to_json(&self) -> String {
         let c = &self.counters;
         let mut out = String::with_capacity(2048);
@@ -227,7 +248,7 @@ impl TelemetrySnapshot {
         out.push_str("},\n");
         out.push_str(&format!(
             "  \"wall_seconds\": {},\n  \"shards\": {},\n",
-            json_f64(self.wall_seconds),
+            json_num(self.wall_seconds),
             self.shards
         ));
         out.push_str("  \"tenants\": [");
@@ -250,10 +271,10 @@ impl TelemetrySnapshot {
             ));
         }
         out.push_str("],\n  \"histograms\": {");
-        for (i, (name, hist)) in [
-            ("frame_queue_us", &self.queue_hist),
-            ("frame_compute_us", &self.compute_hist),
-            ("frame_latency_us", &self.latency_hist),
+        for (i, (name, s)) in [
+            ("frame_queue_us", &self.queue_us),
+            ("frame_compute_us", &self.compute_us),
+            ("frame_latency_us", &self.latency_us),
         ]
         .into_iter()
         .enumerate()
@@ -264,14 +285,14 @@ impl TelemetrySnapshot {
             out.push_str(&format!(
                 "\"{name}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
                  \"p50\": {}, \"p90\": {}, \"p99\": {}, \"p100\": {}}}",
-                hist.count(),
-                json_f64(hist.sum() as f64 / 1e3),
-                json_f64(hist.min() as f64 / 1e3),
-                json_f64(hist.max() as f64 / 1e3),
-                json_f64(hist.quantile_us(0.5)),
-                json_f64(hist.quantile_us(0.9)),
-                json_f64(hist.quantile_us(0.99)),
-                json_f64(hist.quantile_us(1.0)),
+                s.count,
+                json_num(s.sum),
+                json_num(s.min),
+                json_num(s.quantiles[3]),
+                json_num(s.quantiles[0]),
+                json_num(s.quantiles[1]),
+                json_num(s.quantiles[2]),
+                json_num(s.quantiles[3]),
             ));
         }
         out.push_str(&format!(
@@ -283,17 +304,11 @@ impl TelemetrySnapshot {
     }
 }
 
-fn fmt_f64(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
-    } else {
-        format!("{v}")
-    }
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
+/// A JSON number in its shortest round-trip form, or `null` when not
+/// finite.
+fn json_num<T: Copy + Into<f64> + std::fmt::Display>(v: T) -> String {
+    if v.into().is_finite() {
+        v.to_string()
     } else {
         "null".to_string()
     }
@@ -370,14 +385,17 @@ mod tests {
             shards: 2,
             ..TelemetrySnapshot::default()
         };
-        // Values below 16 ns land in exact unit buckets, so the type-7
-        // interpolated quantiles are exact and the golden text is stable
-        // by construction.
-        for v in [10, 10, 12, 14] {
-            snap.queue_hist.record(v);
-            snap.compute_hist.record(v);
-            snap.latency_hist.record(2 * v);
-        }
+        // The type-7 summary of the samples [10, 10, 12, 14] ns (twice
+        // that for the latency), in µs.
+        let summary = |k: f32| LatencySummary {
+            count: 4,
+            sum: 0.046 * f64::from(k),
+            min: 0.010 * k,
+            quantiles: [0.011 * k, 0.0134 * k, 0.01394 * k, 0.014 * k],
+        };
+        snap.queue_us = summary(1.0);
+        snap.compute_us = summary(1.0);
+        snap.latency_us = summary(2.0);
         snap
     }
 

@@ -9,7 +9,7 @@
 //! per-tenant sub-reports print the §5.4 cross-censor transfer story
 //! and the hard-label threat model from a single dataplane run. The
 //! demo ends by printing the run's telemetry snapshot — counters,
-//! histogram latency percentiles, per-tenant cells (verdict queries and
+//! latency percentiles, per-tenant cells (verdict queries and
 //! teardowns included) and flight-recorder occupancy — observability
 //! that never moves a wire bit.
 //!
@@ -184,18 +184,19 @@ fn main() {
     );
 
     // --- observe: the telemetry snapshot that rode along -------------------
-    let snap = r.telemetry.as_ref().expect("telemetry is on by default");
+    let snap = r.telemetry.as_ref().expect("every run attaches a snapshot");
     println!(
         "telemetry: {} ticks, {} batches ({} stolen), {} absorbs ({} out of order), \
-         latency p50 {:.0}µs p99 {:.0}µs from log-linear histograms, {} trace events \
+         latency p50 {:.0}µs p99 {:.0}µs, {} trace events \
          ({} dropped by the ring)",
         snap.counters.ticks,
         snap.counters.batches,
         snap.counters.stolen_batches,
         snap.counters.absorbs,
         snap.counters.absorbs_out_of_order,
-        snap.latency_hist.quantile_us(0.5),
-        snap.latency_hist.quantile_us(0.99),
+        // QUANTILES = [0.5, 0.9, 0.99, 1.0].
+        snap.latency_us.quantiles[0],
+        snap.latency_us.quantiles[2],
         snap.events.len(),
         snap.dropped_events,
     );
