@@ -1,9 +1,9 @@
-//! Serving throughput harness: drives the `amoeba-serve` engine over
-//! trained policies + censors across inference batch sizes, shard
-//! (worker thread) counts and policy × censor tenant matrices, and
-//! reports `flows/sec`, `MB/s`, p50/p99 per-frame latency and per-cell
-//! evasion — the numbers the ROADMAP's "serve heavy traffic" scaling
-//! work steers by.
+//! The serving checks behind `serve_bench`: each drives the
+//! `amoeba-serve` engine over trained policies and censors, asserts that
+//! wire output stays invariant across shard counts, stealing and tenancy,
+//! and renders a markdown report. They measure nothing on record: serving
+//! throughput is the layer ledger's (`ledger/`) and the criterion
+//! `dataplane` bench's.
 
 use std::sync::Arc;
 
@@ -12,7 +12,7 @@ use amoeba_classifiers::{
 };
 use amoeba_serve::{
     CensorId, FrozenPolicy, PolicyId, ServeConfig, ServeConfigBuilder, ServeEngine, ServeReport,
-    VerdictPolicy,
+    SessionStatus, VerdictPolicy,
 };
 use amoeba_traffic::{DatasetKind, Flow};
 
@@ -22,22 +22,22 @@ use crate::Context;
 /// memory so 1k+ concurrent sessions stay cheap on CI hardware.
 pub const PREFIX_CAP: usize = 20;
 
-/// Pinned wire fingerprint of the classifier-scenario matrix smoke under
-/// the exact CI smoke parameters (`AMOEBA_SERVE_SMOKE=1 AMOEBA_STEPS=8192`,
-/// small scale, 96 flows, batch 64, 4 shards, seed 42). Captured on the
-/// pre-refactor one-shot censor path; the streaming [`CensorProgram`]
-/// adapter must keep reproducing it bit-for-bit.
+/// Pinned wire fingerprint of the classifier scenario in
+/// [`serve_matrix_check`] under CI's parameters (`AMOEBA_STEPS=8192
+/// serve_bench matrix`: small scale, seed 42, 96 flows, batch 64).
+/// Captured on the pre-refactor one-shot censor path; the streaming
+/// [`CensorProgram`] adapter must keep reproducing it bit-for-bit.
 ///
 /// [`CensorProgram`]: amoeba_classifiers::CensorProgram
 pub const CLASSIFIER_SMOKE_FINGERPRINT: u64 = 0xf396_37d3_c933_4b89;
 
-/// The censor-program scenario axis of the matrix modes: which program
+/// The censor-program scenarios of [`serve_matrix_check`]: which program
 /// family serves the matrix's censor columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scenario {
+enum Scenario {
     /// Degenerate adapter over the trained classifiers — bit-for-bit the
     /// pre-refactor one-shot scoring path (pinned by
-    /// [`CLASSIFIER_SMOKE_FINGERPRINT`] under the CI smoke parameters).
+    /// [`CLASSIFIER_SMOKE_FINGERPRINT`] under CI's parameters).
     Classifier,
     /// Stateful programs that allow everything until they have observed
     /// one flow snapshot — the "warmup" grace every real DPI box shows.
@@ -51,27 +51,22 @@ pub enum Scenario {
 }
 
 impl Scenario {
-    /// Every scenario, in the order `--scenario all` runs them.
-    pub const ALL: [Scenario; 4] = [
+    /// Every scenario, in the order the matrix check runs them.
+    const ALL: [Scenario; 4] = [
         Scenario::Classifier,
         Scenario::Warmup,
         Scenario::Hysteresis,
         Scenario::HardLabel,
     ];
 
-    /// CLI / report name.
-    pub fn name(self) -> &'static str {
+    /// Report name.
+    fn name(self) -> &'static str {
         match self {
             Scenario::Classifier => "classifier",
             Scenario::Warmup => "warmup",
             Scenario::Hysteresis => "hysteresis",
             Scenario::HardLabel => "hard-label",
         }
-    }
-
-    /// Parses one `--scenario` value (`all` is handled by the caller).
-    pub fn parse(s: &str) -> Option<Scenario> {
-        Scenario::ALL.into_iter().find(|sc| sc.name() == s)
     }
 
     /// Wraps a one-shot censor in this scenario's program factory.
@@ -85,6 +80,14 @@ impl Scenario {
                 StatefulProgramFactory::new(censor, 0, 2, 0.5).with_teardown(true),
             )),
             Scenario::HardLabel => Some(Arc::new(HardLabelFactory::over_censor(censor))),
+        }
+    }
+
+    /// Registers `censor` with `engine` the way this scenario serves it.
+    fn register(self, engine: &mut ServeEngine, censor: Arc<dyn Censor>) -> CensorId {
+        match self.factory(Arc::clone(&censor)) {
+            Some(f) => engine.register_censor_program(f),
+            None => engine.register_censor(censor),
         }
     }
 }
@@ -106,22 +109,12 @@ fn offered(ctx: &mut Context, n_flows: usize) -> Vec<Flow> {
         .collect()
 }
 
-/// Runs one single-tenant engine pass at the given batch size and shard
-/// count; the workload is `n_flows` sessions cycling the Tor test
+/// Runs one single-tenant engine pass at the given batch size, shard
+/// count and flight-recorder ring size (events per shard; 0 keeps no
+/// trace); the workload is `n_flows` sessions cycling the Tor test
 /// split's sensitive flows (≤ [`PREFIX_CAP`]-packet prefixes) against an
 /// inline DT censor.
 pub fn run_serve(
-    ctx: &mut Context,
-    n_flows: usize,
-    batch: usize,
-    shards: usize,
-    steal: bool,
-) -> ServeReport {
-    run_serve_with(ctx, n_flows, batch, shards, steal, 0)
-}
-
-/// [`run_serve`] with the trace ring exposed, for the artifact dump.
-fn run_serve_with(
     ctx: &mut Context,
     n_flows: usize,
     batch: usize,
@@ -142,24 +135,12 @@ fn run_serve_with(
     engine.run()
 }
 
-/// One fully instrumented engine pass: a 4096-event flight-recorder
-/// ring per shard, ready for [`write_telemetry_artifacts`].
-pub fn run_serve_instrumented(
-    ctx: &mut Context,
-    n_flows: usize,
-    batch: usize,
-    shards: usize,
-    steal: bool,
-) -> ServeReport {
-    run_serve_with(ctx, n_flows, batch, shards, steal, 4096)
-}
-
 /// Runs a **skewed** two-tenant engine pass: 90% of sessions land on the
 /// trained Tor policy (≤ [`PREFIX_CAP`]-packet prefixes), 10% on a tiny
 /// random policy serving 4-packet prefixes. With round-robin-by-id
 /// partitioning this leaves some shards with far more work per tick than
 /// others — the workload the work-stealing scheduler exists for.
-pub fn run_serve_skewed(
+fn run_serve_skewed(
     ctx: &mut Context,
     n_flows: usize,
     batch: usize,
@@ -202,62 +183,13 @@ const TABLE_HEADER: &str = "| config | flows/s | frames/s | payload MB/s | wire 
                             | p50 µs | p99 µs | evasion | streams ok |\n\
                             |---|---|---|---|---|---|---|---|---|\n";
 
-/// The throughput table across batch sizes (single shard), as a markdown
-/// block.
-pub fn serve_throughput(
-    ctx: &mut Context,
-    n_flows: usize,
-    batches: &[usize],
-    steal: bool,
-) -> String {
-    let mut md = String::from("## amoeba-serve dataplane throughput\n\n");
-    md += &format!(
-        "{n_flows} concurrent flows (Tor test split, ≤{PREFIX_CAP}-packet prefixes), \
-         DT censor inline every 8 frames, deterministic policy, \
-         stealing {}.\n\n",
-        if steal { "on" } else { "off" },
-    );
-    md += TABLE_HEADER;
-    for &batch in batches {
-        let r = run_serve(ctx, n_flows, batch, 1, steal);
-        md += &throughput_row(&format!("batch {batch}"), &r);
-    }
-    md
-}
-
-/// The shard-scaling table at a fixed batch size, as a markdown block.
-/// Wire output is shard-count-invariant, so the rows differ only in
-/// wall-clock figures; near-linear `flows/s` scaling up to the core count
-/// is the §5.6.1 deployment argument at scale.
-pub fn serve_shard_scaling(
-    ctx: &mut Context,
-    n_flows: usize,
-    batch: usize,
-    shard_counts: &[usize],
-    steal: bool,
-) -> String {
-    let mut md = String::from("## amoeba-serve shard scaling\n\n");
-    md += &format!(
-        "{n_flows} concurrent flows (Tor test split, ≤{PREFIX_CAP}-packet prefixes), \
-         DT censor inline every 8 frames, batch {batch}, deterministic policy, \
-         stealing {}; sessions sharded across worker threads.\n\n",
-        if steal { "on" } else { "off" },
-    );
-    md += TABLE_HEADER;
-    for &shards in shard_counts {
-        let r = run_serve(ctx, n_flows, batch, shards, steal);
-        md += &throughput_row(&format!("{shards} shard(s)"), &r);
-    }
-    md
-}
-
 /// CI smoke pass: a small flow count served at 1 shard and 4 shards
 /// (stealing on and off), with the wire outputs cross-checked
 /// frame-by-frame — exercises the sharded and stealing paths
 /// on every push and fails loudly if the invariance contract breaks.
 pub fn serve_smoke(ctx: &mut Context, n_flows: usize, batch: usize) -> String {
-    let one = run_serve(ctx, n_flows, batch, 1, true);
-    let four = run_serve(ctx, n_flows, batch, 4, true);
+    let one = run_serve(ctx, n_flows, batch, 1, true, 0);
+    let four = run_serve(ctx, n_flows, batch, 4, true, 0);
     assert_eq!(
         one.wire_bits(),
         four.wire_bits(),
@@ -266,7 +198,7 @@ pub fn serve_smoke(ctx: &mut Context, n_flows: usize, batch: usize) -> String {
     assert_eq!(one.stream_ok_rate(), 1.0, "smoke: streams failed to verify");
     // Steal-off leg: work stealing is a pure throughput knob, so turning
     // it off at 4 shards must not move a single wire bit.
-    let no_steal = run_serve(ctx, n_flows, batch, 4, false);
+    let no_steal = run_serve(ctx, n_flows, batch, 4, false, 0);
     assert_eq!(
         one.wire_bits(),
         no_steal.wire_bits(),
@@ -381,7 +313,7 @@ pub fn serve_scaling_gate(
     let (one, four) = best_of_alternating(
         ctx,
         reps,
-        |ctx, four| run_serve(ctx, n_flows, batch, if four { 4 } else { 1 }, true),
+        |ctx, four| run_serve(ctx, n_flows, batch, if four { 4 } else { 1 }, true, 0),
         "scaling gate: 4-shard wire output diverged from 1-shard",
     );
     // The wire is shard-invariant, so one side's streams speak for both.
@@ -435,30 +367,26 @@ pub fn write_telemetry_artifacts(
     Ok((prom, trace))
 }
 
-/// Builds one multi-tenant engine over `policy_kinds × censor_kinds`
-/// (policies are Amoeba agents trained against the named censor family,
-/// censors wrapped per the scenario's program family) and admits
-/// `n_flows` Tor-prefix sessions round-robin across the tenant cells.
-/// Returns the run report plus the registered handles, in registration
-/// (= argument) order.
-#[allow(clippy::too_many_arguments)]
+/// Builds one multi-tenant engine over [`MATRIX_POLICIES`] ×
+/// [`MATRIX_CENSORS`] (policies are Amoeba agents trained against the
+/// named censor family, censors served per the scenario's program family)
+/// and admits `n_flows` Tor-prefix sessions round-robin across the tenant
+/// cells. Returns the run report plus the registered handles, in
+/// registration (= constant) order.
 fn run_matrix(
     ctx: &mut Context,
     n_flows: usize,
     batch: usize,
     shards: usize,
-    policy_kinds: &[CensorKind],
-    censor_kinds: &[CensorKind],
     scenario: Scenario,
 ) -> (ServeReport, Vec<PolicyId>, Vec<CensorId>) {
-    assert!(!policy_kinds.is_empty() && !censor_kinds.is_empty());
     // Train (or fetch) every tenant first, in the order the handles are
     // then registered with the engine.
-    let policies: Vec<FrozenPolicy> = policy_kinds
+    let policies: Vec<FrozenPolicy> = MATRIX_POLICIES
         .iter()
         .map(|&k| FrozenPolicy::from_agent(&ctx.agent(DatasetKind::Tor, k).0))
         .collect();
-    let censors: Vec<Arc<dyn Censor>> = censor_kinds
+    let censors: Vec<Arc<dyn Censor>> = MATRIX_CENSORS
         .iter()
         .map(|&k| ctx.censor(DatasetKind::Tor, k))
         .collect();
@@ -471,10 +399,7 @@ fn run_matrix(
         .collect();
     let cids: Vec<CensorId> = censors
         .into_iter()
-        .map(|censor| match scenario.factory(Arc::clone(&censor)) {
-            Some(f) => engine.register_censor_program(f),
-            None => engine.register_censor(censor),
-        })
+        .map(|censor| scenario.register(&mut engine, censor))
         .collect();
     let cells = pids.len() * cids.len();
     for (i, f) in flows.iter().enumerate() {
@@ -489,165 +414,67 @@ fn run_matrix(
     (engine.run(), pids, cids)
 }
 
-/// Cross-censor evaluation matrix from **one** engine run: evasion rate
-/// per `(policy, censor)` cell, policies (rows) trained against one
-/// censor family each, censors (columns) serving inline — the §5.4
-/// robustness/transfer table at serving time, at dataplane cost `1`
-/// instead of `P×C`.
-pub fn serve_matrix(
-    ctx: &mut Context,
-    n_flows: usize,
-    batch: usize,
-    policy_kinds: &[CensorKind],
-    censor_kinds: &[CensorKind],
-) -> String {
-    let (report, pids, cids) = run_matrix(
-        ctx,
-        n_flows,
-        batch,
-        1,
-        policy_kinds,
-        censor_kinds,
-        Scenario::Classifier,
-    );
-    let mut md = String::from("## amoeba-serve cross-censor matrix (one engine run)\n\n");
-    md += &format!(
-        "{n_flows} concurrent flows (Tor test split, ≤{PREFIX_CAP}-packet prefixes) split \
-         round-robin across {} policies × {} censors, verdicts every 8 frames, batch \
-         {batch}; cells are evasion rates of the per-tenant sub-reports.\n\n",
-        pids.len(),
-        cids.len(),
-    );
-    md += &serve_matrix_table_only(&report, &pids, &cids, policy_kinds, censor_kinds);
-    md += &format!(
-        "\nwhole engine at 1 shard: {:.0} flows/s, {:.0} frames/s, streams ok {:.1}% \
-         (shard scaling is measured by the dedicated table; wire output is \
-         shard-count-invariant)\n",
-        report.flows_per_sec(),
-        report.frames_per_sec(),
-        report.stream_ok_rate() * 100.0,
-    );
-    md
+/// The policies (rows) and censors (columns) of the matrix check.
+const MATRIX_POLICIES: [CensorKind; 2] = [CensorKind::Dt, CensorKind::Rf];
+const MATRIX_CENSORS: [CensorKind; 3] = [CensorKind::Dt, CensorKind::Rf, CensorKind::Cumul];
+
+/// CI matrix check: for every censor-program scenario (classifier,
+/// warmup, hysteresis, hard-label), a 2×3 policy × censor matrix
+/// served by one engine at 4 shards, cross-checked bit-for-bit against
+/// the same matrix at 1 shard (program state rides the work item, so
+/// shard count stays a pure throughput knob even for stateful programs)
+/// and, tenant by tenant, against a fresh single-tenant run of the same
+/// `(id, flow)` set registered the way the matrix registers it. Each
+/// scenario then checks its own program semantics, and the classifier
+/// scenario compares the whole-run wire against
+/// [`CLASSIFIER_SMOKE_FINGERPRINT`] when run at the pinned parameters and
+/// prints `fingerprint pin: compared`, or `not compared` and those
+/// parameters otherwise.
+pub fn serve_matrix_check(ctx: &mut Context, n_flows: usize, batch: usize) -> String {
+    Scenario::ALL
+        .into_iter()
+        .map(|scenario| scenario_check(ctx, n_flows, batch, scenario))
+        .collect()
 }
 
-/// CI matrix smoke: a 2×3 policy × censor matrix served by one engine at
-/// 4 shards, with every tenant's sub-report cross-checked bit-for-bit
-/// against a fresh single-tenant engine run of the same `(id, flow)`
-/// set — the tenancy-invariance contract exercised end-to-end on real
-/// trained policies and censors on every push.
-pub fn serve_matrix_smoke(ctx: &mut Context, n_flows: usize, batch: usize) -> String {
-    let policy_kinds = [CensorKind::Dt, CensorKind::Rf];
-    let censor_kinds = [CensorKind::Dt, CensorKind::Rf, CensorKind::Cumul];
-    let (report, pids, cids) = run_matrix(
-        ctx,
-        n_flows,
-        batch,
-        4,
-        &policy_kinds,
-        &censor_kinds,
-        Scenario::Classifier,
-    );
-    assert_eq!(
-        report.stream_ok_rate(),
-        1.0,
-        "matrix smoke: streams failed to verify"
-    );
-    // CI fingerprint pin: under the exact smoke parameters the classifier
-    // scenario must reproduce the pre-refactor one-shot wire bit-for-bit.
-    if ctx.scale.seed == 42
-        && ctx.scale.amoeba_timesteps == 8192
-        && ctx.scale.n_per_class == 250
-        && ctx.scale.eval_flows == 25
-        && n_flows == 96
-        && batch == 64
-    {
-        assert_eq!(
-            report.wire_fingerprint(),
-            CLASSIFIER_SMOKE_FINGERPRINT,
-            "matrix smoke: classifier wire fingerprint drifted from the \
-             pre-refactor one-shot censor pin"
-        );
-    }
-
-    let flows = offered(ctx, n_flows);
-    let cells = pids.len() * cids.len();
-    for (ti, (tenant, sub)) in report.sub_reports().into_iter().enumerate() {
-        let pairs: Vec<(usize, &Flow)> = flows
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % cells == ti)
-            .collect();
-        let agent_kind = policy_kinds[tenant.policy.index()];
-        let censor_kind = censor_kinds[tenant.censor.index()];
-        let policy = FrozenPolicy::from_agent(&ctx.agent(DatasetKind::Tor, agent_kind).0);
-        let censor = ctx.censor(DatasetKind::Tor, censor_kind);
-        let mut solo = ServeEngine::new(serve_config(ctx, batch, 1, true).build());
-        let p = solo.register_policy(policy);
-        let c = solo.register_censor(censor);
-        for &(id, f) in &pairs {
-            solo.admit(f).id(id).policy(p).censor(c).submit();
-        }
-        let solo = solo.run();
-        assert_eq!(
-            sub.wire_bits(),
-            solo.wire_bits(),
-            "matrix smoke: tenant ({agent_kind:?} policy, {censor_kind:?} censor) \
-             diverged from its single-tenant run"
-        );
-    }
-
-    let mut md = String::from(
-        "## amoeba-serve matrix smoke (2×3 tenants, bit-identical to single-tenant runs)\n\n",
-    );
-    md += TABLE_HEADER;
-    md += &throughput_row("2 policies × 3 censors", &report);
-    md += "\n";
-    md += &serve_matrix_table_only(&report, &pids, &cids, &policy_kinds, &censor_kinds);
-    md += &format!("\nwire fingerprint: {:#018x}\n", report.wire_fingerprint());
-    md
-}
-
-/// One scenario leg of the `--matrix --scenario` sweep in smoke mode:
-/// the 2×3 tenant matrix served with the scenario's censor programs at 1
-/// and 4 shards, wire cross-checked bit-for-bit — per-session program
-/// state rides the work item, so shard count stays a pure throughput
-/// knob even for stateful programs. Classifier delegates to
-/// [`serve_matrix_smoke`] (single-tenant cross-check + the
-/// [`CLASSIFIER_SMOKE_FINGERPRINT`] pin).
-pub fn serve_scenario_smoke(
-    ctx: &mut Context,
-    n_flows: usize,
-    batch: usize,
-    scenario: Scenario,
-) -> String {
-    if scenario == Scenario::Classifier {
-        return serve_matrix_smoke(ctx, n_flows, batch);
-    }
-    let policy_kinds = [CensorKind::Dt, CensorKind::Rf];
-    let censor_kinds = [CensorKind::Dt, CensorKind::Rf, CensorKind::Cumul];
-    let (four, pids, cids) = run_matrix(
-        ctx,
-        n_flows,
-        batch,
-        4,
-        &policy_kinds,
-        &censor_kinds,
-        scenario,
-    );
-    let (one, _, _) = run_matrix(
-        ctx,
-        n_flows,
-        batch,
-        1,
-        &policy_kinds,
-        &censor_kinds,
-        scenario,
-    );
+/// One scenario of [`serve_matrix_check`].
+fn scenario_check(ctx: &mut Context, n_flows: usize, batch: usize, scenario: Scenario) -> String {
     let name = scenario.name();
+    let (four, pids, cids) = run_matrix(ctx, n_flows, batch, 4, scenario);
+    let (one, _, _) = run_matrix(ctx, n_flows, batch, 1, scenario);
     assert_eq!(
         one.wire_bits(),
         four.wire_bits(),
         "scenario {name}: 4-shard wire output diverged from 1-shard"
+    );
+
+    let flows = offered(ctx, n_flows);
+    let cells = pids.len() * cids.len();
+    for (ti, (tenant, sub)) in four.sub_reports().into_iter().enumerate() {
+        let agent_kind = MATRIX_POLICIES[tenant.policy.index()];
+        let censor_kind = MATRIX_CENSORS[tenant.censor.index()];
+        let policy = FrozenPolicy::from_agent(&ctx.agent(DatasetKind::Tor, agent_kind).0);
+        let censor = ctx.censor(DatasetKind::Tor, censor_kind);
+        let mut solo = ServeEngine::new(serve_config(ctx, batch, 1, true).build());
+        let p = solo.register_policy(policy);
+        let c = scenario.register(&mut solo, censor);
+        for (id, f) in flows.iter().enumerate().filter(|(i, _)| i % cells == ti) {
+            solo.admit(f).id(id).policy(p).censor(c).submit();
+        }
+        assert_eq!(
+            sub.wire_bits(),
+            solo.run().wire_bits(),
+            "scenario {name}: tenant ({agent_kind:?} policy, {censor_kind:?} censor) \
+             diverged from its single-tenant run"
+        );
+    }
+
+    // A teardown cuts the stream short; every other stream must verify.
+    assert!(
+        four.outcomes
+            .iter()
+            .all(|o| o.stream_ok || o.status == SessionStatus::Torn),
+        "scenario {name}: a stream that was not torn down failed to verify"
     );
     let (queries, verdicts, teardowns) = verdict_totals(&four);
     assert!(
@@ -659,7 +486,35 @@ pub fn serve_scenario_smoke(
         four.torn_sessions() as u64,
         "scenario {name}: telemetry teardowns disagree with session statuses"
     );
-    match scenario {
+    let pin = match scenario {
+        Scenario::Classifier => {
+            assert_eq!(
+                four.stream_ok_rate(),
+                1.0,
+                "scenario {name}: streams failed to verify"
+            );
+            // Under CI's parameters the classifier scenario must reproduce
+            // the pre-refactor one-shot wire bit-for-bit.
+            let s = &ctx.scale;
+            if s.seed == 42
+                && s.amoeba_timesteps == 8192
+                && s.n_per_class == 250
+                && s.eval_flows == 25
+                && n_flows == 96
+                && batch == 64
+            {
+                assert_eq!(
+                    four.wire_fingerprint(),
+                    CLASSIFIER_SMOKE_FINGERPRINT,
+                    "scenario {name}: wire fingerprint drifted from the pre-refactor \
+                     one-shot censor pin"
+                );
+                "fingerprint pin: compared\n"
+            } else {
+                "fingerprint pin: not compared (pinned at seed 42, 8192 steps, \
+                 250 flows per class, 25 eval flows, 96 flows, batch 64)\n"
+            }
+        }
         Scenario::Warmup => {
             // Every session's first observation falls inside the warmup
             // window and is allowed silently, so strictly more queries
@@ -669,15 +524,17 @@ pub fn serve_scenario_smoke(
                 "scenario {name}: warmup never suppressed a verdict"
             );
             assert_eq!(teardowns, 0, "scenario {name}: warmup program tore down");
+            ""
         }
         Scenario::Hysteresis => {
             // Torn sessions are blocked, never evaded.
             assert!(
                 four.outcomes
                     .iter()
-                    .all(|o| o.status != amoeba_serve::SessionStatus::Torn || !o.evaded),
+                    .all(|o| o.status != SessionStatus::Torn || !o.evaded),
                 "scenario {name}: a torn-down session counted as evaded"
             );
+            ""
         }
         Scenario::HardLabel => {
             // Verdict-only programs never leak a score: every final
@@ -688,79 +545,24 @@ pub fn serve_scenario_smoke(
                     .all(|o| o.final_score == 0.0 || o.final_score == 1.0),
                 "scenario {name}: hard-label program leaked a soft score"
             );
+            ""
         }
-        Scenario::Classifier => unreachable!(),
-    }
+    };
+
     let mut md = format!(
-        "## amoeba-serve matrix smoke, scenario `{name}` (2×3 tenants, shards 1 vs 4 \
-         bit-identical)\n\n"
+        "## amoeba-serve matrix check, scenario `{name}` (2×3 tenants; shards 1 vs 4 and \
+         every cell vs its single-tenant run, bit-identical)\n\n"
     );
     md += TABLE_HEADER;
     md += &throughput_row(&format!("2 policies × 3 censors ({name})"), &four);
     md += "\n";
-    md += &serve_matrix_table_only(&four, &pids, &cids, &policy_kinds, &censor_kinds);
+    md += &matrix_table(&four, &pids, &cids);
     md += &format!(
         "\nverdict queries {queries}, verdicts {verdicts}, teardowns {teardowns} \
-         (torn sessions: {})\n",
-        four.torn_sessions()
+         (torn sessions: {})\nwire fingerprint: {:#018x}\n{pin}\n",
+        four.torn_sessions(),
+        four.wire_fingerprint(),
     );
-    md
-}
-
-/// Runs every scenario in smoke mode, concatenating the per-scenario
-/// reports.
-pub fn serve_matrix_smoke_scenarios(
-    ctx: &mut Context,
-    n_flows: usize,
-    batch: usize,
-    scenarios: &[Scenario],
-) -> String {
-    scenarios
-        .iter()
-        .map(|&s| serve_scenario_smoke(ctx, n_flows, batch, s))
-        .collect()
-}
-
-/// Runs every scenario in the full (non-smoke) matrix mode,
-/// concatenating the per-scenario tables.
-/// Classifier renders the classic [`serve_matrix`] table; the other
-/// scenarios run the same 2×3 matrix at 1 shard with their program
-/// family and report evasion plus teardown/verdict telemetry.
-pub fn serve_matrix_scenarios(
-    ctx: &mut Context,
-    n_flows: usize,
-    batch: usize,
-    scenarios: &[Scenario],
-) -> String {
-    let policy_kinds = [CensorKind::Dt, CensorKind::Rf];
-    let censor_kinds = [CensorKind::Dt, CensorKind::Rf, CensorKind::Cumul];
-    let mut md = String::new();
-    for &scenario in scenarios {
-        if scenario == Scenario::Classifier {
-            md += &serve_matrix(ctx, n_flows, batch, &policy_kinds, &censor_kinds);
-            continue;
-        }
-        let (report, pids, cids) = run_matrix(
-            ctx,
-            n_flows,
-            batch,
-            1,
-            &policy_kinds,
-            &censor_kinds,
-            scenario,
-        );
-        md += &format!(
-            "## amoeba-serve cross-censor matrix, scenario `{}`\n\n",
-            scenario.name()
-        );
-        md += &serve_matrix_table_only(&report, &pids, &cids, &policy_kinds, &censor_kinds);
-        let (queries, verdicts, teardowns) = verdict_totals(&report);
-        md += &format!(
-            "\nverdict queries {queries}, verdicts {verdicts}, teardowns {teardowns} \
-             (torn sessions: {})\n",
-            report.torn_sessions()
-        );
-    }
     md
 }
 
@@ -776,25 +578,19 @@ fn verdict_totals(report: &ServeReport) -> (u64, u64, u64) {
     })
 }
 
-/// Renders just the evasion matrix for an existing report (shared by the
-/// smoke path so it doesn't re-run the engine).
-fn serve_matrix_table_only(
-    report: &ServeReport,
-    pids: &[PolicyId],
-    cids: &[CensorId],
-    policy_kinds: &[CensorKind],
-    censor_kinds: &[CensorKind],
-) -> String {
+/// Renders the evasion rate of every `(policy, censor)` cell of a
+/// [`run_matrix`] report.
+fn matrix_table(report: &ServeReport, pids: &[PolicyId], cids: &[CensorId]) -> String {
     let mut md = format!(
         "| policy \\ censor | {} |\n|---|{}\n",
-        censor_kinds
+        MATRIX_CENSORS
             .iter()
             .map(|k| format!("{k:?}"))
             .collect::<Vec<_>>()
             .join(" | "),
         "---|".repeat(cids.len())
     );
-    for (pi, &pid) in pids.iter().enumerate() {
+    for (&pid, kind) in pids.iter().zip(MATRIX_POLICIES) {
         let cells: Vec<String> = cids
             .iter()
             .map(|&cid| {
@@ -802,11 +598,7 @@ fn serve_matrix_table_only(
                 format!("{:.1}%", sub.evasion_rate() * 100.0)
             })
             .collect();
-        md += &format!(
-            "| trained vs {:?} | {} |\n",
-            policy_kinds[pi],
-            cells.join(" | ")
-        );
+        md += &format!("| trained vs {kind:?} | {} |\n", cells.join(" | "));
     }
     md
 }

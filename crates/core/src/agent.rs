@@ -308,28 +308,6 @@ pub fn train_amoeba(
     train_amoeba_with_encoder(censor, train_flows, layer, cfg, encoder, encoder_loss, eval)
 }
 
-/// [`train_amoeba`] against a streaming censor program — stateful
-/// (warmup/hysteresis), verdict-only (hard-label) or connection-tearing
-/// adversaries; each rollout episode spawns a fresh per-session program.
-pub fn train_amoeba_program(
-    factory: Arc<dyn CensorProgramFactory>,
-    train_flows: &[Flow],
-    layer: Layer,
-    cfg: &AmoebaConfig,
-    eval: Option<(&[Flow], usize)>,
-) -> (AmoebaAgent, TrainReport) {
-    let (encoder, encoder_loss) = pretrain_encoder(cfg);
-    train_amoeba_with_encoder_program(
-        factory,
-        train_flows,
-        layer,
-        cfg,
-        encoder,
-        encoder_loss,
-        eval,
-    )
-}
-
 /// Runs Algorithm 2 alone, returning the frozen encoder and its final
 /// reconstruction loss. The StateEncoder is censor-independent, so one
 /// pretrained encoder can be shared across every censor an experiment
@@ -365,7 +343,10 @@ pub fn train_amoeba_with_encoder(
     )
 }
 
-/// [`train_amoeba_program`] with an externally pretrained StateEncoder.
+/// [`train_amoeba_with_encoder`] against a streaming censor program —
+/// stateful (warmup/hysteresis), verdict-only (hard-label) or
+/// connection-tearing adversaries; each rollout episode spawns a fresh
+/// per-session program.
 pub fn train_amoeba_with_encoder_program(
     factory: Arc<dyn CensorProgramFactory>,
     train_flows: &[Flow],

@@ -13,7 +13,7 @@
 //! * [`ppo`] — Algorithm 1: parallel rollouts, GAE, clipped surrogate;
 //! * [`agent`] — the high-level train/attack/evaluate API with §5.3
 //!   metrics (ASR, data overhead, time overhead);
-//! * [`transfer`] — the Figure 10 transferability harness;
+//! * [`transfer`] — the ASR of replayed adversarial flows (Figure 10);
 //! * [`profile`] — §5.6.1 pre-stored adversarial profiles (Table 2);
 //! * [`shaper`] — payload framing so morphed flows reassemble exactly.
 
@@ -32,9 +32,9 @@ pub mod transfer;
 pub mod validate;
 
 pub use agent::{
-    pretrain_encoder, sensitive_flows, train_amoeba, train_amoeba_program,
-    train_amoeba_with_encoder, train_amoeba_with_encoder_program, AmoebaAgent, AttackOutcome,
-    AttackReport, IterationStats, TrainReport,
+    pretrain_encoder, sensitive_flows, train_amoeba, train_amoeba_with_encoder,
+    train_amoeba_with_encoder_program, AmoebaAgent, AttackOutcome, AttackReport, IterationStats,
+    TrainReport,
 };
 pub use config::{AmoebaConfig, ReconLoss};
 pub use encoder::{synthetic_flows, EncoderSnapshot, EncoderState, StateEncoder};
@@ -51,5 +51,5 @@ pub use profile::{EmbedResult, FlowProfile, ProfileCodecError, ProfileStore};
 pub use shaper::{
     decode_frame, encode_frame, FrameError, ShapedReceiver, ShapedSender, HEADER_LEN, MIN_FRAME,
 };
-pub use transfer::{asr_against, transfer_matrix, TransferMatrix};
+pub use transfer::asr_against;
 pub use validate::{verify_constraints, ConstraintViolation};

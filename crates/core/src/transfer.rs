@@ -1,13 +1,11 @@
-//! Transferability harness (§5.5.4, Figure 10): adversarial flows
-//! generated against one censor, evaluated against all others without
-//! retraining.
+//! Transferability (§5.5.4, Figure 10): adversarial flows generated
+//! against one censor, scored by another without retraining. The
+//! `fig10` experiment builds its matrix from [`asr_against`].
 
 use std::sync::Arc;
 
-use amoeba_classifiers::{Censor, CensorKind};
+use amoeba_classifiers::Censor;
 use amoeba_traffic::Flow;
-
-use crate::agent::AmoebaAgent;
 
 /// ASR of pre-generated adversarial flows against a target censor.
 pub fn asr_against(censor: &Arc<dyn Censor>, adversarial_flows: &[Flow]) -> f32 {
@@ -21,72 +19,10 @@ pub fn asr_against(censor: &Arc<dyn Censor>, adversarial_flows: &[Flow]) -> f32 
     evaded as f32 / adversarial_flows.len() as f32
 }
 
-/// The Figure 10 heatmap: `asr[i][j]` is the success rate of flows crafted
-/// against source `i` when replayed against target `j`.
-#[derive(Debug, Clone)]
-pub struct TransferMatrix {
-    /// Source model per row (the model each agent was trained against).
-    pub sources: Vec<CensorKind>,
-    /// Target model per column.
-    pub targets: Vec<CensorKind>,
-    /// ASR values, `asr[row][col]`.
-    pub asr: Vec<Vec<f32>>,
-}
-
-impl TransferMatrix {
-    /// Looks up a cell by kind pair.
-    pub fn get(&self, source: CensorKind, target: CensorKind) -> Option<f32> {
-        let r = self.sources.iter().position(|&k| k == source)?;
-        let c = self.targets.iter().position(|&k| k == target)?;
-        Some(self.asr[r][c])
-    }
-
-    /// Formats the matrix as an aligned text table.
-    pub fn render(&self) -> String {
-        let mut out = String::from("source\\target");
-        for t in &self.targets {
-            out.push_str(&format!("{:>8}", t.name()));
-        }
-        out.push('\n');
-        for (s, row) in self.sources.iter().zip(&self.asr) {
-            out.push_str(&format!("{:<13}", s.name()));
-            for v in row {
-                out.push_str(&format!("{:>8.2}", v));
-            }
-            out.push('\n');
-        }
-        out
-    }
-}
-
-/// Builds the transfer matrix: each agent crafts adversarial versions of
-/// `flows` against its own source censor; the stored flows are then scored
-/// by every target censor.
-pub fn transfer_matrix(
-    agents: &[(CensorKind, &AmoebaAgent, Arc<dyn Censor>)],
-    targets: &[(CensorKind, Arc<dyn Censor>)],
-    flows: &[Flow],
-) -> TransferMatrix {
-    let mut asr = Vec::with_capacity(agents.len());
-    for (_, agent, source_censor) in agents {
-        let adversarial = agent.generate_adversarial(source_censor, flows);
-        let row: Vec<f32> = targets
-            .iter()
-            .map(|(_, target)| asr_against(target, &adversarial))
-            .collect();
-        asr.push(row);
-    }
-    TransferMatrix {
-        sources: agents.iter().map(|(k, _, _)| *k).collect(),
-        targets: targets.iter().map(|(k, _)| *k).collect(),
-        asr,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amoeba_classifiers::ConstantCensor;
+    use amoeba_classifiers::{CensorKind, ConstantCensor};
 
     fn arc(score: f32) -> Arc<dyn Censor> {
         Arc::new(ConstantCensor {
@@ -104,20 +40,5 @@ mod tests {
         assert_eq!(asr_against(&arc(0.1), &flows), 1.0);
         assert_eq!(asr_against(&arc(0.9), &flows), 0.0);
         assert_eq!(asr_against(&arc(0.9), &[]), 0.0);
-    }
-
-    #[test]
-    fn matrix_lookup_and_render() {
-        let m = TransferMatrix {
-            sources: vec![CensorKind::Df, CensorKind::Dt],
-            targets: vec![CensorKind::Df, CensorKind::Dt],
-            asr: vec![vec![0.9, 0.4], vec![0.3, 0.8]],
-        };
-        assert_eq!(m.get(CensorKind::Df, CensorKind::Dt), Some(0.4));
-        assert_eq!(m.get(CensorKind::Dt, CensorKind::Df), Some(0.3));
-        assert_eq!(m.get(CensorKind::Rf, CensorKind::Df), None);
-        let text = m.render();
-        assert!(text.contains("DF"));
-        assert!(text.contains("0.90"));
     }
 }

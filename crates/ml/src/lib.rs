@@ -12,13 +12,11 @@
 #![warn(missing_docs)]
 
 pub mod forest;
-pub mod kfold;
 pub mod scale;
 pub mod svm;
 pub mod tree;
 
 pub use forest::{ForestConfig, RandomForest};
-pub use kfold::{cross_validate, kfold_indices, Fold};
 pub use scale::StandardScaler;
 pub use svm::{Kernel, Svm, SvmConfig};
 pub use tree::{DecisionTree, TreeConfig};

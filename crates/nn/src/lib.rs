@@ -4,7 +4,7 @@
 //! reproduction: a dense `f32` [`matrix::Matrix`] kernel, a reverse-mode
 //! tape autograd engine ([`tensor::Tensor`]), the layer zoo needed by the
 //! paper (MLP, GRU, LSTM, Conv1d/MaxPool1d), losses, Xavier/He
-//! initialisation, and Adam/SGD/RMSProp optimisers.
+//! initialisation, and the Adam optimiser.
 //!
 //! The paper implements its models in PyTorch; no ML framework is available
 //! to this reproduction, so this crate stands in for `torch.nn` +
@@ -60,7 +60,7 @@ pub use conv::{Conv1d, Conv1dSnapshot, MaxPool1d};
 pub use forward::{Forward, Pipeline};
 pub use layers::{Activation, Linear, LinearSnapshot, Mlp, MlpSnapshot};
 pub use matrix::Matrix;
-pub use optim::{clip_grad_norm, Adam, AdamState, Optimizer, RmsProp, Sgd};
+pub use optim::{clip_grad_norm, Adam, AdamState, Optimizer};
 pub use rnn::{Gru, GruCell, GruSnapshot, Lstm, LstmCell, LstmSnapshot};
 pub use simd::SimdLevel;
 pub use tensor::Tensor;

@@ -1,7 +1,9 @@
 //! First-order optimisers over collections of parameter tensors.
 //!
 //! The hyperparameter search in the paper (Table 3) covers Adam, SGD and
-//! RMSProp and settles on Adam with lr 5e-4; all three are provided.
+//! RMSProp and settles on Adam with lr 5e-4. Adam is the one provided:
+//! PPO, encoder pretraining, the neural censors and the white-box
+//! baselines all use it.
 
 use crate::matrix::Matrix;
 use crate::tensor::Tensor;
@@ -36,74 +38,6 @@ pub fn clip_grad_norm(params: &[Tensor], max_norm: f32) -> f32 {
         }
     }
     norm
-}
-
-/// Stochastic gradient descent with optional classical momentum.
-pub struct Sgd {
-    params: Vec<Tensor>,
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Matrix>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimiser. `momentum = 0` disables momentum.
-    pub fn new(params: Vec<Tensor>, lr: f32, momentum: f32) -> Self {
-        let velocity = params
-            .iter()
-            .map(|p| {
-                let (r, c) = p.shape();
-                Matrix::zeros(r, c)
-            })
-            .collect();
-        Self {
-            params,
-            lr,
-            momentum,
-            velocity,
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self) {
-        for (p, v) in self.params.iter().zip(self.velocity.iter_mut()) {
-            let g = p.grad();
-            if self.momentum > 0.0 {
-                *v = v.scale(self.momentum);
-                v.add_assign(&g);
-                p.update_value(|val, _| {
-                    let mut out = val.clone();
-                    out.add_scaled_assign(v, -self.lr);
-                    out
-                });
-            } else {
-                p.update_value(|val, grad| {
-                    let mut out = val.clone();
-                    out.add_scaled_assign(grad, -self.lr);
-                    out
-                });
-            }
-        }
-    }
-
-    fn zero_grad(&self) {
-        for p in &self.params {
-            p.zero_grad();
-        }
-    }
-
-    fn params(&self) -> &[Tensor] {
-        &self.params
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 /// Adam [Kingma & Ba 2014] with bias correction.
@@ -233,73 +167,6 @@ impl Optimizer for Adam {
     }
 }
 
-/// RMSProp with exponentially decaying squared-gradient average.
-pub struct RmsProp {
-    params: Vec<Tensor>,
-    lr: f32,
-    alpha: f32,
-    eps: f32,
-    sq: Vec<Matrix>,
-}
-
-impl RmsProp {
-    /// RMSProp with smoothing constant `alpha` (typically 0.99).
-    pub fn new(params: Vec<Tensor>, lr: f32, alpha: f32) -> Self {
-        let sq = params
-            .iter()
-            .map(|p| {
-                let (r, c) = p.shape();
-                Matrix::zeros(r, c)
-            })
-            .collect();
-        Self {
-            params,
-            lr,
-            alpha,
-            eps: 1e-8,
-            sq,
-        }
-    }
-}
-
-impl Optimizer for RmsProp {
-    fn step(&mut self) {
-        for (p, s) in self.params.iter().zip(self.sq.iter_mut()) {
-            let g = p.grad();
-            *s = s.scale(self.alpha);
-            let g2 = g.map(|x| x * x);
-            s.add_scaled_assign(&g2, 1.0 - self.alpha);
-            let lr = self.lr;
-            let eps = self.eps;
-            let denom = s.map(|x| x.sqrt() + eps);
-            p.update_value(|val, grad| {
-                let mut out = val.clone();
-                let upd = grad.zip(&denom, |gi, di| gi / di);
-                out.add_scaled_assign(&upd, -lr);
-                out
-            });
-        }
-    }
-
-    fn zero_grad(&self) {
-        for p in &self.params {
-            p.zero_grad();
-        }
-    }
-
-    fn params(&self) -> &[Tensor] {
-        &self.params
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,27 +186,9 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let v = quadratic_descent(|p| Box::new(Sgd::new(p, 0.05, 0.0)));
-        assert!((v - 3.0).abs() < 1e-2, "v={v}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges_on_quadratic() {
-        let v = quadratic_descent(|p| Box::new(Sgd::new(p, 0.02, 0.9)));
-        assert!((v - 3.0).abs() < 1e-2, "v={v}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let v = quadratic_descent(|p| Box::new(Adam::new(p, 0.05)));
         assert!((v - 3.0).abs() < 1e-2, "v={v}");
-    }
-
-    #[test]
-    fn rmsprop_converges_on_quadratic() {
-        let v = quadratic_descent(|p| Box::new(RmsProp::new(p, 0.02, 0.99)));
-        assert!((v - 3.0).abs() < 1e-1, "v={v}");
     }
 
     #[test]
