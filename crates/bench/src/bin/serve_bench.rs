@@ -1,12 +1,12 @@
-//! Serving checks, one per run: `serve_bench smoke | matrix | skew | scaling | telemetry <base>`.
+//! Serving checks, one per run: `serve_bench matrix | scaling | telemetry <base>`. Each is one
+//! the test suite cannot run: trained policies, a core-count gate or artifacts on disk.
 //!
-//! * `smoke`: 1 vs 4 shards, stealing on vs off, wire bit-identical.
 //! * `matrix`: the 2×3 tenant matrix per scenario vs 1 shard and vs single tenants; the pin.
-//! * `skew`: the 90/10 tenant mix at steal on/off × shards 1/4, wire bit-identical.
 //! * `scaling`: 4 shards must clear `AMOEBA_SERVE_MIN_SPEEDUP`× (default 2) on ≥4 cores.
 //! * `telemetry <base>`: one traced 4-shard pass, written to `<base>.prom` and `<base>.trace.json`.
 //!
-//! `AMOEBA_SERVE_FLOWS` sets the flow count (default 96, or 1000 for `scaling` and `telemetry`).
+//! `AMOEBA_SERVE_FLOWS` sets the flow count (default 96 for `matrix`, 1000 otherwise).
+//! `AMOEBA_SERVE_MIN_SPEEDUP` is read by `scaling` alone; set for another check, it is an error.
 //! A bad argument or value exits 2 with an error naming it.
 use std::ffi::OsStr;
 use std::process::exit;
@@ -14,7 +14,7 @@ use std::process::exit;
 use amoeba_bench::serve;
 use amoeba_bench::{Context, Scale, ScaleEnvError};
 
-const USAGE: &str = "usage: serve_bench smoke | matrix | skew | scaling | telemetry <base>";
+const USAGE: &str = "usage: serve_bench matrix | scaling | telemetry <base>";
 
 /// Inference batch size of every check.
 const BATCH: usize = 64;
@@ -22,9 +22,7 @@ const BATCH: usize = 64;
 /// The one check a run performs.
 #[derive(Debug, PartialEq)]
 enum Check {
-    Smoke,
     Matrix,
-    Skew,
     Scaling,
     /// Writes the telemetry artifacts next to this base path.
     Telemetry(String),
@@ -35,7 +33,7 @@ impl Check {
     /// fingerprint pin is taken at 96.
     fn default_flows(&self) -> usize {
         match self {
-            Check::Smoke | Check::Matrix | Check::Skew => 96,
+            Check::Matrix => 96,
             Check::Scaling | Check::Telemetry(_) => 1000,
         }
     }
@@ -48,9 +46,7 @@ fn parse_args(args: &[String]) -> Result<Check, String> {
     let mut it = args.iter();
     let check = match it.next().map(String::as_str) {
         None => return Err("no check given".into()),
-        Some("smoke") => Check::Smoke,
         Some("matrix") => Check::Matrix,
-        Some("skew") => Check::Skew,
         Some("scaling") => Check::Scaling,
         Some("telemetry") => {
             Check::Telemetry(it.next().cloned().ok_or("telemetry needs a base path")?)
@@ -83,6 +79,19 @@ fn bound_from(
         })
 }
 
+/// The scaling gate's bound, from `AMOEBA_SERVE_MIN_SPEEDUP` (default
+/// 2×). Only `scaling` has a gate: for any other check this is `None`,
+/// and a set value is an error naming the variable rather than a value
+/// silently ignored.
+fn min_speedup_for(check: &Check, value: Option<&OsStr>) -> Result<Option<f64>, String> {
+    const VAR: &str = "AMOEBA_SERVE_MIN_SPEEDUP";
+    match (check, value) {
+        (Check::Scaling, v) => bound_from(VAR, v, 2.0).map(Some).map_err(|e| e.to_string()),
+        (_, None) => Ok(None),
+        (_, Some(_)) => Err(format!("{VAR} is read only by `scaling`; unset it")),
+    }
+}
+
 /// The flow count: `AMOEBA_SERVE_FLOWS` when set, else `default`. A set
 /// value that is not a non-negative integer is an error naming it.
 fn flows_from(value: Option<&OsStr>, default: usize) -> Result<usize, ScaleEnvError> {
@@ -109,20 +118,25 @@ fn main() {
         check.default_flows(),
     )
     .unwrap_or_else(|e| e.exit());
-    let min_speedup = bound_from(
-        "AMOEBA_SERVE_MIN_SPEEDUP",
+    let min_speedup = min_speedup_for(
+        &check,
         std::env::var_os("AMOEBA_SERVE_MIN_SPEEDUP").as_deref(),
-        2.0,
     )
-    .unwrap_or_else(|e| e.exit());
+    .unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        exit(2)
+    });
     let mut ctx = Context::new(Scale::from_env().unwrap_or_else(|e| e.exit()));
     let md = match &check {
-        Check::Smoke => serve::serve_smoke(&mut ctx, n_flows, BATCH),
         Check::Matrix => serve::serve_matrix_check(&mut ctx, n_flows, BATCH),
-        Check::Skew => serve::serve_skew_smoke(&mut ctx, n_flows, BATCH),
-        Check::Scaling => serve::serve_scaling_gate(&mut ctx, n_flows, BATCH, min_speedup),
+        Check::Scaling => serve::serve_scaling_gate(
+            &mut ctx,
+            n_flows,
+            BATCH,
+            min_speedup.expect("scaling has a gate bound"),
+        ),
         Check::Telemetry(base) => {
-            let report = serve::run_serve(&mut ctx, n_flows, BATCH, 4, true, 4096);
+            let report = serve::run_serve(&mut ctx, n_flows, BATCH, 4, 4096);
             let (prom, trace) =
                 serve::write_telemetry_artifacts(&report, base).expect("write telemetry artifacts");
             format!(
@@ -145,9 +159,7 @@ mod tests {
     #[test]
     fn each_check_parses_with_its_default_flow_count() {
         for (args, check, flows) in [
-            (&["smoke"][..], Check::Smoke, 96),
             (&["matrix"][..], Check::Matrix, 96),
-            (&["skew"][..], Check::Skew, 96),
             (&["scaling"][..], Check::Scaling, 1000),
             (
                 &["telemetry", "/tmp/t"][..],
@@ -161,29 +173,54 @@ mod tests {
         }
     }
 
-    /// A bare invocation, a second check, the removed mode flags and
-    /// unknown words are errors naming the argument, never ignored.
+    /// A bare invocation, a second check, the removed checks and mode
+    /// flags and unknown words are errors naming the argument, never
+    /// ignored.
     #[test]
     fn anything_but_one_check_is_an_error() {
         for (args, needle) in [
             (&[][..], "no check given"),
             (&["telemetry"][..], "telemetry needs a base path"),
-            (&["smoke", "matrix"][..], "\"matrix\""),
+            (&["matrix", "scaling"][..], "\"scaling\""),
+            (&["smoke"][..], "\"smoke\""),
+            (&["skew"][..], "\"skew\""),
             (&["--matrix"][..], "\"--matrix\""),
             (&["--skew"][..], "\"--skew\""),
             (&["--scaling"][..], "\"--scaling\""),
             (&["--scenario", "all"][..], "\"--scenario\""),
             (&["matrix", "--scenario", "all"][..], "\"--scenario\""),
             (&["--steal", "off"][..], "\"--steal\""),
-            (&["smoke", "--steal", "off"][..], "\"--steal\""),
+            (&["scaling", "--steal", "off"][..], "\"--steal\""),
             (&["--telemetry", "/tmp/t"][..], "\"--telemetry\""),
             (&["--backend", "packed"][..], "\"--backend\""),
             (&["--pipeline", "off"][..], "\"--pipeline\""),
             (&["--overhead"][..], "\"--overhead\""),
-            (&["Smoke"][..], "\"Smoke\""),
+            (&["Matrix"][..], "\"Matrix\""),
         ] {
             let err = parse(args).unwrap_err();
             assert!(err.contains(needle), "{args:?}: {err}");
+        }
+    }
+
+    /// Only `scaling` reads the speedup bound; any other check with it
+    /// set is an error naming the variable, and a bad value is one for
+    /// `scaling`.
+    #[test]
+    fn min_speedup_is_read_only_by_scaling() {
+        let var = "AMOEBA_SERVE_MIN_SPEEDUP";
+        assert_eq!(min_speedup_for(&Check::Scaling, None), Ok(Some(2.0)));
+        assert_eq!(
+            min_speedup_for(&Check::Scaling, Some(OsStr::new("1.5"))),
+            Ok(Some(1.5))
+        );
+        let err = min_speedup_for(&Check::Scaling, Some(OsStr::new("two"))).unwrap_err();
+        assert!(err.contains(var), "{err}");
+        for check in [Check::Matrix, Check::Telemetry("/tmp/t".into())] {
+            assert_eq!(min_speedup_for(&check, None), Ok(None));
+            for value in ["1.5", "two"] {
+                let err = min_speedup_for(&check, Some(OsStr::new(value))).unwrap_err();
+                assert!(err.contains(var), "{check:?}: {err}");
+            }
         }
     }
 

@@ -29,7 +29,6 @@ pub mod ppo;
 pub mod profile;
 pub mod shaper;
 pub mod transfer;
-pub mod validate;
 
 pub use agent::{
     pretrain_encoder, sensitive_flows, train_amoeba, train_amoeba_with_encoder,
@@ -52,4 +51,3 @@ pub use shaper::{
     decode_frame, encode_frame, FrameError, ShapedReceiver, ShapedSender, HEADER_LEN, MIN_FRAME,
 };
 pub use transfer::asr_against;
-pub use validate::{verify_constraints, ConstraintViolation};

@@ -174,12 +174,22 @@ impl ServeReport {
         self.outcomes.iter().filter(|o| o.evaded).count() as f32 / self.outcomes.len() as f32
     }
 
-    /// Fraction of sessions whose streams reassembled bit-exact.
+    /// Fraction of sessions whose streams reassembled bit-exact, over the
+    /// sessions their censor program did not tear down: a teardown cuts
+    /// the stream short on purpose, so it is no reassembly fault. 0 when
+    /// every session was torn down, or there are none.
     pub fn stream_ok_rate(&self) -> f32 {
-        if self.outcomes.is_empty() {
+        let (kept, ok) = self
+            .outcomes
+            .iter()
+            .filter(|o| o.status != SessionStatus::Torn)
+            .fold((0usize, 0usize), |(n, ok), o| {
+                (n + 1, ok + usize::from(o.stream_ok))
+            });
+        if kept == 0 {
             return 0.0;
         }
-        self.outcomes.iter().filter(|o| o.stream_ok).count() as f32 / self.outcomes.len() as f32
+        ok as f32 / kept as f32
     }
 
     /// Sessions torn down mid-stream by their censor program
@@ -518,6 +528,28 @@ mod tests {
         assert!(report.summary().contains("flows/s"));
         assert!(report.summary().contains("batches"), "scheduler counters");
         assert!(report.summary().contains("stolen"));
+    }
+
+    /// A session its censor program tore down is out of the stream
+    /// rate's denominator; an untorn one that failed to verify counts.
+    #[test]
+    fn stream_ok_rate_skips_torn_sessions() {
+        let unverified = |id, status| SessionOutcome {
+            status,
+            stream_ok: false,
+            ..outcome(id, false)
+        };
+        let mut report = ServeReport {
+            outcomes: vec![outcome(0, true), unverified(1, SessionStatus::Torn)],
+            ..ServeReport::default()
+        };
+        assert_eq!(report.stream_ok_rate(), 1.0);
+        report
+            .outcomes
+            .push(unverified(2, SessionStatus::Completed));
+        assert_eq!(report.stream_ok_rate(), 0.5);
+        report.outcomes.retain(|o| o.status == SessionStatus::Torn);
+        assert_eq!(report.stream_ok_rate(), 0.0, "every session torn down");
     }
 
     /// The small-sample bias the nearest-rank scheme had: p50 of

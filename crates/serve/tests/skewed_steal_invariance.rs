@@ -58,8 +58,9 @@ proptest! {
     // Each case runs the engine nine times; keep the count low.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// 90%-one-policy mixes: steal on/off × shards 1/4 × batch 1/64 all
-    /// reproduce the reference bit for bit.
+    /// 90%-one-policy mixes: every reference stream reassembles, and
+    /// steal on/off × shards 1/4 × batch 1/64 all reproduce the
+    /// reference bit for bit.
     #[test]
     fn skewed_tenant_mix_is_invariant_across_stealing_shards_and_batches(
         flows in prop::collection::vec(arb_flow(), 10..30),
@@ -73,6 +74,7 @@ proptest! {
         });
         let reference = run_skewed(&flows, seed, 1, 1, false, netem);
         prop_assert_eq!(reference.outcomes.len(), flows.len());
+        prop_assert_eq!(reference.stream_ok_rate(), 1.0);
         let ref_bits = reference.wire_bits();
         for steal in [false, true] {
             for shards in [1usize, 4] {
