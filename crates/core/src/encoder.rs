@@ -355,6 +355,17 @@ impl EncoderState {
     pub fn hidden_size(&self) -> usize {
         self.hidden
     }
+
+    /// Moves the state out, leaving one with no layers in its place
+    /// (no allocation). Lockstep rollouts gather a chunk's states into
+    /// one slice for [`EncoderSnapshot::push_batch`] this way and move
+    /// them back when the window ends.
+    pub(crate) fn take(&mut self) -> EncoderState {
+        EncoderState {
+            state: std::mem::take(&mut self.state),
+            hidden: self.hidden,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -6,10 +6,14 @@
 //! `std::thread::scope` threads that share the frozen
 //! encoder/actor/critic snapshots (and, inside each worker's environment,
 //! the censor-program factory) via `Arc` — see [`PolicySnapshots`] and
-//! [`collect_rollouts_threaded`]. Each worker owns its RNG and
-//! environment state, and trajectories are merged back by worker index,
-//! so for a fixed seed the collected batch is bit-identical regardless of
-//! how many threads execute it.
+//! [`collect_rollouts_threaded`]. Each thread steps its contiguous chunk
+//! of workers in lockstep through the batched calls serving uses
+//! ([`EncoderSnapshot::push_batch`], [`ActorSnapshot::head_batch`],
+//! [`CriticSnapshot::value_batch`]), one call per step for the whole
+//! chunk. Each worker owns its RNG and environment state, every batched
+//! call is row-independent, and trajectories are merged back by worker
+//! index, so for a fixed seed the collected batch is bit-identical
+//! regardless of how many threads execute it.
 
 use std::sync::Arc;
 
@@ -109,81 +113,121 @@ impl Worker {
         }
     }
 
-    fn reset(&mut self, flows: &[Flow], encoder: &EncoderSnapshot) {
+    /// Starts a new episode on a randomly drawn training flow. The
+    /// caller resets the worker's encoder states.
+    fn reset(&mut self, flows: &[Flow]) {
         let idx = self.rng.gen_range(0..flows.len());
         self.env.reset(&flows[idx]);
-        self.x_state = encoder.begin();
-        self.a_state = encoder.begin();
         self.needs_reset = false;
     }
+}
 
-    /// Current state vector `E(x_{1:t}) ‖ E(a_{1:t-1})`.
-    fn state_vec(&self) -> Vec<f32> {
-        let mut s = self.x_state.representation().to_vec();
-        s.extend_from_slice(self.a_state.representation());
-        s
+/// Writes row `i` of the `(B, 2H)` state matrix: `E(x_{1:t}) ‖
+/// E(a_{1:t-1})` of worker `i`.
+fn fill_states(states: &mut Matrix, xs: &[EncoderState], acts: &[EncoderState]) {
+    for (i, (x, a)) in xs.iter().zip(acts).enumerate() {
+        let (sx, sa) = states.row_mut(i).split_at_mut(x.hidden_size());
+        sx.copy_from_slice(x.representation());
+        sa.copy_from_slice(a.representation());
     }
+}
 
-    /// Collects `steps` environment steps with the shared policy
-    /// snapshots.
-    pub fn rollout(
-        &mut self,
-        steps: usize,
-        policy: &PolicySnapshots,
-        flows: &[Flow],
-    ) -> Trajectory {
-        assert!(
-            !flows.is_empty(),
-            "rollout requires at least one training flow"
-        );
-        let (encoder, actor, critic) = (&*policy.encoder, &*policy.actor, &*policy.critic);
-        let mut traj = Trajectory::default();
-        for _ in 0..steps {
-            if self.needs_reset {
-                self.reset(flows, encoder);
+/// Collects `steps` environment steps from every worker of a chunk,
+/// stepping them in lockstep through the batched policy calls serving
+/// uses: per step, one [`EncoderSnapshot::push_batch`] of the
+/// observations, one [`ActorSnapshot::head_batch`] and one
+/// [`CriticSnapshot::value_batch`] over the `(B, 2H)` states, a sample
+/// from each worker's own RNG, the environment steps in worker order and
+/// one `push_batch` of the emitted packets.
+///
+/// Each batched call is row-independent, and each worker draws from its
+/// RNG in the order a worker stepping alone would (the reset draw, then
+/// the Gaussian draws), so every trajectory is bit-identical to stepping
+/// the worker by itself with batch-1 calls, whatever the chunk holds.
+fn rollout_chunk(
+    workers: &mut [Worker],
+    steps: usize,
+    policy: &PolicySnapshots,
+    flows: &[Flow],
+) -> Vec<Trajectory> {
+    if workers.is_empty() {
+        return Vec::new();
+    }
+    assert!(
+        !flows.is_empty(),
+        "rollout requires at least one training flow"
+    );
+    let (encoder, actor, critic) = (&*policy.encoder, &*policy.actor, &*policy.critic);
+    let b = workers.len();
+    let rows: Vec<usize> = (0..b).collect();
+    let (mut xs, mut acts): (Vec<EncoderState>, Vec<EncoderState>) = workers
+        .iter_mut()
+        .map(|w| (w.x_state.take(), w.a_state.take()))
+        .unzip();
+    let mut trajs: Vec<Trajectory> = (0..b).map(|_| Trajectory::default()).collect();
+    let mut packets = Matrix::zeros(b, 2);
+    let mut states = Matrix::zeros(b, 2 * encoder.hidden_size());
+    for _ in 0..steps {
+        // Feed each fresh observation into E(x_{1:t}).
+        for (i, w) in workers.iter_mut().enumerate() {
+            if w.needs_reset {
+                w.reset(flows);
+                xs[i] = encoder.begin();
+                acts[i] = encoder.begin();
             }
-            // Feed the fresh observation into E(x_{1:t}).
-            let obs = self
+            let obs = w
                 .env
                 .observe_normalized()
                 .expect("non-finished episode has an observation");
-            self.x_state.push(encoder, obs);
+            packets.row_mut(i).copy_from_slice(&obs);
+        }
+        encoder.push_batch(&mut xs, &rows, &packets);
 
-            let state = self.state_vec();
-            let (raw_action, logp) = actor.sample(&state, &mut self.rng);
-            let value = critic.value(&state);
-            let action = Action::clamped(raw_action[0], raw_action[1]);
-
-            let out = self.env.step(action);
+        fill_states(&mut states, &xs, &acts);
+        let (means, logstds) = actor.head_batch(&states);
+        let values = critic.value_batch(&states);
+        for (i, (w, traj)) in workers.iter_mut().zip(&mut trajs).enumerate() {
+            let (raw_action, logp) =
+                ActorSnapshot::sample_from_head(means.row(i), logstds.row(i), &mut w.rng);
+            let out = w.env.step(Action::clamped(raw_action[0], raw_action[1]));
             if out.queried {
                 traj.queries += 1;
             }
-            // Feed the emitted adversarial packet into E(a_{1:t}).
-            self.a_state
-                .push(encoder, self.env.normalize_packet(&out.emitted));
+            packets
+                .row_mut(i)
+                .copy_from_slice(&w.env.normalize_packet(&out.emitted));
 
-            traj.states.push(state);
+            traj.states.push(states.row(i).to_vec());
             traj.actions.push(raw_action);
             traj.logps.push(logp);
             traj.rewards.push(out.reward);
-            traj.values.push(value);
+            traj.values.push(values[i]);
             traj.dones.push(out.done);
 
             if out.done {
-                traj.episodes.push(self.env.stats().clone());
-                self.needs_reset = true;
+                traj.episodes.push(w.env.stats().clone());
+                w.needs_reset = true;
             }
         }
-        // Bootstrap value for a window that ended mid-episode.
-        traj.bootstrap = if self.needs_reset {
-            0.0
-        } else {
-            // The next observation has not been consumed yet; the critic
-            // sees the state as of the last emitted packet.
-            critic.value(&self.state_vec())
-        };
-        traj
+        // Feed each emitted adversarial packet into E(a_{1:t}).
+        encoder.push_batch(&mut acts, &rows, &packets);
     }
+    // Bootstrap value for a window that ended mid-episode: the next
+    // observation has not been consumed yet, so the critic sees the state
+    // as of the last emitted packet.
+    fill_states(&mut states, &xs, &acts);
+    let values = critic.value_batch(&states);
+    for (i, ((w, traj), (x, a))) in workers
+        .iter_mut()
+        .zip(&mut trajs)
+        .zip(xs.into_iter().zip(acts))
+        .enumerate()
+    {
+        traj.bootstrap = if w.needs_reset { 0.0 } else { values[i] };
+        w.x_state = x;
+        w.a_state = a;
+    }
+    trajs
 }
 
 /// Generalised advantage estimation (§A.1) over one trajectory.
@@ -521,11 +565,15 @@ pub fn collect_rollouts(
 /// may need fewer threads, but never a larger maximum chunk).
 ///
 /// Workers are split into contiguous chunks, one chunk per thread; each
-/// thread runs its chunk's workers in index order against the
-/// `Arc`-shared [`PolicySnapshots`]. Because every [`Worker`] owns its
-/// RNG, environment and encoder states, the resulting trajectories are
-/// **bit-identical for a fixed seed regardless of `threads`** — the merge
-/// order is the worker index, never completion order.
+/// thread steps its chunk's workers in lockstep through the batched
+/// calls of the `Arc`-shared [`PolicySnapshots`] (one encoder push, one
+/// actor head and one critic pass per step for the whole chunk; one
+/// thread runs every worker as a single chunk). Every batched call is
+/// row-independent and every [`Worker`] owns its RNG, environment and
+/// encoder states, so the resulting trajectories are **bit-identical for
+/// a fixed seed regardless of `threads`**, and equal to stepping each
+/// worker alone; the merge order is the worker index, never completion
+/// order. A panicking worker thread re-raises its own panic here.
 pub fn collect_rollouts_threaded(
     workers: &mut [Worker],
     steps_per_worker: usize,
@@ -536,40 +584,30 @@ pub fn collect_rollouts_threaded(
     let n = workers.len();
     let threads = threads.clamp(1, n.max(1));
     if threads <= 1 || n <= 1 {
-        return workers
-            .iter_mut()
-            .map(|w| w.rollout(steps_per_worker, policy, flows))
-            .collect();
+        return rollout_chunk(workers, steps_per_worker, policy, flows);
     }
     // Contiguous chunks keep the merge order equal to the worker order.
     let chunk_len = n.div_ceil(threads);
-    let mut results: Vec<Vec<Trajectory>> = Vec::with_capacity(threads);
     std::thread::scope(|scope| {
         let handles: Vec<_> = workers
             .chunks_mut(chunk_len)
-            .map(|chunk| {
-                let policy = policy.clone();
-                let flows = Arc::clone(flows);
-                scope.spawn(move || {
-                    chunk
-                        .iter_mut()
-                        .map(|w| w.rollout(steps_per_worker, &policy, &flows))
-                        .collect::<Vec<Trajectory>>()
-                })
-            })
+            .map(|chunk| scope.spawn(move || rollout_chunk(chunk, steps_per_worker, policy, flows)))
             .collect();
-        for h in handles {
-            results.push(h.join().expect("rollout worker panicked"));
-        }
-    });
-    results.into_iter().flatten().collect()
+        handles
+            .into_iter()
+            .flat_map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::encoder::StateEncoder;
-    use amoeba_classifiers::{CensorKind, ConstantCensor};
+    use amoeba_classifiers::{CensorDecision, CensorKind, CensorProgram, ConstantCensor};
 
     fn tiny_cfg() -> AmoebaConfig {
         AmoebaConfig {
@@ -634,6 +672,41 @@ mod tests {
         }
     }
 
+    /// Asserts two trajectories equal field by field, floats by bits (so
+    /// `-0.0` vs `0.0` or NaN payload drift would be caught too).
+    fn assert_same_trajectory(a: &Trajectory, b: &Trajectory, what: &str) {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let episode = |e: &EpisodeStats| {
+            (
+                (e.original_payload, e.padding, e.truncations, e.paddings),
+                (e.delays, e.queries, e.adv_len, e.success, e.torn),
+                bits(&[e.added_delay_ms, e.transmission_ms, e.final_score]),
+            )
+        };
+        assert_eq!(a.len(), b.len(), "{what}: length");
+        for (sa, sb) in a.states.iter().zip(&b.states) {
+            assert_eq!(bits(sa), bits(sb), "{what}: states");
+        }
+        for (aa, ab) in a.actions.iter().zip(&b.actions) {
+            assert_eq!(bits(aa), bits(ab), "{what}: actions");
+        }
+        assert_eq!(bits(&a.logps), bits(&b.logps), "{what}: logps");
+        assert_eq!(bits(&a.rewards), bits(&b.rewards), "{what}: rewards");
+        assert_eq!(bits(&a.values), bits(&b.values), "{what}: values");
+        assert_eq!(a.dones, b.dones, "{what}: dones");
+        assert_eq!(
+            a.bootstrap.to_bits(),
+            b.bootstrap.to_bits(),
+            "{what}: bootstrap"
+        );
+        assert_eq!(
+            a.episodes.iter().map(episode).collect::<Vec<_>>(),
+            b.episodes.iter().map(episode).collect::<Vec<_>>(),
+            "{what}: episodes"
+        );
+        assert_eq!(a.queries, b.queries, "{what}: queries");
+    }
+
     /// The tentpole determinism guarantee: for a fixed seed the merged
     /// trajectories are bit-identical whatever the thread count.
     #[test]
@@ -655,24 +728,143 @@ mod tests {
             let trajs = collect(threads);
             assert_eq!(trajs.len(), reference.len(), "{threads} threads");
             for (a, b) in trajs.iter().zip(&reference) {
-                // Bit-level equality: compare the raw f32 bit patterns so
-                // -0.0 vs 0.0 or NaN payload drift would be caught too.
-                assert_eq!(a.len(), b.len());
-                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-                for (sa, sb) in a.states.iter().zip(&b.states) {
-                    assert_eq!(bits(sa), bits(sb));
-                }
-                for (aa, ab) in a.actions.iter().zip(&b.actions) {
-                    assert_eq!(bits(aa), bits(ab));
-                }
-                assert_eq!(bits(&a.logps), bits(&b.logps));
-                assert_eq!(bits(&a.rewards), bits(&b.rewards));
-                assert_eq!(bits(&a.values), bits(&b.values));
-                assert_eq!(a.dones, b.dones);
-                assert_eq!(a.bootstrap.to_bits(), b.bootstrap.to_bits());
-                assert_eq!(a.queries, b.queries);
+                assert_same_trajectory(a, b, &format!("{threads} threads"));
             }
         }
+    }
+
+    /// One worker's window stepped alone through batch-1 calls: the
+    /// per-worker loop rollouts ran before workers stepped in lockstep.
+    fn per_worker_rollout(
+        w: &mut Worker,
+        steps: usize,
+        policy: &PolicySnapshots,
+        flows: &[Flow],
+    ) -> Trajectory {
+        let (encoder, actor, critic) = (&*policy.encoder, &*policy.actor, &*policy.critic);
+        let state_vec = |w: &Worker| {
+            let mut s = w.x_state.representation().to_vec();
+            s.extend_from_slice(w.a_state.representation());
+            s
+        };
+        let mut traj = Trajectory::default();
+        for _ in 0..steps {
+            if w.needs_reset {
+                let idx = w.rng.gen_range(0..flows.len());
+                w.env.reset(&flows[idx]);
+                w.x_state = encoder.begin();
+                w.a_state = encoder.begin();
+                w.needs_reset = false;
+            }
+            let obs = w.env.observe_normalized().expect("observation");
+            w.x_state.push(encoder, obs);
+            let state = state_vec(w);
+            let (raw_action, logp) = actor.sample(&state, &mut w.rng);
+            let value = critic.value(&state);
+            let out = w.env.step(Action::clamped(raw_action[0], raw_action[1]));
+            if out.queried {
+                traj.queries += 1;
+            }
+            w.a_state
+                .push(encoder, w.env.normalize_packet(&out.emitted));
+            traj.states.push(state);
+            traj.actions.push(raw_action);
+            traj.logps.push(logp);
+            traj.rewards.push(out.reward);
+            traj.values.push(value);
+            traj.dones.push(out.done);
+            if out.done {
+                traj.episodes.push(w.env.stats().clone());
+                w.needs_reset = true;
+            }
+        }
+        traj.bootstrap = if w.needs_reset {
+            0.0
+        } else {
+            critic.value(&state_vec(w))
+        };
+        traj
+    }
+
+    /// Lockstep chunks change no bit: five workers split unevenly over 1,
+    /// 2 and 3 threads, over consecutive windows whose episodes end and
+    /// reset mid-window, equal each worker stepped alone through batch-1
+    /// calls, every field by bits.
+    #[test]
+    fn lockstep_rollouts_match_the_per_worker_loop() {
+        let cfg = AmoebaConfig {
+            n_envs: 5,
+            ..tiny_cfg()
+        };
+        let mut rng = StdRng::seed_from_u64(13);
+        let learner = PpoLearner::new(&cfg, &mut rng);
+        let (mut mid_episode, mut at_episode_end, mut mid_window_resets) = (0, 0, 0);
+        for threads in [1, 2, 3] {
+            let (encoder, mut workers, flows) = setup(&cfg, 0.4);
+            let (_, mut reference, _) = setup(&cfg, 0.4);
+            let policy = snapshots(&encoder, &learner);
+            for window in 0..4 {
+                let got = collect_rollouts_threaded(&mut workers, 7, &policy, &flows, threads);
+                assert_eq!(got.len(), 5);
+                for (i, (a, w)) in got.iter().zip(&mut reference).enumerate() {
+                    let b = per_worker_rollout(w, 7, &policy, &flows);
+                    mid_window_resets += b.dones[..b.len() - 1].iter().filter(|&&d| d).count();
+                    if w.needs_reset {
+                        at_episode_end += 1;
+                    } else {
+                        mid_episode += 1;
+                    }
+                    let what = format!("{threads} threads, window {window}, worker {i}");
+                    assert_same_trajectory(a, &b, &what);
+                }
+            }
+        }
+        assert!(mid_window_resets > 0, "no episode reset inside a window");
+        assert!(
+            mid_episode > 0 && at_episode_end > 0,
+            "bootstrap branches: {mid_episode} mid-episode, {at_episode_end} at an episode end"
+        );
+    }
+
+    /// A censor program that panics on its first observation.
+    struct PanickingProgram;
+
+    impl CensorProgram for PanickingProgram {
+        fn observe(&mut self, _: &Flow, _: bool) -> CensorDecision {
+            panic!("censor program exploded mid-rollout");
+        }
+    }
+
+    struct PanickingFactory;
+
+    impl CensorProgramFactory for PanickingFactory {
+        fn spawn(&self) -> Box<dyn CensorProgram> {
+            Box::new(PanickingProgram)
+        }
+
+        fn kind(&self) -> CensorKind {
+            CensorKind::Dt
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "censor program exploded mid-rollout")]
+    fn a_panicking_rollout_thread_reraises_its_own_panic() {
+        let cfg = tiny_cfg();
+        let (encoder, _, flows) = setup(&cfg, 0.4);
+        let mut workers: Vec<Worker> = (0..2)
+            .map(|i| {
+                Worker::with_program(
+                    Arc::new(PanickingFactory),
+                    Layer::Tcp,
+                    EnvConfig::from(&cfg),
+                    &encoder,
+                    i,
+                )
+            })
+            .collect();
+        let learner = PpoLearner::new(&cfg, &mut StdRng::seed_from_u64(4));
+        collect_rollouts_threaded(&mut workers, 4, &snapshots(&encoder, &learner), &flows, 2);
     }
 
     #[test]

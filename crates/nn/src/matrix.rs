@@ -313,6 +313,16 @@ impl Matrix {
     /// # Panics
     /// Panics on column-count mismatch.
     pub fn matmul_t(&self, rhs: &Matrix) -> Matrix {
+        self.matmul_t_memo(rhs, &mut None)
+    }
+
+    /// [`Matrix::matmul_t`] with `rhs`'s transposed copy memoised in
+    /// `rhs_t` (see `simd::matmul_t_memo_into`); the caller empties the
+    /// slot whenever `rhs` changes. Bit-identical to `matmul_t`.
+    ///
+    /// # Panics
+    /// Panics on column-count mismatch or a filled slot of the wrong size.
+    pub(crate) fn matmul_t_memo(&self, rhs: &Matrix, rhs_t: &mut Option<Vec<f32>>) -> Matrix {
         assert_eq!(
             self.cols, rhs.cols,
             "matmul_t: ({}x{}) * ({}x{})^T",
@@ -320,10 +330,11 @@ impl Matrix {
         );
         let (m, kk, n) = (self.rows, self.cols, rhs.rows);
         let mut out = Matrix::zeros(m, n);
-        simd::matmul_t_into(
+        simd::matmul_t_memo_into(
             SimdLevel::detect(),
             &self.data,
             &rhs.data,
+            rhs_t,
             &mut out.data,
             m,
             kk,

@@ -50,7 +50,9 @@
 //! last `n % W` columns run against a zero-padded copy whose extra lanes
 //! are never stored. The left operand is read through a strided view, so
 //! [`t_matmul_into`] feeds it `lhsᵀ` without a copy; [`matmul_t_into`]
-//! transposes its right operand once, a pure copy.
+//! transposes its right operand once, a pure copy (the autograd tape
+//! keeps that copy for each weight until the weight changes, through
+//! `matmul_t_memo_into`).
 //!
 //! ## Dispatch
 //!
@@ -272,6 +274,29 @@ pub fn matmul_t_into(
     kk: usize,
     n: usize,
 ) {
+    matmul_t_memo_into(level, lhs, rhs, &mut None, out, m, kk, n);
+}
+
+/// [`matmul_t_into`] with `rhsᵀ` memoised in `rhs_t`: a vector level
+/// fills an empty slot with the transposed copy and reads a filled one
+/// as it is, so a caller that multiplies by the same `rhs` many times
+/// transposes it once. [`SimdLevel::Scalar`] never touches the slot. The
+/// caller must empty the slot whenever `rhs` changes.
+///
+/// # Panics
+/// Panics on slice/dimension mismatch, an unavailable level, or a filled
+/// slot of the wrong size.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn matmul_t_memo_into(
+    level: SimdLevel,
+    lhs: &[f32],
+    rhs: &[f32],
+    rhs_t: &mut Option<Vec<f32>>,
+    out: &mut [f32],
+    m: usize,
+    kk: usize,
+    n: usize,
+) {
     assert_eq!(lhs.len(), m * kk, "matmul_t_into: lhs size");
     assert_eq!(rhs.len(), n * kk, "matmul_t_into: rhs size");
     assert_eq!(out.len(), m * n, "matmul_t_into: out size");
@@ -295,13 +320,13 @@ pub fn matmul_t_into(
             }
         }
     } else {
-        let rhs_t = crate::matrix::transpose_slice(rhs, n, kk);
+        let rhs_t = rhs_t.get_or_insert_with(|| crate::matrix::transpose_slice(rhs, n, kk));
         let lhs = Lhs {
             data: lhs,
             rs: kk,
             cs: 1,
         };
-        matmul_tiled::<false>(level, lhs, &rhs_t, out, m, kk, n);
+        matmul_tiled::<false>(level, lhs, rhs_t, out, m, kk, n);
     }
 }
 

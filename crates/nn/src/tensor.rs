@@ -10,7 +10,16 @@
 //! - **Values are stored once.** Each node owns its value and nothing
 //!   else copies it: a backward closure reads its operands through the
 //!   parent handles it holds, and reads its own output from the node,
-//!   which the walk hands to it.
+//!   which the walk hands to it. The one copy is a parameter's transpose
+//!   (below).
+//! - **A parameter is transposed once per value.** `matmul`'s input
+//!   gradient `g·Wᵀ` feeds `W` transposed to the tiled nest. A parameter
+//!   (a leaf that requires grad) keeps that transposed copy from its
+//!   first use in a backward walk until `set_value` or `update_value`
+//!   writes a new value, so a GRU weight used at every timestep is
+//!   transposed once per backward pass instead of once per product. The
+//!   cost is one copy of each such weight, held from the backward walk
+//!   to the optimiser step; other nodes transpose per product.
 //! - **Gradients are allocated on first accumulation.** A node that
 //!   requires grad gets its gradient buffer when the first contribution
 //!   arrives, as `+0.0 + g` element by element (so a `-0.0` in `g` lands
@@ -25,7 +34,8 @@
 //!   (`x·Wx`, `h·Wh` and one gate blend, `Tensor::gru_cell`) instead of
 //!   the 22 a composition of slice, add, sigmoid, tanh and Hadamard nodes
 //!   would; the blend keeps only `r`, `z`, `n` and `h·Wh`'s `n` slice
-//!   (plus bias) for its hand-written backward.
+//!   (plus bias) for its hand-written backward, which walks exact-width
+//!   row slices of them.
 //! - **A value no backward reads is released.** `matmul`'s backward reads
 //!   its operands and the incoming gradient, never its own output, so
 //!   once the GRU blend has read its two products it empties their
@@ -68,6 +78,9 @@ type BackwardFn = Box<dyn FnOnce(Matrix, &Matrix)>;
 struct Inner {
     id: u64,
     value: Matrix,
+    /// `value` transposed, kept for `matmul`'s input gradient by a
+    /// parameter (see the module docs); emptied by every value write.
+    value_t: Option<Vec<f32>>,
     /// `None` until the first contribution arrives (see the module docs).
     grad: Option<Matrix>,
     requires_grad: bool,
@@ -100,6 +113,7 @@ impl Tensor {
             inner: Rc::new(RefCell::new(Inner {
                 id: next_id(),
                 value,
+                value_t: None,
                 grad: None,
                 requires_grad,
                 parents: Vec::new(),
@@ -132,6 +146,7 @@ impl Tensor {
             inner: Rc::new(RefCell::new(Inner {
                 id: next_id(),
                 value,
+                value_t: None,
                 grad: None,
                 requires_grad: true,
                 parents,
@@ -198,6 +213,7 @@ impl Tensor {
             "set_value: shape mismatch"
         );
         inner.value = new;
+        inner.value_t = None;
     }
 
     /// Applies `f(value, grad)` producing the new value (optimiser hook).
@@ -219,6 +235,7 @@ impl Tensor {
             "update_value: shape mismatch"
         );
         inner.value = new;
+        inner.value_t = None;
     }
 
     /// Zeroes the gradient buffer, keeping its allocation.
@@ -284,6 +301,20 @@ impl Tensor {
             for (d, &s) in dst.iter_mut().zip(g.row(i)) {
                 *d += s;
             }
+        }
+    }
+
+    /// `g · valueᵀ`, `matmul`'s input gradient. A parameter (a leaf that
+    /// requires grad) computes its transposed value on first use and keeps
+    /// it until the value is next written; any other node transposes per
+    /// call. Bit-identical to `g.matmul_t(&value)` either way.
+    fn grad_times_transpose(&self, g: &Matrix) -> Matrix {
+        let mut inner = self.inner.borrow_mut();
+        let inner = &mut *inner;
+        if inner.requires_grad && inner.parents.is_empty() {
+            g.matmul_t_memo(&inner.value, &mut inner.value_t)
+        } else {
+            g.matmul_t(&inner.value)
         }
     }
 
@@ -358,7 +389,7 @@ impl Tensor {
             vec![self.clone(), rhs.clone()],
             Box::new(move |g, _| {
                 if pa.requires_grad() {
-                    let ga = g.matmul_t(&pb.value_ref());
+                    let ga = pb.grad_times_transpose(&g);
                     pa.accumulate_grad(ga);
                 }
                 if pb.requires_grad() {
@@ -722,20 +753,27 @@ impl Tensor {
                 let p = |v: f32| 0.0 + v;
                 let mut gxw = Matrix::zeros(rows, 3 * hs);
                 let mut ghw = Matrix::zeros(rows, 3 * hs);
-                let mut dh = Vec::with_capacity(rows * hs);
+                let mut dh = Matrix::zeros(rows, hs);
                 {
                     let hv = ph.value_ref();
                     for row in 0..rows {
-                        let (gxw_row, ghw_row) = (gxw.row_mut(row), ghw.row_mut(row));
+                        // Exact-width row slices, so indexing by `c < hs`
+                        // needs no bounds check.
+                        let at = row * hs;
+                        let (r, z) = (&r[at..][..hs], &z[at..][..hs]);
+                        let (n, ghn) = (&n[at..][..hs], &ghn[at..][..hs]);
+                        let (g, h) = (&g.row(row)[..hs], &hv.row(row)[..hs]);
+                        let dh = &mut dh.row_mut(row)[..hs];
+                        let [gx_r, gx_z, gx_n] = gate_slices_mut(gxw.row_mut(row), hs);
+                        let [gh_r, gh_z, gh_n] = gate_slices_mut(ghw.row_mut(row), hs);
                         for c in 0..hs {
-                            let i = row * hs + c;
-                            let (r, z, n, ghn) = (r[i], z[i], n[i], ghn[i]);
+                            let (r, z, n, ghn) = (r[c], z[c], n[c], ghn[c]);
                             // out = (1 − z)·n + z·h
-                            let g = p(g.as_slice()[i]);
+                            let g = p(g[c]);
                             let g_omz = p(g * n);
                             let g_n = p(g * (1.0 - z));
-                            let c_zh = g * hv.as_slice()[i];
-                            dh.push(g * z);
+                            let c_zh = g * h[c];
+                            dh[c] = g * z;
                             // 1 − z = −z + 1: its path, then z·h's path
                             let g_z = p(-g_omz) + c_zh;
                             let g_zpre = p(g_z * z * (1.0 - z));
@@ -744,16 +782,16 @@ impl Tensor {
                             let g_r = p(g_npre * ghn);
                             let g_ghn = p(g_npre * r);
                             let g_rpre = p(g_r * r * (1.0 - r));
-                            gxw_row[c] = g_rpre;
-                            gxw_row[hs + c] = g_zpre;
-                            gxw_row[2 * hs + c] = g_npre;
-                            ghw_row[c] = g_rpre;
-                            ghw_row[hs + c] = g_zpre;
-                            ghw_row[2 * hs + c] = g_ghn;
+                            gx_r[c] = g_rpre;
+                            gx_z[c] = g_zpre;
+                            gx_n[c] = g_npre;
+                            gh_r[c] = g_rpre;
+                            gh_z[c] = g_zpre;
+                            gh_n[c] = g_ghn;
                         }
                     }
                 }
-                ph.accumulate_grad(Matrix::from_vec(rows, hs, dh));
+                ph.accumulate_grad(dh);
                 pbx.accumulate_grad(gxw.sum_rows());
                 pxw.accumulate_grad(gxw);
                 pbh.accumulate_grad(ghw.sum_rows());
@@ -916,6 +954,14 @@ impl Tensor {
             z.zip(&labels, |zi, yi| (1.0 / (1.0 + (-zi).exp()) - yi) / n * g)
         })
     }
+}
+
+/// The three gate blocks `[r | z | n]` of a fused `(3·hs)`-wide gradient
+/// row, each exactly `hs` wide.
+fn gate_slices_mut(row: &mut [f32], hs: usize) -> [&mut [f32]; 3] {
+    let (r, rest) = row.split_at_mut(hs);
+    let (z, n) = rest.split_at_mut(hs);
+    [r, z, &mut n[..hs]]
 }
 
 impl std::fmt::Debug for Tensor {
@@ -1279,6 +1325,45 @@ mod tests {
         let x = randt(&mut StdRng::seed_from_u64(9), 3, 3);
         check_gradients(std::slice::from_ref(&x), || x.matmul(&x).sum(), 1e-2, 2e-2);
         check_gradients(std::slice::from_ref(&x), || x.mul(&x).sum(), 1e-2, 2e-2);
+    }
+
+    /// `matmul`'s input gradient reads a parameter's memoised transpose,
+    /// and the memo never outlives the weight: fresh, after an Adam step
+    /// (`update_value`) and after `load_snapshot` (`set_value`), the input
+    /// gradients of two products through the same weight in one walk
+    /// equal `g.matmul_t(&w)` on the current weights, bit for bit.
+    #[test]
+    fn transpose_memo_never_outlives_a_weight() {
+        use crate::layers::Linear;
+        use crate::optim::{Adam, Optimizer};
+        use crate::simd::SimdLevel;
+
+        let mut rng = StdRng::seed_from_u64(10);
+        let layer = Linear::new(5, 7, &mut rng);
+        let other = Linear::new(5, 7, &mut rng).snapshot();
+        let mut opt = Adam::new(layer.params(), 0.1);
+        let (x1, x2) = (randt(&mut rng, 3, 5), randt(&mut rng, 4, 5));
+        let (g1, g2) = (
+            Matrix::randn(3, 7, 1.0, &mut rng),
+            Matrix::randn(4, 7, 1.0, &mut rng),
+        );
+        let check = |what: &str| {
+            layer.w.zero_grad();
+            x1.zero_grad();
+            x2.zero_grad();
+            let y = x1.matmul(&layer.w).concat_rows(&x2.matmul(&layer.w));
+            y.backward_with(&g1.concat_rows(&g2));
+            let w = layer.w.value();
+            assert_eq!(bits(&x1.grad()), bits(&g1.matmul_t(&w)), "{what}: x1");
+            assert_eq!(bits(&x2.grad()), bits(&g2.matmul_t(&w)), "{what}: x2");
+            let memo = layer.w.inner.borrow().value_t.is_some();
+            assert_eq!(memo, SimdLevel::detect() != SimdLevel::Scalar, "{what}");
+        };
+        check("fresh weights");
+        opt.step();
+        check("after an Adam step");
+        layer.load_snapshot(&other);
+        check("after load_snapshot");
     }
 
     #[test]
